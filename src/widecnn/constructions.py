@@ -51,6 +51,7 @@ from .network import (
     Params,
     forward,
     lift_weights,
+    patch_products,
 )
 
 DEFAULT_ALPHA_SCHEDULE = tuple(2.0**i for i in range(21))
@@ -144,12 +145,6 @@ def _min_cross_sample_gap(F: np.ndarray) -> float:
     return float(diffs[mask].min())
 
 
-def _inner_products(F_prev: np.ndarray, layout, Q: np.ndarray) -> np.ndarray:
-    """(N, P, T) array of <filter_t, patch_p(sample_i)> values."""
-    patches = layout.extract(F_prev)
-    return np.tensordot(patches, Q, axes=([2], [0]))
-
-
 def _sample_filters(rng: np.random.Generator, size: tuple[int, int]) -> np.ndarray:
     Q = rng.standard_normal(size)
     return Q / np.linalg.norm(Q, axis=0, keepdims=True)
@@ -237,7 +232,7 @@ def _transport_layer(spec, k, F_prev, cfg, rng):
     lo, hi = sigma.bijective_interval
     for _ in range(cfg.resample_budget):
         Q = _sample_filters(rng, (layout.patch_size, T))
-        ip = _inner_products(F_prev, layout, Q)
+        ip = patch_products(layout, F_prev, Q)
         if _collisions_across_samples(ip, cfg.collision_rtol):
             continue
         if not _lifted_full_rank(spec, k, Q):
@@ -348,7 +343,7 @@ def _independence_impl(spec, X, wide_layer, cfg, rng):
 
     for _ in range(cfg.resample_budget):
         Q = _sample_filters(rng, (layout.patch_size, T))
-        ip = _inner_products(F_prev, layout, Q)
+        ip = patch_products(layout, F_prev, Q)
         if _collisions_within_columns(ip, cfg.collision_rtol):
             continue
         if not _lifted_full_rank(spec, k, Q):

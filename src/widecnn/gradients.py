@@ -1,11 +1,14 @@
 """Squared loss and exact matrix-form backpropagation.
 
 The backward recursion follows the standard matrix form: the output
-residual seeds ``D_L = F_L - Y``, each step applies
-``D_l = (D_{l+1} @ U_{l+1}^T) * sigma_l'(G_l)`` with the lifted weight
-matrices, and the full-matrix gradient is ``grad_U_l = F_{l-1}^T @ D_l``.
-Filter-space gradients follow by the adjoint of the lifting map; bias
-gradients are the column sums of ``D_l``. A central finite-difference
+residual seeds ``D_L = F_L - Y`` and each step applies
+``D_l = (D_{l+1} @ U_{l+1}^T) * sigma_l'(G_l)``. A dense layer multiplies
+by ``W^T``; a convolution multiplies each patch's block by ``W^T`` and
+adds it back through the patch scatter, which equals ``D_{l+1} U_{l+1}^T``
+without the dense ``U`` that ``lift_weights`` builds for rank and SVD work.
+The full-matrix gradient is ``grad_U_l = F_{l-1}^T @ D_l``; filter-space
+gradients follow by the adjoint of the lifting map, and bias gradients
+are the column sums of ``D_l``. A central finite-difference
 oracle over the true parameters is provided for verification.
 """
 
@@ -17,13 +20,13 @@ import numpy as np
 
 from .errors import StructuralError, UnsupportedLayerError
 from .network import (
+    Conv,
     ForwardTrace,
     NetworkSpec,
+    Output,
     Params,
-    ensure_feedforward_for_loss,
     forward,
     lift_adjoint,
-    lift_weights,
 )
 
 
@@ -68,7 +71,8 @@ def backward(
     layer in the differentiated segment must be convolutional or fully
     connected; ReLU uses the subgradient convention derivative(0) = 0.
     """
-    ensure_feedforward_for_loss(spec)
+    if not isinstance(spec.layers[-1], Output):
+        raise StructuralError("loss-level operations require an Output last layer")
     L = spec.depth
     if not 1 <= start_layer <= L:
         raise StructuralError(f"start layer {start_layer} outside [1, {L}]")
@@ -82,14 +86,16 @@ def backward(
     if trace.output.shape != Y.shape:
         raise StructuralError(f"output {trace.output.shape} vs targets {Y.shape}")
 
-    lifted = {
-        l: lift_weights(spec, l, params.weights[l]) for l in range(start_layer + 1, L + 1)
-    }
     delta = trace.output - Y  # output layer is linear
     deltas: dict[int, np.ndarray] = {L: delta}
     for l in range(L - 1, start_layer - 1, -1):
-        sigma = spec.activation(l)
-        delta = (delta @ lifted[l + 1].T) * sigma.derivative(trace.G[l])
+        above, W = spec.layer(l + 1), params.weights[l + 1]
+        if isinstance(above, Conv):
+            P, T = above.layout.patch_count, above.filters
+            delta = above.layout.scatter_add(delta.reshape(-1, P, T) @ W.T)
+        else:
+            delta = delta @ W.T
+        delta = delta * spec.activation(l).derivative(trace.G[l])
         deltas[l] = delta
 
     none_row: list[np.ndarray | None] = [None] * (L + 1)

@@ -92,6 +92,20 @@ class PatchLayout:
             )
         return rows[:, self._index_array]
 
+    def scatter_add(self, patches: np.ndarray) -> np.ndarray:
+        """Transpose of ``extract``: (N, P, l) patches to (N, width) rows,
+        each neuron summing every patch entry that reads it. Windows
+        overlap, hence ``np.add.at``: a buffered ``+=`` drops repeats."""
+        patches = np.asarray(patches)
+        if patches.ndim != 3 or patches.shape[1:] != self._index_array.shape:
+            raise StructuralError(
+                f"expected (N, {self.patch_count}, {self.patch_size}) patches, "
+                f"got {patches.shape}"
+            )
+        out = np.zeros((patches.shape[0], self.width), dtype=patches.dtype)
+        np.add.at(out, (slice(None), self._index_array), patches)
+        return out
+
 
 def full_layout(width: int) -> PatchLayout:
     """Single patch covering the whole layer (the fully connected case)."""

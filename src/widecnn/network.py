@@ -8,10 +8,12 @@ previous layer; the unit for (patch p, filter t) sits at position
 case. Max-pooling takes the per-patch maximum. The output layer is fully
 connected with no nonlinearity.
 
-``lift_weights`` embeds a filter matrix into the full weight matrix that
-makes the convolution an ordinary matrix product; ``lift_adjoint`` is its
-transpose as a linear map, which pulls full-matrix gradients back to
-filter space.
+A convolution is computed by gathering its layout's patches
+(``patch_products``); backward propagates through the transpose of that
+gather, ``PatchLayout.scatter_add``, which equals ``D_k U_k^T``.
+``lift_weights`` builds the dense matrix ``U_k`` of the convolution for
+rank and SVD work only; ``lift_adjoint`` is its transpose as a linear map,
+which pulls full-matrix gradients back to filter space.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class NetworkSpec:
     Layer numbering is 1-based in every public operation; layer 0 is the
     input. Width chaining is validated at construction. Networks used for
     training or landscape analysis additionally need an ``Output`` last
-    layer (see ``ensure_feedforward_for_loss``); headless stacks are fine
-    for feature-level work.
+    layer (``backward`` checks it); headless stacks are fine for
+    feature-level work.
     """
 
     input_width: int
@@ -187,13 +189,6 @@ class NetworkSpec:
         return NetworkSpec(self.input_width, self.layers[:k])
 
 
-def ensure_feedforward_for_loss(spec: NetworkSpec) -> None:
-    """Validate the structure required by loss-level operations: the last
-    layer is Output and no other layer is missing an activation."""
-    if not isinstance(spec.layers[-1], Output):
-        raise StructuralError("loss-level operations require an Output last layer")
-
-
 @dataclass(frozen=True)
 class Params:
     """Per-layer filter matrices and bias vectors, index-aligned to the
@@ -217,16 +212,7 @@ class Params:
 
     @classmethod
     def zeros(cls, spec: NetworkSpec) -> "Params":
-        weights, biases = [None], [None]
-        for k in range(1, spec.depth + 1):
-            shape = spec.filter_shape(k)
-            if shape is None:
-                weights.append(None)
-                biases.append(None)
-            else:
-                weights.append(np.zeros(shape))
-                biases.append(np.zeros(spec.widths[k]))
-        return cls(tuple(weights), tuple(biases))
+        return cls._per_layer(spec, np.zeros, np.zeros)
 
     @classmethod
     def gaussian(
@@ -238,17 +224,8 @@ class Params:
         up_to: int | None = None,
     ) -> "Params":
         """Standard-Gaussian parameters for layers 1..up_to (default all)."""
-        up_to = spec.depth if up_to is None else up_to
-        weights, biases = [None], [None]
-        for k in range(1, spec.depth + 1):
-            shape = spec.filter_shape(k)
-            if shape is None or k > up_to:
-                weights.append(None)
-                biases.append(None)
-            else:
-                weights.append(weight_scale * rng.standard_normal(shape))
-                biases.append(bias_scale * rng.standard_normal(spec.widths[k]))
-        return cls(tuple(weights), tuple(biases))
+        return cls._per_layer(spec, lambda s: weight_scale * rng.standard_normal(s),
+                              lambda n: bias_scale * rng.standard_normal(n), up_to)
 
     @classmethod
     def fan_in_gaussian(
@@ -257,15 +234,20 @@ class Params:
         """Gaussian weights scaled by 1/sqrt(fan-in) with small Gaussian
         biases; a sensible training initialization that keeps
         pre-activations O(1) through sigmoid-style layers."""
+        return cls._per_layer(spec, lambda s: rng.standard_normal(s) / np.sqrt(s[0]),
+                              lambda n: bias_scale * rng.standard_normal(n))
+
+    @classmethod
+    def _per_layer(cls, spec: NetworkSpec, weight, bias, up_to: int | None = None):
+        """``weight(filter_shape)`` then ``bias(width)`` for each weighted
+        layer up to ``up_to``, in layer order: that order fixes the random
+        draws of the Gaussian initializers."""
+        up_to = spec.depth if up_to is None else up_to
         weights, biases = [None], [None]
         for k in range(1, spec.depth + 1):
-            shape = spec.filter_shape(k)
-            if shape is None:
-                weights.append(None)
-                biases.append(None)
-            else:
-                weights.append(rng.standard_normal(shape) / np.sqrt(shape[0]))
-                biases.append(bias_scale * rng.standard_normal(spec.widths[k]))
+            shape = spec.filter_shape(k) if k <= up_to else None
+            weights.append(None if shape is None else weight(shape))
+            biases.append(None if shape is None else bias(spec.widths[k]))
         return cls(tuple(weights), tuple(biases))
 
     def with_layer(self, k: int, W: np.ndarray, b: np.ndarray) -> "Params":
@@ -416,11 +398,10 @@ def lift_weights(spec: NetworkSpec, k: int, W: np.ndarray) -> np.ndarray:
         raise StructuralError(f"layer {k} weights {W.shape}, expected {shape}")
     if isinstance(layer, (FullyConnected, Output)):
         return W.copy()
-    T = layer.filters
     idx = layer.layout.index_array()  # (P, l)
-    U = np.zeros((spec.widths[k - 1], layer.layout.patch_count * T))
-    for p in range(idx.shape[0]):
-        U[idx[p], p * T : (p + 1) * T] = W
+    P, T = layer.layout.patch_count, layer.filters
+    U = np.zeros((spec.widths[k - 1], P * T))
+    U.reshape(-1, P, T)[idx, np.arange(P)[:, None]] = W
     return U
 
 
@@ -439,12 +420,16 @@ def lift_adjoint(spec: NetworkSpec, k: int, V: np.ndarray) -> np.ndarray:
         raise StructuralError(f"layer {k} lifted matrix {V.shape}, expected {expected}")
     if isinstance(layer, (FullyConnected, Output)):
         return V.copy()
-    T = layer.filters
     idx = layer.layout.index_array()
-    A = np.zeros((layer.layout.patch_size, T))
-    for p in range(idx.shape[0]):
-        A += V[idx[p], p * T : (p + 1) * T]
-    return A
+    P, T = layer.layout.patch_count, layer.filters
+    # summing the (l, T) blocks in patch order fixes the rounding of grad_W
+    return V.reshape(-1, P, T)[idx, np.arange(P)[:, None]].sum(axis=0)
+
+
+def patch_products(layout: PatchLayout, F: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: the
+    convolution's pre-activation before the bias, via the patch gather."""
+    return np.tensordot(layout.extract(F), W, axes=([2], [0]))
 
 
 def forward(
@@ -455,10 +440,10 @@ def forward(
 ) -> ForwardTrace:
     """Evaluate layers 1..up_to (default: all) on a batch.
 
-    Convolutional layers are computed by gathering patches and multiplying
-    by the filter matrix, which equals the lifted-matrix product
-    ``F_{k-1} @ lift_weights(W_k) + b_k`` up to floating-point rounding.
-    Pure function: identical inputs give identical traces.
+    Convolutional layers are computed by ``patch_products``, which equals
+    the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
+    floating-point rounding. Pure function: identical inputs give identical
+    traces.
     """
     up_to = spec.depth if up_to is None else up_to
     X = np.asarray(X, dtype=np.float64)
@@ -483,8 +468,7 @@ def forward(
             else:
                 W, b = params.weights[k], params.biases[k]
                 if isinstance(layer, Conv):
-                    patches = layer.layout.extract(prev)  # (N, P, l)
-                    Gk = np.tensordot(patches, W, axes=([2], [0]))  # (N, P, T)
+                    Gk = patch_products(layer.layout, prev, W)  # (N, P, T)
                     Gk = Gk.reshape(prev.shape[0], -1) + b
                 else:
                     Gk = prev @ W + b

@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's code paths: rank by Gaussian
 elimination instead of SVD, convolution by a scalar per-patch loop
-instead of lifted matrix products.
+instead of lifted matrix products, and backpropagation through dense
+lifted matrices instead of the patch scatter.
 """
 
 import numpy as np
+
+from widecnn.gradients import GradientSet
+from widecnn.network import lift_adjoint, lift_weights
 
 
 def elimination_rank(A, rel_cutoff=1e-10):
@@ -53,3 +57,23 @@ def naive_conv_forward(F_prev, layout, W, b, sigma=None):
                 h = p * T + t
                 out[i, h] = float(np.dot(W[:, t], patch)) + b[h]
     return sigma(out) if sigma is not None else out
+
+
+def lifted_backward(spec, params, trace, Y, start_layer=1):
+    """Backpropagation with every layer above ``start_layer`` lifted to its
+    dense matrix: ``D_l = (D_{l+1} @ U_{l+1}^T) * sigma_l'(G_l)``. Deltas
+    are always kept."""
+    L = spec.depth
+    delta = trace.output - np.asarray(Y, dtype=np.float64)
+    deltas = {L: delta}
+    for l in range(L - 1, start_layer - 1, -1):
+        U = lift_weights(spec, l + 1, params.weights[l + 1])
+        delta = (delta @ U.T) * spec.activation(l).derivative(trace.G[l])
+        deltas[l] = delta
+    grad_U, grad_W, grad_b = ([None] * (L + 1) for _ in range(3))
+    for l in range(start_layer, L + 1):
+        grad_U[l] = trace.F[l - 1].T @ deltas[l]
+        grad_W[l] = lift_adjoint(spec, l, grad_U[l])
+        grad_b[l] = deltas[l].sum(axis=0)
+    kept = tuple(deltas.get(l) for l in range(L + 1))
+    return GradientSet(start_layer, tuple(grad_U), tuple(grad_W), tuple(grad_b), kept)

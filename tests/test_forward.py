@@ -177,3 +177,39 @@ class TestSpecValidation:
 
         with pytest.raises(StructuralError):
             NetworkSpec(4, (Conv(conv1d_layout(5, 3, 1), 2, Sigmoid()),))
+
+
+
+class TestParamsInitializers:
+    def test_draw_order_is_weights_then_bias_layer_by_layer(self):
+        """Seeded runs depend on this order: pooling layers and layers above
+        ``up_to`` draw nothing."""
+        spec = NetworkSpec(
+            4,
+            (
+                Conv(conv1d_layout(4, 2, 1), 2, Sigmoid()),
+                MaxPool(conv1d_layout(6, 2, 2)),
+                FullyConnected(3, Sigmoid()),
+                Output(2),
+            ),
+        )
+        weighted = [(1, (2, 2), 6), (3, (3, 3), 3), (4, (3, 2), 2)]
+        for up_to in (4, 3):
+            params = Params.gaussian(spec, np.random.default_rng(0), 2.0, 0.5, up_to)
+            rng = np.random.default_rng(0)
+            for k, shape, width in weighted:
+                if k > up_to:
+                    assert params.weights[k] is None and params.biases[k] is None
+                    continue
+                W = 2.0 * rng.standard_normal(shape)
+                b = 0.5 * rng.standard_normal(width)
+                np.testing.assert_array_equal(params.weights[k], W)
+                np.testing.assert_array_equal(params.biases[k], b)
+        params = Params.fan_in_gaussian(spec, np.random.default_rng(1), bias_scale=0.1)
+        rng = np.random.default_rng(1)
+        for k, shape, width in weighted:
+            W = rng.standard_normal(shape) / np.sqrt(shape[0])
+            b = 0.1 * rng.standard_normal(width)
+            np.testing.assert_array_equal(params.weights[k], W)
+            np.testing.assert_array_equal(params.biases[k], b)
+        assert params.weights[2] is None and params.biases[2] is None

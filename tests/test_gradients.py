@@ -23,7 +23,9 @@ from widecnn import (
     loss,
     max_relative_gradient_error,
 )
-from widecnn.layout import conv1d_layout
+from widecnn.layout import PatchLayout, conv1d_layout
+
+from oracles import lifted_backward
 
 
 def random_smooth_net(rng, depth=None, max_width=8):
@@ -128,6 +130,13 @@ class TestBackward:
         assert grads.grad_W[1] is None
         assert grads.grad_W[spec.depth] is not None
 
+    def test_headless_network_rejected(self):
+        spec = NetworkSpec(3, (FullyConnected(2, Sigmoid()),))
+        params = Params.zeros(spec)
+        trace = forward(spec, params, np.zeros((1, 3)))
+        with pytest.raises(StructuralError, match="Output last layer"):
+            backward(spec, params, trace, np.zeros((1, 2)))
+
     def test_pooling_in_segment_unsupported(self):
         spec = NetworkSpec(
             4,
@@ -184,6 +193,57 @@ class TestBackward:
             grads = backward(spec, params, trace, Y)
             fd = finite_difference_gradient(spec, params, X, Y, step=1e-6)
             assert max_relative_gradient_error(grads, fd) <= 1e-5
+
+
+def conv_above_first_layer_net(rng, first_conv):
+    """Conv->Conv->Output or FC->Conv->Output. The upper Conv reads
+    overlapping, non-contiguous and unordered patches, so its backward
+    step adds several patches' contributions onto one neuron."""
+    act = Sigmoid() if rng.integers(2) == 0 else Softplus(2.0)
+    if first_conv:
+        first = Conv(conv1d_layout(5, 2, 1), 2, act)  # width 4 * 2 = 8
+        upper = PatchLayout(8, ((0, 3, 6), (1, 4, 7), (5, 2, 0), (3, 6, 1)))
+    else:
+        first = FullyConnected(6, act)
+        upper = PatchLayout(6, ((0, 2, 4), (1, 3, 5), (5, 0, 3)))
+    spec = NetworkSpec(5, (first, Conv(upper, 2, act), Output(2)))
+    X = rng.standard_normal((4, 5))
+    Y = rng.standard_normal((4, 2))
+    return spec, Params.gaussian(spec, rng, weight_scale=0.8), X, Y
+
+
+class TestConvAboveFirstLayer:
+    """Propagation through a Conv layer's patch scatter, which the dense
+    nets above never reach."""
+
+    @pytest.mark.parametrize("first_conv", [True, False])
+    def test_matches_lifted_reference_and_finite_differences(self, first_conv):
+        rng = np.random.default_rng(11 if first_conv else 12)
+        for _ in range(5):
+            spec, params, X, Y = conv_above_first_layer_net(rng, first_conv)
+            trace = forward(spec, params, X)
+            grads = backward(spec, params, trace, Y, keep_deltas=True)
+            reference = lifted_backward(spec, params, trace, Y)
+            for l in range(1, spec.depth + 1):
+                np.testing.assert_allclose(
+                    grads.deltas[l], reference.deltas[l], rtol=1e-12, atol=1e-14
+                )
+            assert max_relative_gradient_error(grads, reference) <= 1e-12
+            fd = finite_difference_gradient(spec, params, X, Y, step=1e-6)
+            assert max_relative_gradient_error(grads, fd) <= 1e-5
+
+    def test_dense_layers_above_keep_the_lifted_rounding(self):
+        """Above a dense layer the step is ``D @ W^T``, the same product the
+        lifted reference takes with ``U = W``, so results agree bit for bit."""
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            spec, params, X, Y = random_smooth_net(rng, depth=4)
+            trace = forward(spec, params, X)
+            grads = backward(spec, params, trace, Y)
+            reference = lifted_backward(spec, params, trace, Y)
+            for l in range(1, spec.depth + 1):
+                assert np.array_equal(grads.grad_W[l], reference.grad_W[l])
+                assert np.array_equal(grads.grad_b[l], reference.grad_b[l])
 
 
 class TestFiniteDifferences:

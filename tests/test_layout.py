@@ -81,3 +81,9 @@ class TestBuilders:
     def test_extract_rejects_wrong_width(self):
         with pytest.raises(StructuralError):
             conv1d_layout(4, 2, 2).extract(np.zeros((2, 5)))
+
+    def test_scatter_add_rejects_wrong_shape(self):
+        layout = conv1d_layout(4, 2, 2)
+        for shape in ((2, 2, 3), (2, 3, 2), (2, 4)):
+            with pytest.raises(StructuralError):
+                layout.scatter_add(np.zeros(shape))

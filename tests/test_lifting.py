@@ -125,3 +125,15 @@ class TestProperties:
         lhs = float(np.sum(lift_weights(spec, 1, W) * V))
         rhs = float(np.sum(W * lift_adjoint(spec, 1, V)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @settings(max_examples=50, deadline=None)
+    @given(layouts(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_scatter_add_is_the_adjoint_of_extract(self, layout, rows, seed):
+        """<extract(x), y> == <x, scatter_add(y)>: the backward of a
+        convolution adds each patch entry onto the neuron it was read from."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, layout.width))
+        y = rng.standard_normal((rows, layout.patch_count, layout.patch_size))
+        lhs = float(np.sum(layout.extract(x) * y))
+        rhs = float(np.sum(x * layout.scatter_add(y)))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
