@@ -26,7 +26,7 @@
 # %%
 import time
 
-from widecnn.experiments import TABLE2_COLUMNS, read_csv, run_table2_sweep, table2_desk_config
+from widecnn.experiments import SCHEMAS, read_csv, run_table2_sweep, table2_desk_config
 
 # a lighter sweep than the acceptance run, for demo turnaround
 cfg = table2_desk_config(
@@ -62,7 +62,7 @@ tag, columns, rows = read_csv(cfg.out)
 print("schema tag:", tag)
 print("columns:   ", columns)
 print("first row: ", rows[0])
-assert tuple(columns) == TABLE2_COLUMNS
+assert tuple(columns) == SCHEMAS["table2.v1"]
 
 # %% [markdown]
 # The same experiment is available from the command line:

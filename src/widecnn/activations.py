@@ -11,6 +11,7 @@ bounded on the positive axis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ class ActivationProfile:
     ``exp_bound`` is ``(rho1, rho2)`` with ``|f(t)| <= rho1*exp(rho2*t)`` for
     ``t < 0``; ``linear_bound`` is ``(rho3, rho4)`` with
     ``|f(t)| <= rho3*t + rho4`` for ``t >= 0``.
-    ``range_interval`` is the open interval of attainable values.
     """
 
     limit_neg: float | None
@@ -37,7 +37,6 @@ class ActivationProfile:
     linear_bound: tuple[float, float] | None
     strictly_monotone: bool
     analytic: bool
-    range_interval: tuple[float, float]
 
     def admissible_for_hidden_layer(self) -> bool:
         """True if the profile meets either growth alternative required of
@@ -59,10 +58,6 @@ class Activation:
 
     def derivative(self, t):
         raise NotImplementedError
-
-    @property
-    def invertible(self) -> bool:
-        return False
 
     def inverse(self, y):
         raise RangeError(f"{self.name} has no inverse")
@@ -104,10 +99,6 @@ class Sigmoid(Activation):
         s = self(t)
         return s * (1.0 - s)
 
-    @property
-    def invertible(self) -> bool:
-        return True
-
     def inverse(self, y):
         y = np.asarray(y, dtype=np.float64)
         if np.any(y <= 0.0) or np.any(y >= 1.0):
@@ -126,7 +117,6 @@ class Sigmoid(Activation):
             linear_bound=None,
             strictly_monotone=True,
             analytic=True,
-            range_interval=(0.0, 1.0),
         )
 
 
@@ -152,7 +142,6 @@ class ReLU(Activation):
             linear_bound=(1.0, 1.0),
             strictly_monotone=False,
             analytic=False,
-            range_interval=(0.0, INF),
         )
 
 
@@ -168,8 +157,12 @@ class Softplus(Activation):
     name = "softplus"
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("softplus sharpness alpha must be positive")
+        alpha = self.alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) \
+                or not 0 < alpha < INF:
+            raise ValueError(f"softplus sharpness alpha must be a positive "
+                             f"finite number, got {alpha!r}")
+        object.__setattr__(self, "alpha", float(alpha))
 
     def __call__(self, t):
         at = self.alpha * np.asarray(t, dtype=np.float64)
@@ -177,10 +170,6 @@ class Softplus(Activation):
 
     def derivative(self, t):
         return Sigmoid()(self.alpha * np.asarray(t, dtype=np.float64))
-
-    @property
-    def invertible(self) -> bool:
-        return True
 
     def inverse(self, y):
         y = np.asarray(y, dtype=np.float64)
@@ -205,7 +194,6 @@ class Softplus(Activation):
             linear_bound=(1.0, math.log(2.0) / self.alpha),
             strictly_monotone=True,
             analytic=True,
-            range_interval=(0.0, INF),
         )
 
     def to_dict(self) -> dict:
@@ -232,10 +220,6 @@ class Identity(Activation):
     def derivative(self, t):
         return np.ones_like(np.asarray(t, dtype=np.float64))
 
-    @property
-    def invertible(self) -> bool:
-        return True
-
     def inverse(self, y):
         return np.asarray(y, dtype=np.float64)
 
@@ -251,7 +235,6 @@ class Identity(Activation):
             linear_bound=(1.0, 0.0),
             strictly_monotone=True,
             analytic=True,
-            range_interval=(-INF, INF),
         )
 
 
@@ -263,7 +246,7 @@ def activation_from_dict(d: dict) -> Activation:
     if kind == "relu":
         return ReLU()
     if kind == "softplus":
-        return Softplus(alpha=float(d.get("alpha", 1.0)))
+        return Softplus(alpha=d.get("alpha", 1.0))
     if kind == "identity":
         return Identity()
     raise ValueError(f"unknown activation kind: {kind!r}")

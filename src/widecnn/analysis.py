@@ -20,18 +20,6 @@ from .errors import NumericError, StructuralError
 from .gradients import backward, loss
 from .network import Dataset, ForwardTrace, NetworkSpec, Params, forward, lift_weights
 
-RANK_CSV_COLUMNS = (
-    "rows",
-    "cols",
-    "estimated_rank",
-    "sigma_min",
-    "sigma_max",
-    "threshold",
-    "machine_eps",
-)
-
-BOUND_CSV_COLUMNS = ("lower", "upper", "grad_norm", "residual", "factors")
-
 
 @dataclass(frozen=True)
 class RankReport:
@@ -48,18 +36,6 @@ class RankReport:
     @property
     def full_rank(self) -> bool:
         return self.estimated_rank == min(self.rows, self.cols)
-
-    def csv_row(self) -> list[str]:
-        """Values aligned with RANK_CSV_COLUMNS."""
-        return [
-            str(self.rows),
-            str(self.cols),
-            str(self.estimated_rank),
-            repr(self.sigma_min),
-            repr(self.sigma_max),
-            repr(self.threshold),
-            repr(self.machine_eps),
-        ]
 
 
 def estimate_rank(A: np.ndarray) -> RankReport:
@@ -107,8 +83,8 @@ class BoundReport:
     factors: tuple[tuple[float, float, float, float], ...]
 
     def csv_row(self) -> list[str]:
-        """Values aligned with BOUND_CSV_COLUMNS; factors are packed as
-        ';'-joined 4-tuples within one field."""
+        """The ``grad-bounds.v1`` columns after ``trial``; factors are packed
+        as ';'-joined 4-tuples within one field."""
         packed = ";".join(
             "({},{},{},{})".format(*(repr(v) for v in f)) for f in self.factors
         )

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Each subcommand reads an optional JSON experiment config plus flag
-overrides and writes CSV or text reports. Exit codes: 0 on success, 1
-when a run finishes but an assertion or acceptance condition fails, 2 on
-usage errors.
+overrides and writes CSV or text reports. Flag overrides go through the
+config dataclasses, so they are checked like config keys. Exit codes: 0
+on success; 1 when a run finishes but an assertion or acceptance
+condition fails, or a run fails (any other ``WideCnnError``, or an
+``OSError``); 2 on usage errors, that is a malformed flag value, config,
+netspec or IDX file (``ConfigError``, ``FormatError``).
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from .constructions import (
     independence_construction_report,
     zero_loss_construction,
 )
-from .errors import WideCnnError
+from .errors import ConfigError, FormatError, WideCnnError
 from .gradients import loss
 from .netspec_io import load_netspec
-from .network import Conv, FullyConnected, forward, lift_weights
+from .network import Conv, FullyConnected, NetworkSpec, Output, Params, forward, lift_weights
 from .training import train_adam
 
 
@@ -57,12 +60,15 @@ def _load(args) -> experiments.ExperimentConfig:
     return cfg
 
 
+def _require_spec(cfg, command: str):
+    if cfg.network is None:
+        raise ConfigError(f"{command} requires --spec")
+    return load_netspec(cfg.network)
+
+
 def cmd_width_audit(args) -> int:
     cfg = _load(args)
-    if cfg.network is None:
-        print("width-audit requires --spec", file=sys.stderr)
-        return 2
-    spec = load_netspec(cfg.network)
+    spec = _require_spec(cfg, "width-audit")
     audit = width_audit(spec, args.n)
     print(f"widths: {spec.widths}")
     print(f"max hidden width M = {audit.max_width} at layer {audit.arg_layer}")
@@ -73,10 +79,7 @@ def cmd_width_audit(args) -> int:
 
 def cmd_check_assumptions(args) -> int:
     cfg = _load(args)
-    if cfg.network is None:
-        print("check-assumptions requires --spec", file=sys.stderr)
-        return 2
-    spec = load_netspec(cfg.network)
+    spec = _require_spec(cfg, "check-assumptions")
     dataset = cfg.dataset.load()
     ok = True
 
@@ -110,12 +113,15 @@ def cmd_rank_genericity(args) -> int:
     if args.activation is not None:
         cfg = replace(cfg, activation=args.activation)
     result = experiments.run_rank_genericity(cfg)
-    n = cfg.dataset.n
-    print(f"full-rank fraction over {len(cfg.seeds)} seeds (N={n}): "
+    N, width = result.reports[0].rows, result.reports[0].cols
+    print(f"full-rank fraction over {len(cfg.seeds)} seeds (N={N}): "
           f"{result.fraction_full:.2f}")
-    if cfg.activation == "relu":
-        return 0  # empirical report only; no claim for ReLU
-    return 0 if result.fraction_full >= 0.99 else 1
+    # the claim needs analytic activations up to a layer at least N wide;
+    # for any other network the fraction is reported without one
+    spec, k = experiments.rank_genericity_network(cfg)
+    acts = [spec.activation(l) for l in range(1, k + 1)]
+    claim = width >= N and all(a is not None and a.profile().analytic for a in acts)
+    return 1 if claim and result.fraction_full < 0.99 else 0
 
 
 def cmd_construct_independent(args) -> int:
@@ -164,8 +170,6 @@ def cmd_fit_expressivity(args) -> int:
     cfg = _load(args)
     seed = cfg.seeds[0]
     act = experiments.named_activation(cfg.activation)
-    from .network import NetworkSpec, Output
-
     base, X, ccfg = experiments.independence_demo(args.n, act, seed)
     spec = NetworkSpec(base.input_width, base.layers + (Output(1),))
     rng = np.random.default_rng(seed + 1)
@@ -189,7 +193,7 @@ def cmd_grad_bounds(args) -> int:
 def cmd_table2_sweep(args) -> int:
     cfg = _load(args)
     result = experiments.run_table2_sweep(cfg)
-    print(",".join(experiments.TABLE2_COLUMNS))
+    print(",".join(experiments.SCHEMAS["table2.v1"]))
     for row in result.rows:
         print(",".join(row.csv_row()))
     return 0
@@ -197,13 +201,8 @@ def cmd_table2_sweep(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load(args)
-    if cfg.network is None:
-        print("train requires --spec", file=sys.stderr)
-        return 2
-    spec = load_netspec(cfg.network)
+    spec = _require_spec(cfg, "train")
     dataset = cfg.dataset.load()
-    from .network import Params
-
     rng = np.random.default_rng(cfg.seeds[0])
     params0 = Params.fan_in_gaussian(spec, rng)
     result = train_adam(spec, params0, dataset, cfg.train_config(cfg.seeds[0]))
@@ -211,10 +210,8 @@ def cmd_train(args) -> int:
           f"train errors {result.train_error_count}/{dataset.sample_count}")
     if cfg.out:
         experiments.write_csv(
-            cfg.out,
-            ("epoch", "loss"),
+            cfg.out, "loss-curve.v1",
             [[str(i), repr(v)] for i, v in enumerate(result.loss_curve)],
-            "loss-curve.v1",
         )
     return 0
 
@@ -286,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (WideCnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, FormatError)) else 1
 
 
 if __name__ == "__main__":

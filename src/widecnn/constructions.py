@@ -109,7 +109,7 @@ def comfortable_range(activation: Activation) -> tuple[float, float]:
         return (0.5, 1.5)
     if isinstance(activation, Identity):
         return (-1.0, 1.0)
-    raise RangeError(f"{activation!r} has no invertible range to target")
+    raise RangeError(f"{activation!r} has no range of values to invert")
 
 
 def _resolve_beta(cfg: ConstructionParams, activation: Activation) -> float:
@@ -377,7 +377,7 @@ def _independence_impl(spec, X, wide_layer, cfg, rng):
                     final, tuple(int(g) for g in gamma), alpha, s_min
                 )
     raise ConstructionFailedError(
-        f"wide layer {k}: the scale schedule never certified an invertible "
+        f"wide layer {k}: the scale schedule never certified a nonsingular "
         f"{N} x {N} submatrix within {cfg.resample_budget} resamples"
     )
 

@@ -46,7 +46,7 @@ class GenerationError(WideCnnError):
 
 
 class RangeError(WideCnnError):
-    """A value lies outside the invertible range of an activation."""
+    """A value lies outside the range on which an activation is inverted."""
 
 
 class NumericError(WideCnnError):

@@ -1,16 +1,18 @@
 """Experiment runners, configuration files, and CSV reporting.
 
-Configs are JSON documents with a documented, closed key set (unknown
-keys are rejected). Every run is deterministic given (config, seed). CSV
-reports are RFC-4180, carry a ``# schema=<tag>`` line above the header
-row, and can be appended to without rewriting the header.
+Each config key is a field of ``ExperimentConfig`` or of its sections
+(``dataset``, ``learning_rate``, ``adam``), checked in that dataclass's
+``__post_init__``: unknown keys and wrong values raise ConfigError. Every
+run is deterministic given (config, seed). CSV reports follow their tag's
+columns in ``SCHEMAS``, are RFC-4180, carry a ``# schema=<tag>`` line
+above the header row, and can be appended to without rewriting it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,36 +33,67 @@ from .network import (
     Params,
     forward,
 )
-from .training import AdamConfig, LearningRateSchedule, TrainConfig, train_adam
+from .training import (
+    AdamConfig,
+    LearningRateSchedule,
+    TrainConfig,
+    check_fields,
+    is_int,
+    is_real,
+    train_adam,
+)
 
 # ---------------------------------------------------------------------------
 # CSV reporting
 
+SCHEMAS = {
+    "rank-genericity.v1": ("seed", "rows", "cols", "estimated_rank", "sigma_min",
+                           "sigma_max", "threshold", "full_row_rank"),
+    # the columns of the reference table, in its order
+    "table2.v1": ("T_1", "size(F_1)", "rank(F_1)", "sigma_min(F_1)", "size(F_3)",
+                  "rank(F_3)", "sigma_min(F_3)", "loss", "train_error",
+                  "test_error"),
+    # factors packs the per-layer sandwich factors in one field
+    "grad-bounds.v1": ("trial", "lower", "upper", "grad_norm", "residual",
+                       "factors"),
+    "loss-curve.v1": ("epoch", "loss"),
+}
 
-def write_csv(path, columns, rows, schema_tag: str) -> None:
-    """Write a schema-tagged RFC-4180 file: a ``# schema=`` line, the
+
+def write_csv(path, tag: str, rows) -> None:
+    """Write a report under ``SCHEMAS[tag]``: a ``# schema=`` line, the
     header row, then the data rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={schema_tag}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+    _write_rows(path, "w", tag, rows)
 
 
-def append_csv(path, columns, rows, schema_tag: str) -> None:
+def append_csv(path, tag: str, rows) -> None:
     """Append rows, creating the tagged header if the file is new; refuses
     to append under a mismatching schema or header."""
     path = Path(path)
     if not path.exists():
-        write_csv(path, columns, rows, schema_tag)
-        return
-    tag, existing_columns, _ = read_csv(path)
-    if tag != schema_tag or tuple(existing_columns) != tuple(columns):
-        raise ConfigError(
-            f"{path}: existing schema {tag!r}/{existing_columns} does not "
-            f"match {schema_tag!r}/{list(columns)}"
-        )
-    with open(path, "a", newline="") as fh:
+        return write_csv(path, tag, rows)
+    existing_tag, existing_columns, _ = read_csv(path)
+    if (existing_tag, tuple(existing_columns)) != (tag, SCHEMAS.get(tag)):
+        raise ConfigError(f"{path}: existing schema {existing_tag!r}/"
+                          f"{existing_columns} does not match {tag!r}")
+    _write_rows(path, "a", tag, rows)
+
+
+def _write_rows(path, mode: str, tag: str, rows) -> None:
+    """Check every row against the columns of ``tag``, then write; a new
+    file (mode ``"w"``) starts with the schema line and the header row."""
+    if tag not in SCHEMAS:
+        raise ConfigError(f"unknown CSV schema {tag!r}; expected one of "
+                          f"{sorted(SCHEMAS)}")
+    columns = SCHEMAS[tag]
+    rows = [list(row) for row in rows]
+    if any(len(row) != len(columns) for row in rows):
+        raise ConfigError(f"{tag}: every row needs one value for each of its "
+                          f"{len(columns)} columns")
+    with open(path, mode, newline="") as fh:
+        if mode == "w":
+            fh.write(f"# schema={tag}\n")
+            rows.insert(0, columns)
         csv.writer(fh).writerows(rows)
 
 
@@ -78,38 +111,16 @@ def read_csv(path):
 # ---------------------------------------------------------------------------
 # Configuration files
 
-_DATASET_KEYS_SYNTH = {"source", "n", "d", "m", "seed", "perturb_sigma"}
-_DATASET_KEYS_IDX = {"source", "images", "labels"}
-_TOP_KEYS = {
-    "experiment",
-    "dataset",
-    "network",
-    "seeds",
-    "n_subset",
-    "epochs",
-    "learning_rate",
-    "adam",
-    "batch_size",
-    "filter_counts",
-    "wide_layer",
-    "case",
-    "trials",
-    "activation",
-    "out",
-}
 
-EXPERIMENT_KINDS = (
-    "rank-genericity",
-    "table2-sweep",
-    "construct-independent",
-    "construct-zeroloss",
-    "grad-bounds",
-    "train",
-)
+def _positive_int(value) -> bool:
+    return is_int(value) and value > 0
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
+    """``source`` is ``"synthetic"`` (``n``, ``d``, ``m``, ``seed``,
+    ``perturb_sigma``) or ``"idx"`` (``images`` and ``labels`` paths)."""
+
     source: str = "synthetic"
     n: int = 64
     d: int = 16
@@ -119,6 +130,22 @@ class DatasetConfig:
     images: str | None = None
     labels: str | None = None
 
+    def __post_init__(self):
+        if self.source not in ("synthetic", "idx"):
+            raise ConfigError(f"unknown dataset source {self.source!r}")
+        check_fields(self, _positive_int, "a positive integer", "n", "d", "m")
+        check_fields(self, lambda v: is_int(v) and v >= 0, "a non-negative integer",
+                     "seed")
+        check_fields(self, lambda v: is_real(v) and v >= 0, "a non-negative number",
+                     "perturb_sigma")
+        idx = self.source == "idx"
+        check_fields(self, lambda v: isinstance(v, str) if idx else v is None,
+                     "a path string for source 'idx' and null otherwise",
+                     "images", "labels")
+        if idx and any(getattr(self, f.name) != f.default for f in fields(self)
+                       if f.name not in ("source", "images", "labels")):
+            raise ConfigError("an idx dataset takes only the keys images and labels")
+
     def load(self) -> Dataset:
         if self.source == "idx":
             return load_idx(self.images, self.labels)
@@ -126,12 +153,18 @@ class DatasetConfig:
                                   self.perturb_sigma)
 
 
+# the config sections, each parsed from a JSON object of its own fields
+_SECTIONS = {"dataset": DatasetConfig, "schedule": LearningRateSchedule,
+             "adam": AdamConfig}
+# the one config key that is not its field's name
+_KEYS = {"schedule": "learning_rate"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed experiment file; every field has a defensible desk-scale
     default so flags alone are enough for the common runs."""
 
-    experiment: str | None = None
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     network: str | None = None
     seeds: tuple[int, ...] = tuple(range(100))
@@ -147,6 +180,25 @@ class ExperimentConfig:
     activation: str = "sigmoid"
     out: str | None = None
 
+    def __post_init__(self):
+        for name, section in _SECTIONS.items():
+            check_fields(self, lambda v: isinstance(v, section), section.__name__,
+                         name)
+        check_fields(self, _positive_int, "a positive integer",
+                     "n_subset", "epochs", "wide_layer", "trials")
+        check_fields(self, lambda v: v is None or _positive_int(v),
+                     "a positive integer or null", "batch_size")
+        check_fields(self, lambda v: is_int(v) and 1 <= v <= 3, "1, 2 or 3", "case")
+        check_fields(self, lambda v: isinstance(v, tuple) and v
+                     and all(is_int(s) and s >= 0 for s in v),
+                     "a non-empty list of non-negative integers", "seeds")
+        check_fields(self, lambda v: isinstance(v, tuple) and v
+                     and all(map(_positive_int, v)),
+                     "a non-empty list of positive integers", "filter_counts")
+        check_fields(self, lambda v: v is None or isinstance(v, str),
+                     "a path string or null", "network", "out")
+        named_activation(self.activation)
+
     def train_config(self, seed: int = 0) -> TrainConfig:
         return TrainConfig(
             epochs=self.epochs,
@@ -157,88 +209,55 @@ class ExperimentConfig:
         )
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
+def _parse(cls, doc, where: str):
+    """Build the config dataclass ``cls`` from a JSON object whose keys are
+    its fields; a JSON list becomes a tuple."""
     if not isinstance(doc, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
+        raise ConfigError(f"{where} must be a JSON object")
+    names = {_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = set(doc) - set(names)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     kwargs = {}
-    if "experiment" in doc:
-        if doc["experiment"] not in EXPERIMENT_KINDS:
-            raise ConfigError(
-                f"unknown experiment {doc['experiment']!r}; expected one of "
-                f"{EXPERIMENT_KINDS}"
-            )
-        kwargs["experiment"] = doc["experiment"]
-    if "dataset" in doc:
-        ds = doc["dataset"]
-        if not isinstance(ds, dict) or "source" not in ds:
-            raise ConfigError("dataset must be an object with a 'source' key")
-        allowed = _DATASET_KEYS_IDX if ds["source"] == "idx" else _DATASET_KEYS_SYNTH
-        if ds["source"] not in ("idx", "synthetic"):
-            raise ConfigError(f"unknown dataset source {ds['source']!r}")
-        extra = set(ds) - allowed
-        if extra:
-            raise ConfigError(f"unknown dataset keys: {sorted(extra)}")
-        kwargs["dataset"] = DatasetConfig(**ds)
-    if "seeds" in doc:
-        kwargs["seeds"] = tuple(int(s) for s in doc["seeds"])
-    if "learning_rate" in doc:
-        lr = doc["learning_rate"]
-        extra = set(lr) - {"initial", "decay", "interval"}
-        if extra:
-            raise ConfigError(f"unknown learning_rate keys: {sorted(extra)}")
-        kwargs["schedule"] = LearningRateSchedule(**lr)
-    if "adam" in doc:
-        extra = set(doc["adam"]) - {"beta1", "beta2", "eps"}
-        if extra:
-            raise ConfigError(f"unknown adam keys: {sorted(extra)}")
-        kwargs["adam"] = AdamConfig(**doc["adam"])
-    if "filter_counts" in doc:
-        kwargs["filter_counts"] = tuple(int(t) for t in doc["filter_counts"])
-    for key in ("network", "n_subset", "epochs", "batch_size", "wide_layer",
-                "case", "trials", "activation", "out"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    return ExperimentConfig(**kwargs)
+    for key, value in doc.items():
+        name = names[key]
+        if name in _SECTIONS:
+            value = _parse(_SECTIONS[name], value, key)
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    return _parse(ExperimentConfig, doc, "config")
 
 
 def load_config(path) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 
 
 def named_activation(name: str) -> Activation:
+    """``sigmoid``, ``relu``, ``softplus`` (alpha 10) or ``softplus(<alpha>)``."""
     if name == "sigmoid":
         return Sigmoid()
     if name == "relu":
         return ReLU()
-    if name.startswith("softplus"):
-        alpha = 10.0
-        if "(" in name:
-            alpha = float(name[name.index("(") + 1 : name.rindex(")")])
-        return Softplus(alpha)
-    raise ConfigError(f"unknown activation name {name!r}")
+    if name == "softplus":
+        return Softplus(10.0)
+    if isinstance(name, str) and name.startswith("softplus(") and name.endswith(")"):
+        try:
+            return Softplus(float(name[len("softplus("):-1]))
+        except ValueError:
+            pass
+    raise ConfigError(f"unknown activation name {name!r}; expected sigmoid, relu, "
+                      f"softplus or softplus(<alpha > 0>)")
 
 
 # ---------------------------------------------------------------------------
 # Rank genericity under random parameters
-
-RANK_GENERICITY_COLUMNS = (
-    "seed",
-    "rows",
-    "cols",
-    "estimated_rank",
-    "sigma_min",
-    "sigma_max",
-    "threshold",
-    "full_row_rank",
-)
-
 
 @dataclass(frozen=True)
 class RankGenericityResult:
@@ -247,16 +266,12 @@ class RankGenericityResult:
     fraction_full: float
 
     def csv_rows(self):
-        rows = []
-        for seed, rep in zip(self.seeds, self.reports):
-            rows.append(
-                [
-                    str(seed),
-                    *rep.csv_row()[:6],
-                    str(rep.estimated_rank == rep.rows),
-                ]
-            )
-        return rows
+        return [
+            [str(seed), str(rep.rows), str(rep.cols), str(rep.estimated_rank),
+             repr(rep.sigma_min), repr(rep.sigma_max), repr(rep.threshold),
+             str(rep.estimated_rank == rep.rows)]
+            for seed, rep in zip(self.seeds, self.reports)
+        ]
 
 
 def rank_genericity_network(cfg: ExperimentConfig) -> tuple[NetworkSpec, int]:
@@ -294,27 +309,12 @@ def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
         tuple(reports), tuple(cfg.seeds), hits / len(cfg.seeds)
     )
     if cfg.out:
-        write_csv(cfg.out, RANK_GENERICITY_COLUMNS, result.csv_rows(),
-                  "rank-genericity.v1")
+        write_csv(cfg.out, "rank-genericity.v1", result.csv_rows())
     return result
 
 
 # ---------------------------------------------------------------------------
 # Desk-scale filter sweep
-
-TABLE2_COLUMNS = (
-    "T_1",
-    "size(F_1)",
-    "rank(F_1)",
-    "sigma_min(F_1)",
-    "size(F_3)",
-    "rank(F_3)",
-    "sigma_min(F_3)",
-    "loss",
-    "train_error",
-    "test_error",
-)
-
 
 @dataclass(frozen=True)
 class Table2Row:
@@ -383,7 +383,6 @@ def table2_desk_config(
         dataset = DatasetConfig(source="synthetic", n=2 * n_subset, d=64, m=10,
                                 seed=seed)
     return ExperimentConfig(
-        experiment="table2-sweep",
         dataset=dataset,
         seeds=(seed,),
         n_subset=n_subset,
@@ -417,7 +416,7 @@ def run_table2_sweep(cfg: ExperimentConfig) -> SweepResult:
     report feature-matrix ranks, final loss, and error counts."""
     train_set, test_set = sweep_datasets(cfg)
     m = train_set.class_count
-    seed = cfg.seeds[0] if cfg.seeds else 0
+    seed = cfg.seeds[0]
     runs = []
     for t1 in cfg.filter_counts:
         spec = desk_sweep_network(train_set.input_width, t1, m)
@@ -447,8 +446,7 @@ def run_table2_sweep(cfg: ExperimentConfig) -> SweepResult:
         runs.append(SweepRun(row, init_rank, result.loss_curve))
     result = SweepResult(tuple(runs))
     if cfg.out:
-        write_csv(cfg.out, TABLE2_COLUMNS, [r.csv_row() for r in result.rows],
-                  "table2.v1")
+        write_csv(cfg.out, "table2.v1", [r.csv_row() for r in result.rows])
     return result
 
 
@@ -518,7 +516,7 @@ class GradBoundsResult:
 def run_grad_bounds(cfg: ExperimentConfig, rel_slack: float = 1e-8) -> GradBoundsResult:
     """Evaluate the gradient sandwich on ``trials`` random configurations
     and count violations beyond the relative slack."""
-    rng = np.random.default_rng(cfg.seeds[0] if cfg.seeds else 0)
+    rng = np.random.default_rng(cfg.seeds[0])
     reports = []
     violations = 0
     for _ in range(cfg.trials):
@@ -531,12 +529,8 @@ def run_grad_bounds(cfg: ExperimentConfig, rel_slack: float = 1e-8) -> GradBound
             violations += 1
     result = GradBoundsResult(tuple(reports), violations)
     if cfg.out:
-        write_csv(
-            cfg.out,
-            ("trial", "lower", "upper", "grad_norm", "residual", "factors"),
-            [[str(i), *rep.csv_row()] for i, rep in enumerate(reports)],
-            "grad-bounds.v1",
-        )
+        write_csv(cfg.out, "grad-bounds.v1",
+                  [[str(i), *rep.csv_row()] for i, rep in enumerate(reports)])
     return result
 
 

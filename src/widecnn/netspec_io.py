@@ -16,7 +16,9 @@ Schema (all keys required unless noted, no others allowed):
 where ``<act>`` is ``{"kind": "sigmoid" | "relu" | "identity"}`` or
 ``{"kind": "softplus", "alpha": <float>}``. Patch indices are 0-based
 into the previous layer; the enclosing width is implied by the chain.
-Round-trips are lossless.
+``<int>`` is a JSON integer, not a bool, float or string. A malformed or
+inconsistent document raises FormatError naming the layer. Round-trips
+are lossless.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 from pathlib import Path
 
 from .activations import activation_from_dict
-from .errors import FormatError
+from .errors import FormatError, StructuralError
 from .layout import PatchLayout
 from .network import Conv, FullyConnected, MaxPool, NetworkSpec, Output
 
@@ -43,7 +45,8 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
 def _activation(obj, where: str):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: activation must be an object")
-    _require_keys(obj, {"kind"}, {"alpha"}, where)
+    _require_keys(obj, {"kind"}, {"alpha"} if obj.get("kind") == "softplus" else set(),
+                  where)
     try:
         return activation_from_dict(obj)
     except ValueError as exc:
@@ -83,9 +86,7 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
     if not isinstance(doc, dict):
         raise FormatError("network document must be an object")
     _require_keys(doc, {"input_width", "layers"}, set(), "network")
-    width = doc["input_width"]
-    if not isinstance(width, int) or width < 1:
-        raise FormatError("input_width must be a positive integer")
+    width = _integer(doc["input_width"], "network: input_width")
     if not isinstance(doc["layers"], list) or not doc["layers"]:
         raise FormatError("layers must be a non-empty list")
     layers = []
@@ -94,31 +95,48 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: must be an object")
         kind = entry.get("kind")
-        if kind == "conv":
-            _require_keys(entry, {"kind", "filters", "activation", "patches"},
-                          set(), where)
-            layout = _layout(entry["patches"], width, where)
-            layer = Conv(layout, entry["filters"], _activation(entry["activation"], where))
-        elif kind == "fully_connected":
-            _require_keys(entry, {"kind", "width", "activation"}, set(), where)
-            layer = FullyConnected(entry["width"], _activation(entry["activation"], where))
-        elif kind == "max_pool":
-            _require_keys(entry, {"kind", "patches"}, set(), where)
-            layer = MaxPool(_layout(entry["patches"], width, where))
-        elif kind == "output":
-            _require_keys(entry, {"kind", "width"}, set(), where)
-            layer = Output(entry["width"])
-        else:
-            raise FormatError(f"{where}: unknown layer kind {kind!r}")
-        width = layer.out_width(width)
+        try:
+            if kind == "conv":
+                _require_keys(entry, {"kind", "filters", "activation", "patches"},
+                              set(), where)
+                layer = Conv(_layout(entry["patches"], width, where),
+                             _integer(entry["filters"], f"{where}: filters"),
+                             _activation(entry["activation"], where))
+            elif kind == "fully_connected":
+                _require_keys(entry, {"kind", "width", "activation"}, set(), where)
+                layer = FullyConnected(_integer(entry["width"], f"{where}: width"),
+                                       _activation(entry["activation"], where))
+            elif kind == "max_pool":
+                _require_keys(entry, {"kind", "patches"}, set(), where)
+                layer = MaxPool(_layout(entry["patches"], width, where))
+            elif kind == "output":
+                _require_keys(entry, {"kind", "width"}, set(), where)
+                layer = Output(_integer(entry["width"], f"{where}: width"))
+            else:
+                raise FormatError(f"{where}: unknown layer kind {kind!r}")
+            width = layer.out_width(width)
+        except StructuralError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
         layers.append(layer)
-    return NetworkSpec(doc["input_width"], tuple(layers))
+    try:
+        return NetworkSpec(doc["input_width"], tuple(layers))
+    except StructuralError as exc:
+        raise FormatError(f"network: {exc}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _layout(patches, width: int, where: str) -> PatchLayout:
-    if not isinstance(patches, list):
+    if not isinstance(patches, list) or not all(isinstance(p, list) for p in patches):
         raise FormatError(f"{where}: patches must be a list of index lists")
-    return PatchLayout(width, tuple(tuple(p) for p in patches))
+    return PatchLayout(width, tuple(
+        tuple(_integer(i, f"{where}: patch index") for i in p) for p in patches
+    ))
 
 
 def save_netspec(spec: NetworkSpec, path) -> None:
@@ -128,6 +146,6 @@ def save_netspec(spec: NetworkSpec, path) -> None:
 def load_netspec(path) -> NetworkSpec:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     return spec_from_dict(doc)

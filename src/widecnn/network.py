@@ -183,11 +183,6 @@ class NetworkSpec:
             return (self.widths[k - 1], self.widths[k])
         return None
 
-    def head(self, k: int) -> "NetworkSpec":
-        """Sub-network of the first ``k`` layers."""
-        self.layer(k)
-        return NetworkSpec(self.input_width, self.layers[:k])
-
 
 @dataclass(frozen=True)
 class Params:
@@ -256,14 +251,6 @@ class Params:
         weights[k] = W
         biases[k] = b
         return Params(tuple(weights), tuple(biases))
-
-    def norm(self) -> float:
-        """Euclidean norm over all present parameter entries."""
-        total = 0.0
-        for arr in (*self.weights, *self.biases):
-            if arr is not None:
-                total += float(np.sum(arr * arr))
-        return float(np.sqrt(total))
 
 
 def _freeze(arr):
@@ -357,7 +344,9 @@ class Dataset:
             m = Y.shape[1]
             if Z.shape != (m, m):
                 raise StructuralError(f"Z must be ({m}, {m}), got {Z.shape}")
-            if np.linalg.matrix_rank(Z) != m:
+            from .analysis import estimate_rank
+
+            if not estimate_rank(Z).full_rank:
                 raise StructuralError("class embedding Z must have full rank")
             if self.labels is not None:
                 for i, c in enumerate(self.labels):

@@ -8,13 +8,42 @@ follows a step decay schedule.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericOverflowError, StructuralError, TrainingDivergedError
+from .errors import (
+    ConfigError,
+    NumericOverflowError,
+    StructuralError,
+    TrainingDivergedError,
+)
 from .gradients import backward, loss
 from .network import Dataset, NetworkSpec, Params, forward
+
+
+def is_int(value) -> bool:
+    """An int of any width, numpy's included; bool is not a number here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite int or float; bool is not a number here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) < math.inf)
+
+
+def check_fields(obj, ok, expected: str, *names: str) -> None:
+    """Raise ConfigError unless ``ok(value)`` holds for each named field of
+    the config dataclass ``obj``."""
+    for name in names:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise ConfigError(
+                f"{type(obj).__name__}.{name} must be {expected}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -25,6 +54,12 @@ class LearningRateSchedule:
     decay: float = 0.5
     interval: int = 500
 
+    def __post_init__(self):
+        check_fields(self, lambda v: is_real(v) and v > 0, "a positive number",
+                     "initial", "decay")
+        check_fields(self, lambda v: is_int(v) and v > 0, "a positive integer",
+                     "interval")
+
     def at(self, epoch: int) -> float:
         return self.initial * self.decay ** (epoch // self.interval)
 
@@ -34,6 +69,11 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        check_fields(self, lambda v: is_real(v) and 0 <= v < 1, "a number in [0, 1)",
+                     "beta1", "beta2")
+        check_fields(self, lambda v: is_real(v) and v > 0, "a positive number", "eps")
 
 
 @dataclass(frozen=True)

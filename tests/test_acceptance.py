@@ -17,7 +17,7 @@ import numpy as np
 
 import widecnn as w
 from widecnn.experiments import (
-    TABLE2_COLUMNS,
+    SCHEMAS,
     DatasetConfig,
     ExperimentConfig,
     random_landscape_case,
@@ -237,7 +237,7 @@ def test_09_desk_scale_sweep(tmp_path):
     assert len(widest.loss_curve) <= 3000
     tag, columns, rows = read_csv(out)
     assert tag == "table2.v1"
-    assert tuple(columns) == TABLE2_COLUMNS
+    assert tuple(columns) == SCHEMAS["table2.v1"]
     assert len(rows) == 4
     report(9, 900.0, started,
            f"sweep ranks = min(256, n_1); widest run hit 0/256 train errors "

@@ -122,3 +122,9 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             activation_from_dict({"kind": "tanh"})
+
+    @pytest.mark.parametrize("alpha", ["10", True, -1.0, 0.0, float("inf"),
+                                       float("nan"), [1.0], None])
+    def test_softplus_alpha_must_be_a_positive_finite_number(self, alpha):
+        with pytest.raises(ValueError):
+            activation_from_dict({"kind": "softplus", "alpha": alpha})

@@ -19,9 +19,8 @@ from widecnn import (
     width_audit,
     zero_loss_construction,
 )
-from widecnn.analysis import BOUND_CSV_COLUMNS, RANK_CSV_COLUMNS
 from widecnn.architectures import mnist_conv_pool_network
-from widecnn.experiments import random_landscape_case, zero_loss_demo_case
+from widecnn.experiments import SCHEMAS, random_landscape_case, zero_loss_demo_case
 
 from oracles import elimination_rank, planted_rank_matrix
 
@@ -76,10 +75,6 @@ class TestEstimateRank:
         with pytest.raises(StructuralError):
             estimate_rank(np.array([[np.inf, 1.0]]))
 
-    def test_csv_row_matches_columns(self):
-        report = estimate_rank(np.eye(3))
-        assert len(report.csv_row()) == len(RANK_CSV_COLUMNS)
-
 
 class TestGradientBounds:
     def test_sandwich_on_random_cases(self):
@@ -125,7 +120,7 @@ class TestGradientBounds:
         rng = np.random.default_rng(12)
         spec, k, X, Y, params = random_landscape_case(rng)
         report = gradient_bounds(spec, params, forward(spec, params, X), Y, k)
-        assert len(report.csv_row()) == len(BOUND_CSV_COLUMNS)
+        assert len(report.csv_row()) == len(SCHEMAS["grad-bounds.v1"][1:])
 
     def test_convolutional_layer_above_the_wide_layer(self):
         """The bounds use lifted matrices, so shared-weight layers between

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from widecnn import FullyConnected, NetworkSpec, ReLU, Sigmoid
 from widecnn.architectures import mnist_conv_pool_network, single_conv_network
 from widecnn.cli import main
 from widecnn.netspec_io import save_netspec
@@ -109,3 +110,82 @@ class TestRuns:
                      "--spec", str(spec_path), "--config", str(cfg)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def _usage_error(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+class TestUsageErrorsExit2:
+    @pytest.mark.parametrize("doc", [
+        {"epochs": "30"},
+        {"learning_rate": {"interval": 0}},
+        {"batch_size": 0},
+        {"dataset": {"n": "16"}},
+        {"seeds": []},
+        {"seeds": 5},
+        {"adam": 3},
+        {"filter_counts": "ab"},
+        {"dataset": {"source": "idx"}},
+    ])
+    def test_malformed_config(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert _usage_error(["grad-bounds", "--config", str(cfg)], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["rank-genericity", "--trials", "0"],
+        ["grad-bounds", "--trials", "0"],
+        ["rank-genericity", "--activation", "softplus(abc)"],
+        ["construct-independent", "--seed", "-1"],
+    ])
+    def test_malformed_flag_value(self, argv, capsys):
+        assert _usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("doc", [
+        {"input_width": 4, "layers": [{"kind": "output", "width": "8"}]},
+        {"input_width": 4, "layers": [{"kind": "output", "width": 2.5}]},
+        {"input_width": True, "layers": [{"kind": "output", "width": 2}]},
+        *({"input_width": 4, "layers": [{"kind": "conv", "filters": 2, "patches": p,
+                                         "activation": {"kind": "sigmoid"}}]}
+          for p in ([[0, "a"], [2, 3]], [0, 1])),
+    ])
+    def test_malformed_netspec(self, doc, tmp_path, capsys):
+        path = tmp_path / "net.netspec"
+        path.write_text(json.dumps(doc))
+        assert _usage_error(["width-audit", "--spec", str(path), "--n", "4"], capsys)
+
+
+class TestRankGenericityVerdict:
+    @pytest.fixture
+    def config(self, tmp_path):
+        def write(**keys):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({
+                "dataset": {"n": 16, "d": 16, "m": 2, "seed": 0},
+                "seeds": list(range(5)), **keys,
+            }))
+            return str(path)
+        return write
+
+    def test_no_claim_for_a_layer_narrower_than_n(self, config, tmp_path, capsys):
+        spec_path = tmp_path / "narrow.netspec"
+        save_netspec(single_conv_network(16, 9, 1), spec_path)  # n_1 = 8 < 16
+        argv = ["rank-genericity", "--config", config(), "--spec", str(spec_path)]
+        assert main(argv) == 0
+        assert main(argv + ["--activation", "relu"]) == 0
+        assert capsys.readouterr().out.count("(N=16): 0.00") == 2
+
+    def test_claim_judges_the_network_that_ran(self, config, tmp_path, capsys):
+        # a width-1 bottleneck leaves F_2 numerically rank deficient although
+        # n_2 = 32 >= N: with analytic activations that fails the claim
+        for name, act, expected in (("sigmoid", Sigmoid(), 1), ("relu", ReLU(), 0)):
+            spec_path = tmp_path / f"{name}.netspec"
+            save_netspec(NetworkSpec(16, (FullyConnected(1, act),
+                                          FullyConnected(32, Sigmoid()))), spec_path)
+            argv = ["rank-genericity", "--config", config(wide_layer=2),
+                    "--spec", str(spec_path)]
+            assert main(argv) == expected, name
+        assert capsys.readouterr().out.count("(N=16): 0.00") == 2

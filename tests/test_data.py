@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from widecnn import (
+    Dataset,
     FormatError,
+    StructuralError,
     check_distinct_patches,
     load_idx,
     read_idx_images,
@@ -105,3 +107,14 @@ class TestSynthesize:
         dataset = synthesize_dataset(1, 5, 2, seed=8)
         assert dataset.sample_count == 1
         assert dataset.Y.shape == (1, 2)
+
+
+class TestDatasetEmbedding:
+    def test_singular_embedding_rejected(self):
+        Z = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(StructuralError, match="full rank"):
+            Dataset(X=np.eye(2), Y=Z, labels=(0, 1), Z=Z)
+
+    def test_non_identity_embedding_accepted(self):
+        Z = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert Dataset(X=np.eye(2), Y=Z[[1, 0]], labels=(1, 0), Z=Z).class_count == 2

@@ -1,12 +1,13 @@
 """Experiment configs, CSV reporting, and the runners at smoke scale."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from widecnn import ConfigError, forward
+from widecnn import AdamConfig, ConfigError, LearningRateSchedule, forward
 from widecnn.experiments import (
-    RANK_GENERICITY_COLUMNS,
-    TABLE2_COLUMNS,
+    SCHEMAS,
     DatasetConfig,
     ExperimentConfig,
     append_csv,
@@ -36,7 +37,6 @@ class TestConfig:
         path.write_text(
             """
             {
-              "experiment": "table2-sweep",
               "dataset": {"source": "synthetic", "n": 32, "d": 8, "m": 2,
                           "seed": 3, "perturb_sigma": 1e-5},
               "seeds": [0, 1],
@@ -50,7 +50,6 @@ class TestConfig:
             """
         )
         cfg = load_config(path)
-        assert cfg.experiment == "table2-sweep"
         assert cfg.dataset.n == 32
         assert cfg.schedule.initial == 0.01
         assert cfg.adam.beta2 == 0.95
@@ -70,32 +69,105 @@ class TestConfig:
 
     def test_activation_names(self):
         assert named_activation("softplus(5)").alpha == 5.0
+        assert named_activation("softplus").alpha == 10.0
+        for bad in ("tanh", "softplus(abc)", "softplus(-1)", "softplus(inf)",
+                    "softplus(", "softplusx"):
+            with pytest.raises(ConfigError):
+                named_activation(bad)
+
+    @pytest.mark.parametrize("doc", [
+        {"epochs": "30"},
+        {"epochs": 1.5},
+        {"epochs": True},
+        {"learning_rate": {"interval": 0}},
+        {"learning_rate": {"initial": -1e-3}},
+        {"batch_size": 0},
+        {"dataset": {"n": "16"}},
+        {"dataset": {"source": "mnist"}},
+        {"dataset": {"source": "idx"}},
+        {"dataset": {"source": "idx", "images": "i", "labels": "l", "n": 8}},
+        {"dataset": {"images": "i"}},
+        {"seeds": []},
+        {"seeds": 5},
+        {"seeds": [1.5]},
+        {"seeds": [-1]},
+        {"adam": 3},
+        {"adam": {"beta1": 1.0}},
+        {"filter_counts": "ab"},
+        {"filter_counts": [0]},
+        {"case": 4},
+        {"trials": 0},
+        {"wide_layer": 0},
+        {"activation": "softplus(abc)"},
+        {"out": 7},
+        {"schedule": {}},
+    ])
+    def test_wrong_values_rejected(self, doc):
         with pytest.raises(ConfigError):
-            named_activation("tanh")
+            config_from_dict(doc)
+
+    def test_every_field_is_a_key(self):
+        cfg = config_from_dict({"batch_size": None, "network": "n.json", "case": 3,
+                                "wide_layer": 2, "trials": 4, "n_subset": 8,
+                                "activation": "softplus(2.5)"})
+        assert (cfg.batch_size, cfg.network, cfg.case) == (None, "n.json", 3)
+        assert (cfg.wide_layer, cfg.trials, cfg.n_subset) == (2, 4, 8)
+
+    def test_overrides_and_python_callers_are_checked(self):
+        cfg = ExperimentConfig()
+        for change in ({"trials": 0}, {"seeds": ()}, {"seeds": [0]},
+                       {"activation": "softplus(-1)"}, {"adam": {"beta1": 0.9}},
+                       {"dataset": {"n": 8}}):
+            with pytest.raises(ConfigError):
+                replace(cfg, **change)
+        with pytest.raises(ConfigError, match="interval"):
+            LearningRateSchedule(interval=0)
+        with pytest.raises(ConfigError, match="DatasetConfig.n"):
+            DatasetConfig(n=0)
+
+    def test_floats_accept_ints_but_not_bools(self):
+        assert LearningRateSchedule(initial=1, decay=1, interval=5).at(7) == 1
+        assert AdamConfig(beta1=0).beta1 == 0
+        with pytest.raises(ConfigError):
+            AdamConfig(eps=True)
+        with pytest.raises(ConfigError):
+            LearningRateSchedule(initial="1e-3")
 
 
 class TestCsv:
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "r.csv"
         rows = [["1", "a,b"], ["2", 'say "hi"']]
-        write_csv(path, ("id", "text"), rows, "demo.v1")
+        write_csv(path, "loss-curve.v1", rows)
         tag, columns, got = read_csv(path)
-        assert tag == "demo.v1"
-        assert columns == ["id", "text"]
+        assert tag == "loss-curve.v1"
+        assert columns == ["epoch", "loss"]
         assert got == rows
 
     def test_append_preserves_schema(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_csv(path, ("id",), [["1"]], "demo.v1")
-        append_csv(path, ("id",), [["2"]], "demo.v1")
+        write_csv(path, "loss-curve.v1", [["0", "1"]])
+        append_csv(path, "loss-curve.v1", [["1", "2"]])
         _, _, rows = read_csv(path)
-        assert rows == [["1"], ["2"]]
+        assert rows == [["0", "1"], ["1", "2"]]
 
     def test_append_rejects_schema_mismatch(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_csv(path, ("id",), [["1"]], "demo.v1")
+        write_csv(path, "loss-curve.v1", [["0", "1"]])
         with pytest.raises(ConfigError):
-            append_csv(path, ("id",), [["2"]], "demo.v2")
+            append_csv(path, "grad-bounds.v1", [["0", "1", "2", "3", "4", "5"]])
+
+    def test_unknown_tag_and_wrong_row_length_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        with pytest.raises(ConfigError, match="schema"):
+            write_csv(path, "demo.v1", [["1"]])
+        with pytest.raises(ConfigError, match="columns"):
+            write_csv(path, "loss-curve.v1", [["0", "1", "2"]])
+        assert not path.exists()
+        write_csv(path, "loss-curve.v1", [["0", "1"]])
+        with pytest.raises(ConfigError, match="columns"):
+            append_csv(path, "loss-curve.v1", [["1"]])
+        assert read_csv(path)[2] == [["0", "1"]]
 
 
 class TestRankGenericity:
@@ -110,7 +182,7 @@ class TestRankGenericity:
         assert result.fraction_full == 1.0
         tag, columns, rows = read_csv(out)
         assert tag == "rank-genericity.v1"
-        assert tuple(columns) == RANK_GENERICITY_COLUMNS
+        assert tuple(columns) == SCHEMAS["rank-genericity.v1"]
         assert len(rows) == 10
 
     def test_relu_reports_without_claim(self):
@@ -148,7 +220,7 @@ class TestRankGenericity:
 
 class TestSweep:
     def test_columns_match_reference_schema(self):
-        assert TABLE2_COLUMNS == (
+        assert SCHEMAS["table2.v1"] == (
             "T_1",
             "size(F_1)",
             "rank(F_1)",
@@ -169,7 +241,7 @@ class TestSweep:
         assert len(result.rows) == 2
         tag, columns, rows = read_csv(out)
         assert tag == "table2.v1"
-        assert tuple(columns) == TABLE2_COLUMNS
+        assert tuple(columns) == SCHEMAS["table2.v1"]
         assert rows[0][0] == "2"
         # n_1 = (64 - 9 + 1) * T_1
         assert rows[0][1] == "16x112"

@@ -84,3 +84,42 @@ class TestValidation:
     def test_missing_keys(self):
         with pytest.raises(FormatError, match="missing"):
             spec_from_dict({"input_width": 4})
+
+
+def _dense_doc(**first):
+    return {"input_width": 4, "layers": [
+        {"kind": "fully_connected", "width": 8, "activation": {"kind": "sigmoid"},
+         **first},
+        {"kind": "output", "width": 2},
+    ]}
+
+
+def _conv_doc(patches, filters=2):
+    return {"input_width": 4, "layers": [
+        {"kind": "conv", "filters": filters, "activation": {"kind": "sigmoid"},
+         "patches": patches},
+        {"kind": "output", "width": 2},
+    ]}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("doc,where", [
+        (_dense_doc(width="8"), "layer 1"),
+        (_dense_doc(width=2.5), "layer 1"),
+        (_conv_doc([[0, "a"], [2, 3]]), "layer 1"),
+        (_conv_doc([0, 1]), "layer 1"),
+        (_conv_doc([[0, 1], [2, 3]], filters="2"), "layer 1"),
+        (_conv_doc([[0, 1], [2, 3]], filters=None), "layer 1"),
+        ({**_dense_doc(), "input_width": True}, "input_width"),
+        (_conv_doc([[0, 1], [2, 4]]), "layer 1"),  # index out of range
+        (_dense_doc(width=0), "layer 1"),
+        (_dense_doc(activation={"kind": "softplus", "alpha": "10"}), "layer 1"),
+        (_dense_doc(activation={"kind": "sigmoid", "alpha": 3.0}), "layer 1"),
+    ])
+    def test_malformed_document_names_its_place(self, doc, where):
+        with pytest.raises(FormatError, match=where):
+            spec_from_dict(doc)
+
+    def test_conv_document_parses(self):
+        spec = spec_from_dict(_conv_doc([[0, 1], [2, 3]]))
+        assert spec.widths == (4, 4, 2)
