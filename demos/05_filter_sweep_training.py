@@ -20,8 +20,9 @@
 # count, its feature matrix reaches rank 256, at initialization and
 # after training, and training error hits zero.
 #
-# (On real IDX digit files, pass their paths to `table2_desk_config`;
-# this demo uses the synthetic fallback so it runs anywhere.)
+# (On real IDX digit files, replace the config's `dataset` with
+# `DatasetConfig(source="idx", images=..., labels=...)`; this demo uses
+# synthetic data so it runs anywhere.)
 
 # %%
 import time

@@ -28,16 +28,12 @@ class DistinctPatchesReport:
     min_gap: float  # smallest max-norm distance seen between cross-sample patches
 
 
-def check_distinct_patches(
-    X: np.ndarray, layout: PatchLayout, tolerance: float = 0.0
-) -> DistinctPatchesReport:
-    """Check that no patch of one sample equals (within ``tolerance`` in
-    max-norm) any patch of a different sample.
+def check_distinct_patches(X: np.ndarray, layout: PatchLayout) -> DistinctPatchesReport:
+    """Check that no patch of one sample exactly equals any patch of a
+    different sample.
 
     Exact pairwise comparison, O(N^2 P^2 l); intended for desk-scale data.
     """
-    if tolerance < 0:
-        raise StructuralError("tolerance must be nonnegative")
     PX = layout.extract(np.asarray(X, dtype=np.float64))  # (N, P, l)
     n = PX.shape[0]
     min_gap = np.inf
@@ -47,7 +43,7 @@ def check_distinct_patches(
             gap = float(dist.min())
             if gap < min_gap:
                 min_gap = gap
-            if gap <= tolerance:
+            if gap == 0.0:
                 p, q = np.unravel_index(int(dist.argmin()), dist.shape)
                 return DistinctPatchesReport(False, (i, j, int(p), int(q)), min_gap)
     return DistinctPatchesReport(True, None, min_gap)

@@ -2,11 +2,12 @@
 
 Each subcommand reads an optional JSON experiment config plus flag
 overrides and writes CSV or text reports. Flag overrides go through the
-config dataclasses, so they are checked like config keys. Exit codes: 0
-on success; 1 when a run finishes but an assertion or acceptance
-condition fails, or a run fails (any other ``WideCnnError``, or an
-``OSError``); 2 on usage errors, that is a malformed flag value, config,
-netspec or IDX file (``ConfigError``, ``FormatError``).
+config dataclasses, so they are checked like config keys, and ``--n``
+must be a positive integer. Exit codes: 0 on success; 1 when a run
+finishes but an assertion or acceptance condition fails, or a run fails
+(any other ``WideCnnError``, or an ``OSError``); 2 on usage errors, that
+is a malformed flag value, config, netspec or IDX file (``ConfigError``,
+``FormatError``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> experiments.ExperimentConfig:
+    if getattr(args, "n", 1) < 1:
+        raise ConfigError(f"--n must be a positive integer, got {args.n}")
     cfg = (
         experiments.load_config(args.config)
         if args.config

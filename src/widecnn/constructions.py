@@ -21,7 +21,7 @@ Four builders, each turning an existence proof into an algorithm:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,42 +54,25 @@ from .network import (
     patch_products,
 )
 
-DEFAULT_ALPHA_SCHEDULE = tuple(2.0**i for i in range(21))
+# Scales tried at the wide layer, in increasing order.
+ALPHA_SCHEDULE = tuple(2.0**i for i in range(21))
+# Acceptance floor on the smallest singular value of the certified N x N
+# submatrix at the wide layer.
+SIGMA_MIN_FLOOR = 1e-10
+# Smallest cross-sample feature gap a transport step must certify.
+GAP_FLOOR = 1e-9
+# Relative tolerance below which inner products count as colliding.
+COLLISION_RTOL = 1e-12
+# Filter (or target matrix) samples drawn before a builder gives up.
+RESAMPLE_BUDGET = 16
 
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Knobs shared by the constructive builders.
+    """Seed of a constructive builder's random draws: filter directions,
+    and the target matrices of the zero-loss construction."""
 
-    ``alpha_schedule`` is the increasing sequence of scales tried at the
-    wide layer; ``beta`` is the bias offset (None picks a per-activation
-    default with nonzero image); ``sigma_min_floor`` is the acceptance
-    threshold on the smallest singular value of the selected N x N
-    submatrix. ``gap_floor`` is the minimum cross-sample feature gap the
-    transport step must certify, ``collision_rtol`` the relative tolerance
-    below which inner products count as colliding (triggering a filter
-    resample), and ``resample_budget`` the number of resamples allowed.
-    """
-
-    alpha_schedule: tuple[float, ...] = DEFAULT_ALPHA_SCHEDULE
-    beta: float | None = None
-    sigma_min_floor: float = 1e-10
     seed: int = 0
-    gap_floor: float = 1e-9
-    collision_rtol: float = 1e-12
-    resample_budget: int = 16
-
-    def __post_init__(self):
-        schedule = tuple(float(a) for a in self.alpha_schedule)
-        object.__setattr__(self, "alpha_schedule", schedule)
-        if not schedule:
-            raise StructuralError("alpha schedule must be nonempty")
-        if any(a <= 0 for a in schedule):
-            raise StructuralError("alpha values must be positive")
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise StructuralError("alpha schedule must be strictly increasing")
-        if self.sigma_min_floor <= 0:
-            raise StructuralError("sigma_min_floor must be positive")
 
 
 def default_beta(activation: Activation) -> float:
@@ -110,19 +93,6 @@ def comfortable_range(activation: Activation) -> tuple[float, float]:
     if isinstance(activation, Identity):
         return (-1.0, 1.0)
     raise RangeError(f"{activation!r} has no range of values to invert")
-
-
-def _resolve_beta(cfg: ConstructionParams, activation: Activation) -> float:
-    beta = default_beta(activation) if cfg.beta is None else cfg.beta
-    value = float(np.asarray(activation(np.float64(beta))))
-    if value == 0.0:
-        raise StructuralError(f"beta={beta} maps to zero under {activation!r}")
-    lo, hi = activation.bijective_interval
-    if not lo < beta < hi:
-        raise StructuralError(
-            f"beta={beta} outside the injectivity interval ({lo}, {hi})"
-        )
-    return beta
 
 
 def _min_cross_sample_gap(F: np.ndarray) -> float:
@@ -150,22 +120,22 @@ def _sample_filters(rng: np.random.Generator, size: tuple[int, int]) -> np.ndarr
     return Q / np.linalg.norm(Q, axis=0, keepdims=True)
 
 
-def _collisions_across_samples(ip: np.ndarray, rtol: float) -> bool:
+def _collisions_across_samples(ip: np.ndarray) -> bool:
     """True if any two inner products of *different* samples (any patch or
     filter pairing) nearly coincide."""
     scale = max(1.0, float(np.abs(ip).max()))
     flat = ip.reshape(ip.shape[0], -1)
-    return _min_cross_sample_gap(flat) <= rtol * scale
+    return _min_cross_sample_gap(flat) <= COLLISION_RTOL * scale
 
 
-def _collisions_within_columns(ip: np.ndarray, rtol: float) -> bool:
+def _collisions_within_columns(ip: np.ndarray) -> bool:
     """True if, for some (patch, filter), two samples' inner products nearly
     coincide; this is the collision set of the wide-layer construction."""
     scale = max(1.0, float(np.abs(ip).max()))
     cols = np.sort(ip.reshape(ip.shape[0], -1), axis=0)
     if cols.shape[0] < 2:
         return False
-    return float(np.diff(cols, axis=0).min()) <= rtol * scale
+    return float(np.diff(cols, axis=0).min()) <= COLLISION_RTOL * scale
 
 
 def _lifted_full_rank(spec: NetworkSpec, k: int, Q: np.ndarray) -> bool:
@@ -197,15 +167,15 @@ def transport_construction(
     """
     rng = np.random.default_rng(cfg.seed)
     params, _ = _transport_impl(spec, np.asarray(X, dtype=np.float64),
-                                up_to_layer, cfg, rng)
+                                up_to_layer, rng)
     return params
 
 
-def _transport_impl(spec, X, up_to_layer, cfg, rng):
+def _transport_impl(spec, X, up_to_layer, rng):
     if not 1 <= up_to_layer <= spec.depth:
         raise StructuralError(f"target layer {up_to_layer} outside [1, {spec.depth}]")
     _conv_or_fc(spec, 1)
-    report = check_distinct_patches(X, spec.input_layout, tolerance=0.0)
+    report = check_distinct_patches(X, spec.input_layout)
     if not report.holds:
         raise AssumptionError(
             f"input patches collide across samples at {report.witness}",
@@ -218,22 +188,22 @@ def _transport_impl(spec, X, up_to_layer, cfg, rng):
         if isinstance(layer, MaxPool):
             F_prev = layer.layout.extract(F_prev).max(axis=2)
             continue
-        W, b, F_prev = _transport_layer(spec, k, F_prev, cfg, rng)
+        W, b, F_prev = _transport_layer(spec, k, F_prev, rng)
         params = params.with_layer(k, W, b)
     return params, F_prev
 
 
-def _transport_layer(spec, k, F_prev, cfg, rng):
+def _transport_layer(spec, k, F_prev, rng):
     layer = spec.layer(k)
     layout = spec.layer_layout(k)
     T = layer.filters if isinstance(layer, Conv) else spec.widths[k]
     sigma = spec.activation(k)
-    beta = _resolve_beta(cfg, sigma)
+    beta = default_beta(sigma)
     lo, hi = sigma.bijective_interval
-    for _ in range(cfg.resample_budget):
+    for _ in range(RESAMPLE_BUDGET):
         Q = _sample_filters(rng, (layout.patch_size, T))
         ip = patch_products(layout, F_prev, Q)
-        if _collisions_across_samples(ip, cfg.collision_rtol):
+        if _collisions_across_samples(ip):
             continue
         if not _lifted_full_rank(spec, k, Q):
             continue
@@ -242,12 +212,12 @@ def _transport_layer(spec, k, F_prev, cfg, rng):
             G = alpha * ip.reshape(ip.shape[0], -1) + beta
             if float(G.min()) > lo and float(G.max()) < hi:
                 F = np.asarray(sigma(G))
-                if _min_cross_sample_gap(F) > cfg.gap_floor:
+                if _min_cross_sample_gap(F) > GAP_FLOOR:
                     return alpha * Q, np.full(spec.widths[k], beta), F
             alpha *= 0.5
     raise ConstructionFailedError(
         f"layer {k}: no filter sample produced distinct features "
-        f"within {cfg.resample_budget} resamples"
+        f"within {RESAMPLE_BUDGET} resamples"
     )
 
 
@@ -310,10 +280,10 @@ def independence_construction_report(
     """As ``independence_construction`` but returning diagnostics."""
     rng = np.random.default_rng(cfg.seed)
     return _independence_impl(spec, np.asarray(X, dtype=np.float64),
-                              wide_layer, cfg, rng)
+                              wide_layer, rng)
 
 
-def _independence_impl(spec, X, wide_layer, cfg, rng):
+def _independence_impl(spec, X, wide_layer, rng):
     N = X.shape[0]
     k = wide_layer
     _conv_or_fc(spec, 1)
@@ -325,9 +295,9 @@ def _independence_impl(spec, X, wide_layer, cfg, rng):
     ensure_hidden_activations(spec, up_to=k)
 
     if k > 1:
-        params, F_prev = _transport_impl(spec, X, k - 1, cfg, rng)
+        params, F_prev = _transport_impl(spec, X, k - 1, rng)
     else:
-        report = check_distinct_patches(X, spec.input_layout, tolerance=0.0)
+        report = check_distinct_patches(X, spec.input_layout)
         if not report.holds:
             raise AssumptionError(
                 f"input patches collide across samples at {report.witness}",
@@ -339,12 +309,12 @@ def _independence_impl(spec, X, wide_layer, cfg, rng):
     layout = spec.layer_layout(k)
     T = layer.filters if isinstance(layer, Conv) else spec.widths[k]
     sigma = spec.activation(k)
-    beta = _resolve_beta(cfg, sigma)
+    beta = default_beta(sigma)
 
-    for _ in range(cfg.resample_budget):
+    for _ in range(RESAMPLE_BUDGET):
         Q = _sample_filters(rng, (layout.patch_size, T))
         ip = patch_products(layout, F_prev, Q)
-        if _collisions_within_columns(ip, cfg.collision_rtol):
+        if _collisions_within_columns(ip):
             continue
         if not _lifted_full_rank(spec, k, Q):
             continue
@@ -357,14 +327,14 @@ def _independence_impl(spec, X, wide_layer, cfg, rng):
         # these features; a small scale keeps the weight norms (and hence
         # downstream gradient amplification) modest.
         candidates = []
-        for alpha in cfg.alpha_schedule:
+        for alpha in ALPHA_SCHEDULE:
             b = bias.copy()
             b[:N] = alpha * flat_ip[gamma, np.arange(N)] + beta
             G = -alpha * flat_ip + b
             F_k = np.asarray(sigma(G))
             sub = F_k[gamma][:, :N]
             s_min = float(np.linalg.svd(sub, compute_uv=False)[-1])
-            if s_min >= cfg.sigma_min_floor:
+            if s_min >= SIGMA_MIN_FLOOR:
                 candidates.append((s_min, alpha, b, F_k))
         if candidates:
             cutoff = 0.5 * max(c[0] for c in candidates)
@@ -378,7 +348,7 @@ def _independence_impl(spec, X, wide_layer, cfg, rng):
                 )
     raise ConstructionFailedError(
         f"wide layer {k}: the scale schedule never certified a nonsingular "
-        f"{N} x {N} submatrix within {cfg.resample_budget} resamples"
+        f"{N} x {N} submatrix within {RESAMPLE_BUDGET} resamples"
     )
 
 
@@ -396,8 +366,7 @@ def _solve_gram(F: np.ndarray, targets: np.ndarray) -> np.ndarray:
         raise IllConditionedError(
             "feature Gram system is numerically singular "
             f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e}); rerun the "
-            "construction with a larger scale (extend the alpha schedule "
-            "or raise sigma_min_floor)"
+            "construction with another seed"
         )
     z = np.linalg.solve(gram, targets)
     for _ in range(2):
@@ -457,10 +426,9 @@ def _full_row_rank_image(
     sigma: Activation,
     rows: int,
     cols: int,
-    budget: int,
 ) -> np.ndarray:
     """Full-row-rank matrix with entries in the image of ``sigma``."""
-    for _ in range(budget):
+    for _ in range(RESAMPLE_BUDGET):
         A = np.asarray(sigma(rng.standard_normal((rows, cols))))
         if estimate_rank(A).estimated_rank == rows:
             return A
@@ -500,7 +468,7 @@ def zero_loss_construction(
         )
 
     rng = np.random.default_rng(cfg.seed)
-    report = _independence_impl(spec, X, k, cfg, rng)
+    report = _independence_impl(spec, X, k, rng)
     params = report.params
     F_k = forward(spec, params, X, up_to=k).F[k]
 
@@ -509,8 +477,7 @@ def zero_loss_construction(
         params = params.with_layer(L, W_L, np.zeros(m))
     elif k == L - 2:
         sigma = spec.activation(L - 1)
-        A = _full_row_rank_image(rng, sigma, m, spec.widths[L - 1],
-                                 cfg.resample_budget)
+        A = _full_row_rank_image(rng, sigma, m, spec.widths[L - 1])
         D = _class_rows(A, dataset.labels)
         W_hidden = _solve_gram(F_k, sigma.inverse(D))
         params = params.with_layer(L - 1, W_hidden, np.zeros(spec.widths[L - 1]))
@@ -525,7 +492,7 @@ def zero_loss_construction(
         params = params.with_layer(k + 1, W_next, np.zeros(spec.widths[k + 1]))
 
         sub_spec = NetworkSpec(spec.widths[k + 1], spec.layers[k + 1 : L - 1])
-        sub_cfg = replace(cfg, seed=int(rng.integers(2**63)))
+        sub_cfg = ConstructionParams(seed=int(rng.integers(2**63)))
         sub_params = independence_construction(sub_spec, E, sub_spec.depth, sub_cfg)
         for j in range(1, sub_spec.depth + 1):
             params = params.with_layer(

@@ -1,11 +1,12 @@
 """Data ingestion: IDX image/label files and synthetic generators.
 
 The IDX readers parse the classic big-endian byte format (magic, dims,
-unsigned-byte payload), scale pixels to [0, 1], and produce one-hot
-targets with the identity class embedding. A writer is provided so
-loaders can be round-trip tested byte-for-byte. The synthetic generator
-draws Gaussian inputs with balanced random classes and certifies patch
-distinctness before returning.
+unsigned-byte payload), refuse malformed headers and payloads with
+FormatError, scale pixels to [0, 1], and produce one-hot targets with the
+identity class embedding. A writer is provided so loaders can be
+round-trip tested byte-for-byte. The synthetic generator draws Gaussian
+inputs with balanced random classes and certifies patch distinctness
+before returning.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ def read_idx_images(path) -> np.ndarray:
     count = _read_be32(buf, 4, path)
     rows = _read_be32(buf, 8, path)
     cols = _read_be32(buf, 12, path)
+    if count < 0 or rows < 1 or cols < 1:
+        raise FormatError(
+            f"{path}: header at byte offset 4 gives {count} images of "
+            f"{rows}x{cols} pixels; expected a non-negative count and "
+            "positive sizes"
+        )
     expected = 16 + count * rows * cols
     if len(buf) != expected:
         raise FormatError(
@@ -95,12 +102,13 @@ def write_idx_labels(path, labels) -> None:
         fh.write(labels.tobytes())
 
 
-def load_idx(images_path, labels_path, classes: int | None = None) -> Dataset:
-    """Load paired IDX image/label files into a Dataset.
+def load_idx(images_path, labels_path) -> Dataset:
+    """Load paired IDX image/label files, holding at least one image, into
+    a Dataset.
 
     Pixels are scaled to [0, 1] and flattened row-major; targets are the
-    one-hot rows of the identity embedding over ``classes`` classes
-    (default: max label + 1, i.e. 10 for standard digit data).
+    one-hot rows of the identity embedding over max label + 1 classes
+    (10 for standard digit data).
     """
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
@@ -109,11 +117,10 @@ def load_idx(images_path, labels_path, classes: int | None = None) -> Dataset:
             f"{images_path} has {images.shape[0]} images but {labels_path} "
             f"has {labels.shape[0]} labels"
         )
+    if images.shape[0] == 0:
+        raise FormatError(f"{images_path} holds no images")
     X = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    m = int(labels.max()) + 1 if classes is None else classes
-    if int(labels.max()) >= m:
-        raise FormatError(f"label {int(labels.max())} outside [0, {m})")
-    Z = np.eye(m)
+    Z = np.eye(int(labels.max()) + 1)
     Y = Z[labels.astype(np.intp)]
     return Dataset(X=X, Y=Y, labels=tuple(int(c) for c in labels), Z=Z)
 
@@ -140,7 +147,7 @@ def synthesize_dataset(
         X = rng.standard_normal((N, d))
         X = perturb_dataset(X, perturb_sigma, seed=int(rng.integers(2**63)))
         labels = rng.permutation(np.arange(N) % m)
-        if check_distinct_patches(X, layout, tolerance=0.0).holds:
+        if check_distinct_patches(X, layout).holds:
             Z = np.eye(m)
             return Dataset(
                 X=X,

@@ -370,20 +370,14 @@ def table2_desk_config(
     epochs: int = 3000,
     seed: int = 0,
     out: str | None = None,
-    images: str | None = None,
-    labels: str | None = None,
 ) -> ExperimentConfig:
-    """Desk-scale sweep defaults: 64-wide inputs with 10 balanced classes
-    (or the given IDX files), a 9-tap first conv layer so the widest
-    filter count clears n_1 >= n_subset, and the standard step-decay Adam
-    recipe."""
-    if images is not None and labels is not None:
-        dataset = DatasetConfig(source="idx", images=images, labels=labels)
-    else:
-        dataset = DatasetConfig(source="synthetic", n=2 * n_subset, d=64, m=10,
-                                seed=seed)
+    """Desk-scale sweep defaults: 64-wide synthetic inputs with 10 balanced
+    classes, a 9-tap first conv layer so the widest filter count clears
+    n_1 >= n_subset, and the standard step-decay Adam recipe. For IDX
+    files, replace the result's ``dataset`` with an ``idx`` DatasetConfig."""
     return ExperimentConfig(
-        dataset=dataset,
+        dataset=DatasetConfig(source="synthetic", n=2 * n_subset, d=64, m=10,
+                              seed=seed),
         seeds=(seed,),
         n_subset=n_subset,
         epochs=epochs,
@@ -454,20 +448,16 @@ def run_table2_sweep(cfg: ExperimentConfig) -> SweepResult:
 # Gradient sandwich evaluation on random architectures
 
 
-def random_landscape_case(
-    rng: np.random.Generator,
-    n_samples: int | None = None,
-    residual_floor: float = 0.0,
-):
+def random_landscape_case(rng: np.random.Generator, residual_floor: float = 0.0):
     """Random architecture/data/parameters meeting the wide-pyramid
     assumptions: returns (spec, wide_layer, X, Y, params).
 
     The wide layer is 1 or 2, convolutional or dense, with width at least
-    N; layers above it are dense with nonincreasing widths and sigmoid or
+    the sample count N, which is 3 to 6; layers above it are dense with nonincreasing widths and sigmoid or
     softplus activations. Targets are Gaussian, guaranteeing (for
     ``residual_floor`` > 0) a residual of at least that norm.
     """
-    N = int(n_samples if n_samples is not None else rng.integers(3, 7))
+    N = int(rng.integers(3, 7))
     d = int(rng.integers(4, 9))
     act = Sigmoid() if rng.integers(2) == 0 else Softplus(float(rng.integers(2, 9)))
     layers = []
@@ -507,13 +497,17 @@ def random_landscape_case(
     return spec, k, X, Y, params
 
 
+# Relative slack, scaled by max(1, upper bound), that a sandwich check allows.
+REL_SLACK = 1e-8
+
+
 @dataclass(frozen=True)
 class GradBoundsResult:
     reports: tuple[BoundReport, ...]
     violations: int
 
 
-def run_grad_bounds(cfg: ExperimentConfig, rel_slack: float = 1e-8) -> GradBoundsResult:
+def run_grad_bounds(cfg: ExperimentConfig) -> GradBoundsResult:
     """Evaluate the gradient sandwich on ``trials`` random configurations
     and count violations beyond the relative slack."""
     rng = np.random.default_rng(cfg.seeds[0])
@@ -524,7 +518,7 @@ def run_grad_bounds(cfg: ExperimentConfig, rel_slack: float = 1e-8) -> GradBound
         trace = forward(spec, params, X)
         report = gradient_bounds(spec, params, trace, Y, k)
         reports.append(report)
-        slack = rel_slack * max(1.0, report.upper)
+        slack = REL_SLACK * max(1.0, report.upper)
         if not (report.lower - slack <= report.grad_norm <= report.upper + slack):
             violations += 1
     result = GradBoundsResult(tuple(reports), violations)

@@ -42,19 +42,19 @@ def loss(trace: ForwardTrace, Y: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GradientSet:
-    """Gradients for layers ``start_layer..L`` (None elsewhere/at pooling).
+    """Per-layer gradients, indexed by layer (None below the differentiated
+    segment and at pooling).
 
     ``grad_U[l]`` is with respect to the lifted full matrix, ``grad_W[l]``
     with respect to the true filter matrix (adjoint pull-back of grad_U),
-    ``grad_b[l]`` with respect to the bias. ``deltas`` holds the
-    per-layer sensitivity matrices when requested.
+    ``grad_b[l]`` with respect to the bias, and ``deltas[l]`` is the
+    sensitivity matrix D_l of the backward recursion.
     """
 
-    start_layer: int
     grad_U: tuple[np.ndarray | None, ...]
     grad_W: tuple[np.ndarray | None, ...]
     grad_b: tuple[np.ndarray | None, ...]
-    deltas: tuple[np.ndarray | None, ...] | None = None
+    deltas: tuple[np.ndarray | None, ...]
 
 
 def backward(
@@ -63,7 +63,6 @@ def backward(
     trace: ForwardTrace,
     Y: np.ndarray,
     start_layer: int = 1,
-    keep_deltas: bool = False,
 ) -> GradientSet:
     """Exact gradients of the squared loss for layers ``start_layer..L``.
 
@@ -105,10 +104,8 @@ def backward(
         grad_U[l] = gU
         grad_W[l] = lift_adjoint(spec, l, gU)
         grad_b[l] = deltas[l].sum(axis=0)
-    kept = None
-    if keep_deltas:
-        kept = tuple(deltas.get(l) for l in range(L + 1))
-    return GradientSet(start_layer, tuple(grad_U), tuple(grad_W), tuple(grad_b), kept)
+    return GradientSet(tuple(grad_U), tuple(grad_W), tuple(grad_b),
+                       tuple(deltas.get(l) for l in range(L + 1)))
 
 
 def finite_difference_gradient(
@@ -122,8 +119,8 @@ def finite_difference_gradient(
     """Central-difference gradient over every filter and bias coordinate.
 
     Independent of ``backward``: evaluates the loss through the forward
-    pass only. ``grad_U`` entries are left as None since the lifted matrix
-    is not a free parameter.
+    pass only. ``grad_U`` and ``deltas`` entries are left as None since the
+    lifted matrix is not a free parameter and no recursion runs.
     """
     if step <= 0:
         raise StructuralError("step must be positive")
@@ -158,7 +155,7 @@ def finite_difference_gradient(
             ) / (2.0 * step)
         grad_W[l] = gW
         grad_b[l] = gb
-    return GradientSet(start_layer, tuple(none_row), tuple(grad_W), tuple(grad_b))
+    return GradientSet(tuple(none_row), tuple(grad_W), tuple(grad_b), tuple(none_row))
 
 
 def max_relative_gradient_error(exact: GradientSet, approx: GradientSet) -> float:

@@ -223,14 +223,12 @@ class Params:
                               lambda n: bias_scale * rng.standard_normal(n), up_to)
 
     @classmethod
-    def fan_in_gaussian(
-        cls, spec: NetworkSpec, rng: np.random.Generator, bias_scale: float = 0.01
-    ) -> "Params":
-        """Gaussian weights scaled by 1/sqrt(fan-in) with small Gaussian
-        biases; a sensible training initialization that keeps
-        pre-activations O(1) through sigmoid-style layers."""
+    def fan_in_gaussian(cls, spec: NetworkSpec, rng: np.random.Generator) -> "Params":
+        """Gaussian weights scaled by 1/sqrt(fan-in) and Gaussian biases of
+        standard deviation 0.01; a sensible training initialization that
+        keeps pre-activations O(1) through sigmoid-style layers."""
         return cls._per_layer(spec, lambda s: rng.standard_normal(s) / np.sqrt(s[0]),
-                              lambda n: bias_scale * rng.standard_normal(n))
+                              lambda n: 0.01 * rng.standard_normal(n))
 
     @classmethod
     def _per_layer(cls, spec: NetworkSpec, weight, bias, up_to: int | None = None):

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     NumericOverflowError,
-    StructuralError,
     TrainingDivergedError,
 )
 from .gradients import backward, loss
@@ -76,6 +75,10 @@ class AdamConfig:
         check_fields(self, lambda v: is_real(v) and v > 0, "a positive number", "eps")
 
 
+# Epochs between the training-error checks of ``stop_at_zero_errors``.
+ERROR_CHECK_INTERVAL = 25
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 1000
@@ -84,17 +87,22 @@ class TrainConfig:
     batch_size: int | None = None  # None = full batch
     seed: int = 0
     stop_at_zero_errors: bool = False  # stop once training misclassifies nothing
-    error_check_interval: int = 25
     # "gd" takes raw full-batch gradient steps. Adam's epsilon-normalized
     # steps have magnitude ~lr even for vanishing gradients, so exact
     # critical-point experiments need this variant to stay put.
     method: str = "adam"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise StructuralError("at least one epoch required")
-        if self.method not in ("adam", "gd"):
-            raise StructuralError(f"unknown training method {self.method!r}")
+        check_fields(self, lambda v: is_int(v) and v > 0, "a positive integer",
+                     "epochs")
+        check_fields(self, lambda v: v is None or (is_int(v) and v > 0),
+                     "a positive integer or None", "batch_size")
+        check_fields(self, lambda v: is_int(v) and v >= 0, "a non-negative integer",
+                     "seed")
+        check_fields(self, lambda v: v in ("adam", "gd"), "'adam' or 'gd'", "method")
+        check_fields(self, lambda v: isinstance(v, LearningRateSchedule),
+                     "a LearningRateSchedule", "schedule")
+        check_fields(self, lambda v: isinstance(v, AdamConfig), "an AdamConfig", "adam")
 
 
 @dataclass(frozen=True)
@@ -196,7 +204,7 @@ def train_adam(
         curve.append(float(epoch_loss))
         if (
             cfg.stop_at_zero_errors
-            and (epoch + 1) % cfg.error_check_interval == 0
+            and (epoch + 1) % ERROR_CHECK_INTERVAL == 0
             and classification_errors(spec, materialize(), dataset) == 0
         ):
             break

@@ -76,4 +76,4 @@ def lifted_backward(spec, params, trace, Y, start_layer=1):
         grad_W[l] = lift_adjoint(spec, l, grad_U[l])
         grad_b[l] = deltas[l].sum(axis=0)
     kept = tuple(deltas.get(l) for l in range(L + 1))
-    return GradientSet(start_layer, tuple(grad_U), tuple(grad_W), tuple(grad_b), kept)
+    return GradientSet(tuple(grad_U), tuple(grad_W), tuple(grad_b), kept)

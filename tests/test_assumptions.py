@@ -46,11 +46,6 @@ class TestDistinctPatches:
         noisy = perturb_dataset(X, sigma=1e-5, seed=42)
         assert check_distinct_patches(noisy, conv1d_layout(8, 3, 1)).holds
 
-    def test_tolerance_counts_near_misses(self):
-        X = np.array([[0.0, 0.0], [0.5, 0.5]])
-        assert check_distinct_patches(X, full_layout(2), tolerance=0.4).holds
-        assert not check_distinct_patches(X, full_layout(2), tolerance=0.6).holds
-
 
 class TestPerturb:
     def test_zero_sigma_is_identity(self):

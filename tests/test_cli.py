@@ -140,8 +140,14 @@ class TestUsageErrorsExit2:
         ["grad-bounds", "--trials", "0"],
         ["rank-genericity", "--activation", "softplus(abc)"],
         ["construct-independent", "--seed", "-1"],
+        ["construct-independent", "--n", "0"],
+        ["fit-expressivity", "--n", "-2"],
+        ["width-audit", "--spec", "{spec}", "--n", "-5"],
     ])
-    def test_malformed_flag_value(self, argv, capsys):
+    def test_malformed_flag_value(self, argv, tmp_path, capsys):
+        spec_path = tmp_path / "net.netspec"
+        save_netspec(single_conv_network(8, 3, 2), spec_path)
+        argv = [str(spec_path) if arg == "{spec}" else arg for arg in argv]
         assert _usage_error(argv, capsys)
 
     @pytest.mark.parametrize("doc", [

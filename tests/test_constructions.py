@@ -30,6 +30,7 @@ from widecnn import (
     transport_construction,
     zero_loss_construction,
 )
+from widecnn import constructions
 from widecnn.constructions import build_selection_permutation
 from widecnn.errors import ConstructionFailedError
 from widecnn.experiments import zero_loss_demo_case
@@ -163,16 +164,15 @@ class TestIndependence:
         with pytest.raises(WidthError):
             independence_construction(spec, X, 1, ConstructionParams(seed=16))
 
-    def test_unreachable_floor_exhausts_schedule(self):
+    def test_unreachable_floor_exhausts_schedule(self, monkeypatch):
         rng = np.random.default_rng(17)
         spec = NetworkSpec(4, (Conv(conv1d_layout(4, 2, 1), 2, Sigmoid()),))
         X = rng.standard_normal((3, 4))
-        impossible = ConstructionParams(
-            alpha_schedule=(1.0, 2.0), sigma_min_floor=10.0, seed=18,
-            resample_budget=2,
-        )
+        monkeypatch.setattr(constructions, "ALPHA_SCHEDULE", (1.0, 2.0))
+        monkeypatch.setattr(constructions, "SIGMA_MIN_FLOOR", 10.0)
+        monkeypatch.setattr(constructions, "RESAMPLE_BUDGET", 2)
         with pytest.raises(ConstructionFailedError):
-            independence_construction(spec, X, 1, impossible)
+            independence_construction(spec, X, 1, ConstructionParams(seed=18))
 
     def test_negated_scaled_filters_lift_linearly(self):
         """The wide layer stores W = -alpha * Q; its lifted matrix must be

@@ -70,6 +70,22 @@ class TestIdxFormat:
         with pytest.raises(FormatError, match="byte offset 16"):
             read_idx_images(path)
 
+    @pytest.mark.parametrize("count, rows, cols", [
+        (-1, -1, 1), (-1, 2, -2), (2, 0, 3), (4, 3, 0),
+    ])
+    def test_header_sizes_checked(self, tmp_path, count, rows, cols):
+        path = tmp_path / "header.idx"
+        payload = b"\x00" * max(0, count * rows * cols)
+        path.write_bytes(struct.pack(">iiii", 0x00000803, count, rows, cols) + payload)
+        with pytest.raises(FormatError, match="byte offset 4"):
+            read_idx_images(path)
+
+    def test_zero_images_rejected(self, tmp_path):
+        ip, lp = write_pair(tmp_path, np.zeros((0, 2, 2), dtype=np.uint8), [])
+        assert read_idx_images(ip).shape == (0, 2, 2)
+        with pytest.raises(FormatError, match="no images"):
+            load_idx(ip, lp)
+
     def test_count_mismatch_between_files(self, tmp_path):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         ip, _ = write_pair(tmp_path, images, [0, 1])
@@ -77,12 +93,6 @@ class TestIdxFormat:
         write_idx_labels(lp, [0, 1, 2])
         with pytest.raises(FormatError, match="labels"):
             load_idx(ip, lp)
-
-    def test_explicit_class_count(self, tmp_path):
-        images = np.zeros((2, 1, 1), dtype=np.uint8)
-        ip, lp = write_pair(tmp_path, images, [0, 3])
-        dataset = load_idx(ip, lp, classes=10)
-        assert dataset.class_count == 10
 
 
 class TestSynthesize:

@@ -205,11 +205,11 @@ class TestParamsInitializers:
                 b = 0.5 * rng.standard_normal(width)
                 np.testing.assert_array_equal(params.weights[k], W)
                 np.testing.assert_array_equal(params.biases[k], b)
-        params = Params.fan_in_gaussian(spec, np.random.default_rng(1), bias_scale=0.1)
+        params = Params.fan_in_gaussian(spec, np.random.default_rng(1))
         rng = np.random.default_rng(1)
         for k, shape, width in weighted:
             W = rng.standard_normal(shape) / np.sqrt(shape[0])
-            b = 0.1 * rng.standard_normal(width)
+            b = 0.01 * rng.standard_normal(width)
             np.testing.assert_array_equal(params.weights[k], W)
             np.testing.assert_array_equal(params.biases[k], b)
         assert params.weights[2] is None and params.biases[2] is None

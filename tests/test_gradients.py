@@ -222,7 +222,7 @@ class TestConvAboveFirstLayer:
         for _ in range(5):
             spec, params, X, Y = conv_above_first_layer_net(rng, first_conv)
             trace = forward(spec, params, X)
-            grads = backward(spec, params, trace, Y, keep_deltas=True)
+            grads = backward(spec, params, trace, Y)
             reference = lifted_backward(spec, params, trace, Y)
             for l in range(1, spec.depth + 1):
                 np.testing.assert_allclose(
@@ -349,6 +349,5 @@ class TestDeltaDiagnostics:
         rng = np.random.default_rng(10)
         spec, params, X, Y = random_smooth_net(rng)
         trace = forward(spec, params, X)
-        grads = backward(spec, params, trace, Y, keep_deltas=True)
+        grads = backward(spec, params, trace, Y)
         np.testing.assert_allclose(grads.deltas[spec.depth], trace.output - Y)
-        assert backward(spec, params, trace, Y).deltas is None

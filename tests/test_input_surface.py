@@ -1,14 +1,20 @@
-"""Fuzz test of the input surface: a JSON-shaped config or netspec document
-either parses or raises the parser's typed error, never another
-exception. Documents are drawn valid and then, three times in four, have
-one entry replaced by junk, deleted, or joined by an unknown key."""
+"""Fuzz tests of the input surface: a JSON-shaped config or netspec
+document, or a pair of IDX image and label files, either parses or raises
+the parser's typed error, never another exception. Inputs are drawn valid
+and then, three times in four, changed: a JSON document has one entry
+replaced by junk, deleted, or joined by an unknown key; an IDX pair has
+header fields overwritten, a file cut short, or bytes appended."""
 
 import copy
+import struct
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widecnn import ConfigError, FormatError, spec_from_dict
+from widecnn import ConfigError, FormatError, load_idx, spec_from_dict
+from widecnn.data import IMAGE_MAGIC, LABEL_MAGIC
 from widecnn.experiments import config_from_dict
 
 # wrong types, empty containers, zeros, negatives, non-finite floats
@@ -122,3 +128,52 @@ def test_document_parses_or_raises_its_typed_error(case):
         parse(doc)
     except error:
         assert changed, f"a valid document was refused: {doc}"
+
+
+@st.composite
+def idx_pairs(draw):
+    """(images, labels, count, changed): the bytes of an IDX image file and
+    a label file of ``count`` entries, with one to three changes if
+    ``changed``. Besides single header fields, the image sizes may be
+    redrawn as a group with the payload resized to match, so that the
+    sizes, not the file length, are what is wrong."""
+    count = draw(st.integers(0, 4))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pixels = draw(st.binary(min_size=count * rows * cols, max_size=count * rows * cols))
+    images = bytearray(struct.pack(">iiii", IMAGE_MAGIC, count, rows, cols) + pixels)
+    labels = bytearray(struct.pack(">ii", LABEL_MAGIC, count) + bytes(
+        draw(st.lists(st.integers(0, 9), min_size=count, max_size=count))))
+    changed = draw(st.integers(0, 3)) > 0
+    for _ in range(draw(st.integers(1, 3)) if changed else 0):
+        target = images if draw(st.booleans()) else labels
+        how = draw(st.sampled_from(["field", "sizes", "truncate", "extend"]))
+        if how == "field":
+            at = 4 * draw(st.integers(0, 3 if target is images else 1))
+            value = draw(st.integers(-2, 5) | st.integers(-2**31, 2**31 - 1))
+            target[at:at + 4] = struct.pack(">i", value)
+        elif how == "sizes":
+            sizes = draw(st.lists(st.integers(-2, 4), min_size=3, max_size=3))
+            images[4:16] = struct.pack(">iii", *sizes)
+            if draw(st.booleans()):
+                images[16:] = bytes(max(0, sizes[0] * sizes[1] * sizes[2]))
+        elif how == "truncate" and target:
+            del target[draw(st.integers(0, len(target) - 1)):]
+        else:
+            target += draw(st.binary(min_size=1, max_size=8))
+    return bytes(images), bytes(labels), count, changed
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(idx_pairs())
+def test_idx_pair_loads_or_raises_format_error(case):
+    images, labels, count, changed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        image_path, label_path = Path(tmp, "images.idx"), Path(tmp, "labels.idx")
+        image_path.write_bytes(images)
+        label_path.write_bytes(labels)
+        try:
+            dataset = load_idx(image_path, label_path)
+        except FormatError:
+            assert changed or count == 0, "a valid IDX pair was refused"
+        else:
+            assert changed or dataset.sample_count == count

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from widecnn import (
+    ConfigError,
     ConstructionParams,
     Dataset,
     FullyConnected,
@@ -18,6 +19,25 @@ from widecnn import (
 )
 from widecnn.experiments import zero_loss_demo_case
 from widecnn.training import LearningRateSchedule, TrainConfig
+
+
+class TestTrainConfigChecks:
+    @pytest.mark.parametrize("fields", [
+        {"epochs": 0},
+        {"epochs": 1.5},
+        {"epochs": True},
+        {"batch_size": 0},
+        {"batch_size": -3},
+        {"batch_size": 4.0},
+        {"seed": -1},
+        {"seed": "1"},
+        {"method": "sgd"},
+        {"schedule": 1e-3},
+        {"adam": None},
+    ])
+    def test_malformed_field_raises_config_error(self, fields):
+        with pytest.raises(ConfigError):
+            TrainConfig(**fields)
 
 
 def linear_problem(rng, n=12, d=4, m=2):
@@ -92,7 +112,6 @@ class TestEarlyStop:
             epochs=2000,
             schedule=LearningRateSchedule(1e-2, 1.0, 2000),
             stop_at_zero_errors=True,
-            error_check_interval=10,
         )
         result = train_adam(spec, Params.fan_in_gaussian(spec, rng), dataset, cfg)
         assert result.train_error_count == 0
