@@ -59,6 +59,11 @@ class Activation:
     def derivative(self, t):
         raise NotImplementedError
 
+    def derivative_at(self, G, F):
+        """sigma'(G) where ``F = self(G)`` was already computed, as the
+        forward trace stores it; equal to ``derivative(G)`` bit for bit."""
+        return self.derivative(G)
+
     def inverse(self, y):
         raise RangeError(f"{self.name} has no inverse")
 
@@ -87,17 +92,21 @@ class Sigmoid(Activation):
     name = "sigmoid"
 
     def __call__(self, t):
+        # 1/(1+exp(-t)) for t >= 0 and exp(t)/(1+exp(t)) below, in one pass:
+        # exp only sees -|t| <= 0, so nothing overflows and the negative
+        # tail keeps its relative accuracy down to the subnormals.
         t = np.asarray(t, dtype=np.float64)
-        out = np.empty_like(t)
-        pos = t >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-        e = np.exp(t[~pos])
-        out[~pos] = e / (1.0 + e)
+        e = np.exp(-np.abs(t))
+        out = np.where(t >= 0, 1.0, e)
+        e += 1.0  # in place: at most two full-size arrays are alive at once
+        out /= e
         return out
 
     def derivative(self, t):
-        s = self(t)
-        return s * (1.0 - s)
+        return self.derivative_at(t, self(t))
+
+    def derivative_at(self, G, F):
+        return F * (1.0 - F)
 
     def inverse(self, y):
         y = np.asarray(y, dtype=np.float64)

@@ -106,7 +106,7 @@ def _sandwich_factors(
     for l in range(wide_layer + 1, spec.depth):
         sv = np.linalg.svd(lift_weights(spec, l + 1, params.weights[l + 1]),
                            compute_uv=False)
-        d = np.abs(spec.activation(l).derivative(trace.G[l]))
+        d = np.abs(spec.activation(l).derivative_at(trace.G[l], trace.F[l]))
         entry = (float(sv[-1]), float(sv[0]), float(d.min()), float(d.max()))
         factors.append(entry)
         lower_prod *= entry[0] * entry[2]
@@ -187,18 +187,22 @@ class CriticalPointReport:
     grad_tolerance: float
 
 
+# Loss at or below which ``critical_point_check`` counts a point as zero loss.
+ZERO_LOSS_TOL = 1e-12
+
+
 def critical_point_check(
     spec: NetworkSpec,
     params: Params,
     dataset: Dataset,
     wide_layer: int,
-    tol: float = 1e-12,
 ) -> CriticalPointReport:
     """Test that zero loss and zero gradient coincide at one point.
 
-    The gradient is judged against ``upper_factor * sqrt(2 * tol)``, the
-    largest gradient norm compatible with a loss of ``tol`` under the
-    sandwich upper bound, making the comparison scale-aware.
+    A loss counts as zero at or below ``ZERO_LOSS_TOL``. The gradient is
+    judged against ``upper_factor * sqrt(2 * ZERO_LOSS_TOL)``, the largest
+    gradient norm compatible with that loss under the sandwich upper bound,
+    making the comparison scale-aware.
     """
     from .assumptions import ensure_wide_pyramid_assumptions
 
@@ -209,10 +213,10 @@ def critical_point_check(
     grads = backward(spec, params, trace, dataset.Y, start_layer=wide_layer + 1)
     grad_norm = float(np.linalg.norm(grads.grad_U[wide_layer + 1]))
     _, smax_f, _, upper_prod, _ = _sandwich_factors(spec, params, trace, wide_layer)
-    grad_tol = smax_f * upper_prod * np.sqrt(2.0 * tol)
+    grad_tol = smax_f * upper_prod * np.sqrt(2.0 * ZERO_LOSS_TOL)
     if not membership.in_good_set:
         return CriticalPointReport(value, grad_norm, False, False, grad_tol)
-    equivalence = (value <= tol) == (grad_norm <= grad_tol)
+    equivalence = (value <= ZERO_LOSS_TOL) == (grad_norm <= grad_tol)
     return CriticalPointReport(value, grad_norm, equivalence, True, grad_tol)
 
 

@@ -33,8 +33,13 @@ def check_distinct_patches(X: np.ndarray, layout: PatchLayout) -> DistinctPatche
     different sample.
 
     Exact pairwise comparison, O(N^2 P^2 l); intended for desk-scale data.
+    A non-finite X raises StructuralError: a NaN would make a pair's
+    smallest distance NaN and hide an equal pair of patches.
     """
-    PX = layout.extract(np.asarray(X, dtype=np.float64))  # (N, P, l)
+    X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise StructuralError("X contains non-finite values")
+    PX = layout.extract(X)  # (N, P, l)
     n = PX.shape[0]
     min_gap = np.inf
     for i in range(n):

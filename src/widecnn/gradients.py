@@ -6,10 +6,12 @@ residual seeds ``D_L = F_L - Y`` and each step applies
 by ``W^T``; a convolution multiplies each patch's block by ``W^T`` and
 adds it back through the patch scatter, which equals ``D_{l+1} U_{l+1}^T``
 without the dense ``U`` that ``lift_weights`` builds for rank and SVD work.
-The full-matrix gradient is ``grad_U_l = F_{l-1}^T @ D_l``; filter-space
-gradients follow by the adjoint of the lifting map, and bias gradients
-are the column sums of ``D_l``. A central finite-difference
-oracle over the true parameters is provided for verification.
+A sigmoid layer takes ``sigma'(G_l)`` from its stored features as
+``F_l (1 - F_l)`` instead of evaluating the sigmoid again. The full-matrix
+gradient is ``grad_U_l = F_{l-1}^T @ D_l``; filter-space gradients follow
+by the adjoint of the lifting map, and bias gradients are the column sums
+of ``D_l``. A central finite-difference oracle over the true parameters
+is provided for verification.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def backward(
             delta = above.layout.scatter_add(delta.reshape(-1, P, T) @ W.T)
         else:
             delta = delta @ W.T
-        delta = delta * spec.activation(l).derivative(trace.G[l])
+        delta = delta * spec.activation(l).derivative_at(trace.G[l], trace.F[l])
         deltas[l] = delta
 
     none_row: list[np.ndarray | None] = [None] * (L + 1)
@@ -108,22 +110,24 @@ def backward(
                        tuple(deltas.get(l) for l in range(L + 1)))
 
 
+# Step of the central differences in ``finite_difference_gradient``.
+FD_STEP = 1e-6
+
+
 def finite_difference_gradient(
     spec: NetworkSpec,
     params: Params,
     X: np.ndarray,
     Y: np.ndarray,
-    step: float = 1e-6,
     start_layer: int = 1,
 ) -> GradientSet:
-    """Central-difference gradient over every filter and bias coordinate.
+    """Central-difference gradient, with step ``FD_STEP``, over every filter
+    and bias coordinate.
 
     Independent of ``backward``: evaluates the loss through the forward
     pass only. ``grad_U`` and ``deltas`` entries are left as None since the
     lifted matrix is not a free parameter and no recursion runs.
     """
-    if step <= 0:
-        raise StructuralError("step must be positive")
     L = spec.depth
 
     def phi(p: Params) -> float:
@@ -140,19 +144,19 @@ def finite_difference_gradient(
         for r in range(W.shape[0]):
             for c in range(W.shape[1]):
                 Wp, Wm = W.copy(), W.copy()
-                Wp[r, c] += step
-                Wm[r, c] -= step
+                Wp[r, c] += FD_STEP
+                Wm[r, c] -= FD_STEP
                 gW[r, c] = (
                     phi(params.with_layer(l, Wp, b)) - phi(params.with_layer(l, Wm, b))
-                ) / (2.0 * step)
+                ) / (2.0 * FD_STEP)
         gb = np.zeros_like(b)
         for r in range(b.shape[0]):
             bp, bm = b.copy(), b.copy()
-            bp[r] += step
-            bm[r] -= step
+            bp[r] += FD_STEP
+            bm[r] -= FD_STEP
             gb[r] = (
                 phi(params.with_layer(l, W, bp)) - phi(params.with_layer(l, W, bm))
-            ) / (2.0 * step)
+            ) / (2.0 * FD_STEP)
         grad_W[l] = gW
         grad_b[l] = gb
     return GradientSet(tuple(none_row), tuple(grad_W), tuple(grad_b), tuple(none_row))

@@ -189,14 +189,14 @@ class Params:
     """Per-layer filter matrices and bias vectors, index-aligned to the
     owning spec (entry 0 and max-pool entries are None). Entries above a
     construction's target layer may also be None for partial parameter
-    sets. Arrays are read-only."""
+    sets. Arrays are read-only; a caller's arrays are copied first."""
 
     weights: tuple[np.ndarray | None, ...]
     biases: tuple[np.ndarray | None, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(_freeze(w) for w in self.weights))
-        object.__setattr__(self, "biases", tuple(_freeze(b) for b in self.biases))
+        object.__setattr__(self, "weights", tuple(_frozen(w) for w in self.weights))
+        object.__setattr__(self, "biases", tuple(_frozen(b) for b in self.biases))
         if len(self.weights) != len(self.biases):
             raise StructuralError("weights and biases must have equal length")
 
@@ -239,8 +239,8 @@ class Params:
         weights, biases = [None], [None]
         for k in range(1, spec.depth + 1):
             shape = spec.filter_shape(k) if k <= up_to else None
-            weights.append(None if shape is None else weight(shape))
-            biases.append(None if shape is None else bias(spec.widths[k]))
+            weights.append(None if shape is None else _seal(weight(shape)))
+            biases.append(None if shape is None else _seal(bias(spec.widths[k])))
         return cls(tuple(weights), tuple(biases))
 
     def with_layer(self, k: int, W: np.ndarray, b: np.ndarray) -> "Params":
@@ -251,9 +251,27 @@ class Params:
         return Params(tuple(weights), tuple(biases))
 
 
-def _freeze(arr):
-    if arr is None:
-        return None
+def _seal(arr: np.ndarray) -> np.ndarray:
+    """Mark an array that the library has just created, and that nothing
+    else references, read-only in place; the frozen containers then take
+    it without a copy."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr):
+    """arr itself if it is sealed: a read-only float64 array that owns its
+    memory, so that no writable view of it exists. Any other array, which
+    includes every writable array a caller passes, is copied by
+    ``_freeze``."""
+    if arr is None or (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                       and arr.base is None and not arr.flags.writeable):
+        return arr
+    return _freeze(arr)
+
+
+def _freeze(arr) -> np.ndarray:
+    """A read-only float64 copy of arr."""
     out = np.array(arr, dtype=np.float64)
     out.setflags(write=False)
     return out
@@ -291,14 +309,15 @@ class ForwardTrace:
 
     ``F[k]`` are post-activations (``F[0]`` is the input), ``G[k]`` the
     pre-activations; ``G`` is None at index 0 and at max-pool layers.
+    Arrays are read-only; a caller's arrays are copied first.
     """
 
     F: tuple[np.ndarray, ...]
     G: tuple[np.ndarray | None, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "F", tuple(_freeze(a) for a in self.F))
-        object.__setattr__(self, "G", tuple(_freeze(a) for a in self.G))
+        object.__setattr__(self, "F", tuple(_frozen(a) for a in self.F))
+        object.__setattr__(self, "G", tuple(_frozen(a) for a in self.G))
 
     @property
     def output(self) -> np.ndarray:
@@ -321,8 +340,8 @@ class Dataset:
     Z: np.ndarray | None = None
 
     def __post_init__(self):
-        X = _freeze(self.X)
-        Y = _freeze(self.Y)
+        X = _frozen(self.X)
+        Y = _frozen(self.Y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         if X.ndim != 2 or Y.ndim != 2:
@@ -337,7 +356,7 @@ class Dataset:
             if len(labels) != X.shape[0]:
                 raise StructuralError("one label per sample required")
         if self.Z is not None:
-            Z = _freeze(self.Z)
+            Z = _frozen(self.Z)
             object.__setattr__(self, "Z", Z)
             m = Y.shape[1]
             if Z.shape != (m, m):
@@ -465,6 +484,6 @@ def forward(
             raise NumericOverflowError(f"non-finite pre-activation at layer {k}")
         if not np.all(np.isfinite(Fk)):
             raise NumericOverflowError(f"non-finite activation at layer {k}")
-        F.append(Fk)
-        G.append(Gk)
+        F.append(_seal(Fk))
+        G.append(None if Gk is None else _seal(Gk))
     return ForwardTrace(tuple(F), tuple(G))

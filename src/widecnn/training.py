@@ -99,6 +99,8 @@ class TrainConfig:
                      "a positive integer or None", "batch_size")
         check_fields(self, lambda v: is_int(v) and v >= 0, "a non-negative integer",
                      "seed")
+        check_fields(self, lambda v: isinstance(v, bool), "True or False",
+                     "stop_at_zero_errors")
         check_fields(self, lambda v: v in ("adam", "gd"), "'adam' or 'gd'", "method")
         check_fields(self, lambda v: isinstance(v, LearningRateSchedule),
                      "a LearningRateSchedule", "schedule")
@@ -142,12 +144,14 @@ def train_adam(
     N = X.shape[0]
     batch = N if cfg.batch_size is None else min(cfg.batch_size, N)
 
+    # Every step replaces these read-only arrays with new ones instead of
+    # updating them in place, so materialize() shares them without a copy.
     weights = {
-        l: params0.weights[l].copy()
+        l: params0.weights[l]
         for l in range(1, spec.depth + 1)
         if params0.weights[l] is not None
     }
-    biases = {l: params0.biases[l].copy() for l in weights}
+    biases = {l: params0.biases[l] for l in weights}
     m_state = {l: (np.zeros_like(weights[l]), np.zeros_like(biases[l])) for l in weights}
     v_state = {l: (np.zeros_like(weights[l]), np.zeros_like(biases[l])) for l in weights}
     b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.eps
@@ -178,20 +182,22 @@ def train_adam(
                 corr1 = 1.0 - b1**step
                 corr2 = 1.0 - b2**step
                 for l in weights:
-                    for arr, grad, slot in (
-                        (weights[l], grads.grad_W[l], 0),
-                        (biases[l], grads.grad_b[l], 1),
+                    for current, grad, slot in (
+                        (weights, grads.grad_W[l], 0),
+                        (biases, grads.grad_b[l], 1),
                     ):
                         if cfg.method == "gd":
-                            arr -= lr * grad
-                            continue
-                        m = m_state[l][slot]
-                        v = v_state[l][slot]
-                        m *= b1
-                        m += (1.0 - b1) * grad
-                        v *= b2
-                        v += (1.0 - b2) * grad * grad
-                        arr -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+                            new = current[l] - lr * grad
+                        else:
+                            m = m_state[l][slot]
+                            v = v_state[l][slot]
+                            m *= b1
+                            m += (1.0 - b1) * grad
+                            v *= b2
+                            v += (1.0 - b2) * grad * grad
+                            new = current[l] - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+                        new.setflags(write=False)
+                        current[l] = new
             epoch_loss = loss(forward(spec, materialize(), X), Y)
         except NumericOverflowError as exc:
             raise TrainingDivergedError(

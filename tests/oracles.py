@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's code paths: rank by Gaussian
 elimination instead of SVD, convolution by a scalar per-patch loop
-instead of lifted matrix products, and backpropagation through dense
-lifted matrices instead of the patch scatter.
+instead of lifted matrix products, backpropagation through dense
+lifted matrices instead of the patch scatter, and the sigmoid as two
+masked passes instead of one.
 """
 
 import numpy as np
@@ -42,6 +43,18 @@ def planted_rank_matrix(rng, m, n, r):
     if r == 0:
         return np.zeros((m, n))
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+
+
+def two_pass_sigmoid(t):
+    """The masked two-pass sigmoid: ``1/(1+exp(-t))`` on ``t >= 0`` and
+    ``exp(t)/(1+exp(t))`` on the rest, each over its own gathered half."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def naive_conv_forward(F_prev, layout, W, b, sigma=None):

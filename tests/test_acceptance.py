@@ -166,7 +166,7 @@ def test_06_gradient_correctness_fifty_nets():
     for _ in range(50):
         spec, params, X, Y = random_smooth_net(rng, depth=4, max_width=32)
         grads = w.backward(spec, params, w.forward(spec, params, X), Y)
-        fd = w.finite_difference_gradient(spec, params, X, Y, step=1e-6)
+        fd = w.finite_difference_gradient(spec, params, X, Y)
         worst = max(worst, w.max_relative_gradient_error(grads, fd))
     assert worst <= 1e-5, f"worst relative gradient error {worst:.3e}"
     report(6, 120.0, started, f"backprop vs central differences (worst {worst:.1e})")

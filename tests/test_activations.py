@@ -12,6 +12,8 @@ from widecnn import (
     activation_from_dict,
 )
 
+from oracles import two_pass_sigmoid
+
 ALL = [Sigmoid(), ReLU(), Softplus(1.0), Softplus(10.0), Identity()]
 
 
@@ -38,6 +40,40 @@ class TestValues:
         r = ReLU()
         assert r.derivative(np.array(0.0)) == 0.0
         assert r.derivative(np.array(1e-9)) == 1.0
+
+
+def bits(a):
+    """The float64 bit patterns of a, so that -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestSigmoidAgainstTwoPass:
+    """The single-pass sigmoid evaluates the same formula on the same branch
+    as the masked two-pass reference, so the two agree bit for bit."""
+
+    SAMPLES = [
+        np.array(-3.0),
+        np.array([0.0, -0.0]),
+        # step 0.01: covers the subnormal tail below t = -708.4 and the
+        # underflow to 0 below t = -745.2
+        np.linspace(-800.0, 800.0, 160_001),
+        40.0 * np.random.default_rng(20).standard_normal(10_000),
+    ]
+
+    @pytest.mark.parametrize("t", SAMPLES)
+    def test_values_bit_identical(self, t):
+        out = Sigmoid()(t)
+        assert out.shape == t.shape
+        assert np.array_equal(bits(out), bits(two_pass_sigmoid(t)))
+
+    @pytest.mark.parametrize("t", SAMPLES)
+    def test_derivative_from_features_bit_identical(self, t):
+        """sigma' read off the stored features F = sigma(G) equals the old
+        sigma' that evaluated the two-pass sigmoid at G again."""
+        F = Sigmoid()(t)
+        s = two_pass_sigmoid(t)
+        assert np.array_equal(bits(Sigmoid().derivative_at(t, F)),
+                              bits(s * (1.0 - s)))
 
 
 class TestDerivatives:

@@ -13,6 +13,7 @@ from widecnn import (
     ReLU,
     Identity,
     Sigmoid,
+    StructuralError,
     WidthError,
     check_conv_structure,
     check_distinct_patches,
@@ -40,6 +41,14 @@ class TestDistinctPatches:
     def test_single_sample_holds_vacuously(self):
         report = check_distinct_patches(np.zeros((1, 4)), full_layout(4))
         assert report.holds and report.witness is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # patch 1 of sample 0 equals patch 1 of sample 1; a NaN in patch 0
+        # made the pair's smallest distance NaN and hid the collision
+        X = np.array([[5.0, 1.0], [bad, 1.0]])
+        with pytest.raises(StructuralError, match="non-finite"):
+            check_distinct_patches(X, conv1d_layout(2, 1, 1))
 
     def test_perturbation_separates_duplicates(self):
         X = np.zeros((6, 8))  # every patch identical

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from widecnn import (
     Conv,
+    Dataset,
     FullyConnected,
     Identity,
     MaxPool,
@@ -161,6 +162,42 @@ class TestContract:
         params = params.with_layer(2, np.full((2, 1), 1e200), np.zeros(1))
         with pytest.raises(NumericOverflowError, match="layer 2"):
             forward(spec, params, np.ones((1, 2)))
+
+
+class TestFreezing:
+    """Frozen containers copy every array a caller owns and share the arrays
+    the library has just created."""
+
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        rng = np.random.default_rng(12)
+        spec = NetworkSpec(5, (Conv(conv1d_layout(5, 2, 1), 2, Sigmoid()), Output(3)))
+        mine = Params.gaussian(spec, rng)
+        W1, W2, b1, b2 = (a.copy() for a in (*mine.weights[1:], *mine.biases[1:]))
+        X, Y, Z = rng.standard_normal((4, 5)), np.eye(3)[[0, 1, 2, 0]], np.eye(3)
+        view = W2.view()
+        view.setflags(write=False)  # read-only, but W2 can still change it
+        params = Params((None, W1, view), (None, b1, b2))
+        trace = forward(spec, params, X)
+        dataset = Dataset(X, Y, (0, 1, 2, 0), Z)
+        frozen = (*params.weights[1:], *params.biases[1:], *trace.F, trace.G[1],
+                  trace.G[2], dataset.X, dataset.Y, dataset.Z)
+        before = [a.copy() for a in frozen]
+        for arr in (W1, b1, W2, b2, X, Y, Z):
+            assert arr.flags.writeable
+            arr += 1.0
+        for arr, old in zip(frozen, before):
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, old)
+
+    def test_library_arrays_are_shared(self):
+        rng = np.random.default_rng(13)
+        spec = NetworkSpec(3, (FullyConnected(4, Sigmoid()), Output(2)))
+        params = Params.gaussian(spec, rng)
+        again = Params(params.weights, params.biases)
+        assert all(a is b for a, b in zip(again.weights[1:], params.weights[1:]))
+        dataset = Dataset(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+        trace = forward(spec, params, dataset.X)
+        assert trace.F[0] is dataset.X
 
 
 class TestSpecValidation:

@@ -23,6 +23,7 @@ from widecnn import (
     loss,
     max_relative_gradient_error,
 )
+from widecnn import gradients
 from widecnn.layout import PatchLayout, conv1d_layout
 
 from oracles import lifted_backward
@@ -107,7 +108,7 @@ class TestBackward:
         X = rng.standard_normal((4, 3))
         Y = rng.standard_normal((4, 2))
         grads = backward(spec, params, forward(spec, params, X), Y)
-        fd = finite_difference_gradient(spec, params, X, Y, step=1e-6)
+        fd = finite_difference_gradient(spec, params, X, Y)
         assert max_relative_gradient_error(grads, fd) <= 1e-5
 
     def test_linear_chain_matches_closed_form(self):
@@ -168,7 +169,7 @@ class TestBackward:
         Y = rng.standard_normal((3, 2))
         trace = forward(spec, params, X)
         grads = backward(spec, params, trace, Y, start_layer=3)
-        fd = finite_difference_gradient(spec, params, X, Y, step=1e-6, start_layer=3)
+        fd = finite_difference_gradient(spec, params, X, Y, start_layer=3)
         assert max_relative_gradient_error(grads, fd) <= 1e-5
 
     def test_relu_gradients_away_from_kinks(self):
@@ -191,8 +192,11 @@ class TestBackward:
                 continue
             checked += 1
             grads = backward(spec, params, trace, Y)
-            fd = finite_difference_gradient(spec, params, X, Y, step=1e-6)
+            fd = finite_difference_gradient(spec, params, X, Y)
             assert max_relative_gradient_error(grads, fd) <= 1e-5
+            reference = lifted_backward(spec, params, trace, Y)
+            assert np.array_equal(grads.grad_W[1], reference.grad_W[1])
+            assert np.array_equal(grads.grad_b[1], reference.grad_b[1])
 
 
 def conv_above_first_layer_net(rng, first_conv):
@@ -229,7 +233,7 @@ class TestConvAboveFirstLayer:
                     grads.deltas[l], reference.deltas[l], rtol=1e-12, atol=1e-14
                 )
             assert max_relative_gradient_error(grads, reference) <= 1e-12
-            fd = finite_difference_gradient(spec, params, X, Y, step=1e-6)
+            fd = finite_difference_gradient(spec, params, X, Y)
             assert max_relative_gradient_error(grads, fd) <= 1e-5
 
     def test_dense_layers_above_keep_the_lifted_rounding(self):
@@ -247,16 +251,17 @@ class TestConvAboveFirstLayer:
 
 
 class TestFiniteDifferences:
-    def test_exact_for_quadratic_objective(self):
+    def test_exact_for_quadratic_objective(self, monkeypatch):
         """A single linear layer makes the loss quadratic in parameters, so
         central differences are exact up to roundoff."""
+        monkeypatch.setattr(gradients, "FD_STEP", 1e-4)
         rng = np.random.default_rng(6)
         spec = NetworkSpec(3, (Output(2),))
         params = Params.gaussian(spec, rng)
         X = rng.standard_normal((4, 3))
         Y = rng.standard_normal((4, 2))
         grads = backward(spec, params, forward(spec, params, X), Y)
-        fd = finite_difference_gradient(spec, params, X, Y, step=1e-4)
+        fd = finite_difference_gradient(spec, params, X, Y)
         assert max_relative_gradient_error(grads, fd) <= 1e-8
 
     def test_random_softplus_net(self):
@@ -273,10 +278,10 @@ class TestFiniteDifferences:
         X = rng.standard_normal((3, 4))
         Y = rng.standard_normal((3, 1))
         grads = backward(spec, params, forward(spec, params, X), Y)
-        fd = finite_difference_gradient(spec, params, X, Y, step=1e-6)
+        fd = finite_difference_gradient(spec, params, X, Y)
         assert max_relative_gradient_error(grads, fd) <= 1e-5
 
-    def test_error_decreases_as_step_shrinks(self):
+    def test_error_decreases_as_step_shrinks(self, monkeypatch):
         """h=1 is documented to degrade; the error must fall as h drops
         from 1e-2 to 1e-6."""
         rng = np.random.default_rng(8)
@@ -285,17 +290,15 @@ class TestFiniteDifferences:
         X = rng.standard_normal((4, 3))
         Y = rng.standard_normal((4, 2))
         grads = backward(spec, params, forward(spec, params, X), Y)
-        errors = [
-            max_relative_gradient_error(
-                grads, finite_difference_gradient(spec, params, X, Y, step=h)
-            )
-            for h in (1e-2, 1e-4, 1e-6)
-        ]
+
+        def error_at(h):
+            monkeypatch.setattr(gradients, "FD_STEP", h)
+            fd = finite_difference_gradient(spec, params, X, Y)
+            return max_relative_gradient_error(grads, fd)
+
+        errors = [error_at(h) for h in (1e-2, 1e-4, 1e-6)]
         assert errors[0] > errors[1] > errors[2]
-        coarse = max_relative_gradient_error(
-            grads, finite_difference_gradient(spec, params, X, Y, step=1.0)
-        )
-        assert coarse > errors[0]
+        assert error_at(1.0) > errors[0]
 
 
 class TestGradientCheckSweep:
@@ -308,7 +311,7 @@ class TestGradientCheckSweep:
         for _ in range(50):
             spec, params, X, Y = random_smooth_net(rng, depth=4, max_width=32)
             grads = backward(spec, params, forward(spec, params, X), Y)
-            fd = finite_difference_gradient(spec, params, X, Y, step=1e-6)
+            fd = finite_difference_gradient(spec, params, X, Y)
             worst = max(worst, max_relative_gradient_error(grads, fd))
         assert worst <= 1e-5
 

@@ -34,6 +34,8 @@ class TestTrainConfigChecks:
         {"method": "sgd"},
         {"schedule": 1e-3},
         {"adam": None},
+        {"stop_at_zero_errors": "no"},
+        {"stop_at_zero_errors": 1},
     ])
     def test_malformed_field_raises_config_error(self, fields):
         with pytest.raises(ConfigError):
@@ -57,6 +59,16 @@ class TestSmoke:
         curve = result.loss_curve
         assert all(curve[i + 1] < curve[i] for i in range(10))
         assert curve[-1] < curve[0]
+
+    def test_initial_params_untouched(self):
+        rng = np.random.default_rng(2)
+        dataset, spec = linear_problem(rng)
+        params0 = Params.gaussian(spec, rng)
+        before = params0.weights[1].copy()
+        result = train_adam(spec, params0, dataset, TrainConfig(epochs=5, batch_size=4))
+        np.testing.assert_array_equal(params0.weights[1], before)
+        assert not np.array_equal(result.params.weights[1], before)
+        assert not result.params.weights[1].flags.writeable
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(1)
