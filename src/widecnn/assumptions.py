@@ -28,29 +28,46 @@ class DistinctPatchesReport:
     min_gap: float  # smallest max-norm distance seen between cross-sample patches
 
 
+# Float64 values in one (b, l, P, P) difference tile of the distinctness
+# search: 512 KiB. A single sample pair larger than this is one tile.
+DISTINCT_TILE = 1 << 16
+
+
 def check_distinct_patches(X: np.ndarray, layout: PatchLayout) -> DistinctPatchesReport:
     """Check that no patch of one sample exactly equals any patch of a
     different sample.
 
-    Exact pairwise comparison, O(N^2 P^2 l); intended for desk-scale data.
+    Exact pairwise comparison, still O(N^2 P^2 l) arithmetic; intended for
+    desk-scale data. Sample i is compared with a block of later samples at
+    once, in one (b, l, P, P) array of at most ``DISTINCT_TILE`` values, so
+    memory is bounded by the tile and not by N. The report is the one a
+    pair-by-pair scan gives: the witness is the first pair (i, j) with
+    equal patches, then the first (p, q) in row-major order, and
+    ``min_gap`` is the smallest max-norm distance over the pairs scanned.
     A non-finite X raises StructuralError: a NaN would make a pair's
     smallest distance NaN and hide an equal pair of patches.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise StructuralError("X contains non-finite values")
-    PX = layout.extract(X)  # (N, P, l)
-    n = PX.shape[0]
+    # taps-major (N, l, P): the max over taps reduces whole (P, P) planes
+    PT = np.ascontiguousarray(layout.extract(X).transpose(0, 2, 1))
+    n, l, P = PT.shape
+    block = max(1, DISTINCT_TILE // (l * P * P))
     min_gap = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = np.abs(PX[i][:, None, :] - PX[j][None, :, :]).max(axis=2)
-            gap = float(dist.min())
-            if gap < min_gap:
-                min_gap = gap
-            if gap == 0.0:
-                p, q = np.unravel_index(int(dist.argmin()), dist.shape)
-                return DistinctPatchesReport(False, (i, j, int(p), int(q)), min_gap)
+    for i in range(n - 1):
+        patches_i = PT[i][None, :, :, None]
+        for start in range(i + 1, n, block):
+            diff = patches_i - PT[start : start + block, :, None, :]
+            np.abs(diff, out=diff)
+            dist = diff.max(axis=1)  # (b, P, P): dist[h, p, q] for j = start + h
+            gaps = dist.reshape(len(dist), -1).min(axis=1)
+            hits = np.flatnonzero(gaps == 0.0)
+            if hits.size:
+                h = int(hits[0])
+                p, q = np.unravel_index(int(dist[h].argmin()), dist[h].shape)
+                return DistinctPatchesReport(False, (i, start + h, int(p), int(q)), 0.0)
+            min_gap = min(min_gap, float(gaps.min()))
     return DistinctPatchesReport(True, None, min_gap)
 
 

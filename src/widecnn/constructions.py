@@ -325,21 +325,23 @@ def _independence_impl(spec, X, wide_layer, rng):
         # certified N x N submatrix conditioning is within a factor 2 of
         # the best seen. Conditioning protects the Gram solves built on
         # these features; a small scale keeps the weight norms (and hence
-        # downstream gradient amplification) modest.
+        # downstream gradient amplification) modest. Only the scores are
+        # kept: F_k is formed again, by the same expression, for the
+        # candidates that reach the rank check.
         candidates = []
         for alpha in ALPHA_SCHEDULE:
             b = bias.copy()
             b[:N] = alpha * flat_ip[gamma, np.arange(N)] + beta
-            G = -alpha * flat_ip + b
-            F_k = np.asarray(sigma(G))
+            F_k = np.asarray(sigma(-alpha * flat_ip + b))
             sub = F_k[gamma][:, :N]
             s_min = float(np.linalg.svd(sub, compute_uv=False)[-1])
             if s_min >= SIGMA_MIN_FLOOR:
-                candidates.append((s_min, alpha, b, F_k))
+                candidates.append((s_min, alpha, b))
         if candidates:
             cutoff = 0.5 * max(c[0] for c in candidates)
             viable = [c for c in candidates if c[0] >= cutoff]
-            for s_min, alpha, b, F_k in sorted(viable, key=lambda c: c[1]):
+            for s_min, alpha, b in sorted(viable, key=lambda c: c[1]):
+                F_k = np.asarray(sigma(-alpha * flat_ip + b))
                 if estimate_rank(F_k).estimated_rank != N:
                     continue
                 final = params.with_layer(k, -alpha * Q, b)

@@ -302,8 +302,7 @@ def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
         params = Params.gaussian(spec, rng, up_to=k)
-        trace = forward(spec, params, dataset.X, up_to=k)
-        reports.append(estimate_rank(trace.F[k]))
+        reports.append(estimate_rank(forward(spec, params, dataset.X, up_to=k).F[k]))
     hits = sum(rep.estimated_rank == dataset.sample_count for rep in reports)
     result = RankGenericityResult(
         tuple(reports), tuple(cfg.seeds), hits / len(cfg.seeds)

@@ -20,7 +20,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .gradients import backward, loss
-from .network import Dataset, NetworkSpec, Params, forward
+from .network import Dataset, NetworkSpec, Params, _seal, forward
 
 
 def is_int(value) -> bool:
@@ -176,7 +176,8 @@ def train_adam(
         try:
             for rows in slices:
                 params = materialize()
-                trace = forward(spec, params, X[rows])
+                # the gather is a new array, so the trace takes it uncopied
+                trace = forward(spec, params, _seal(X[rows]))
                 grads = backward(spec, params, trace, Y[rows])
                 step += 1
                 corr1 = 1.0 - b1**step

@@ -3,12 +3,14 @@
 These deliberately avoid the library's code paths: rank by Gaussian
 elimination instead of SVD, convolution by a scalar per-patch loop
 instead of lifted matrix products, backpropagation through dense
-lifted matrices instead of the patch scatter, and the sigmoid as two
-masked passes instead of one.
+lifted matrices instead of the patch scatter, the sigmoid as two
+masked passes instead of one, and patch distinctness by a scan over
+sample pairs instead of tiles of later samples.
 """
 
 import numpy as np
 
+from widecnn.assumptions import DistinctPatchesReport
 from widecnn.gradients import GradientSet
 from widecnn.network import lift_adjoint, lift_weights
 
@@ -55,6 +57,26 @@ def two_pass_sigmoid(t):
     e = np.exp(t[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def pairwise_distinct_patches(X, layout):
+    """Patch distinctness one sample pair (i, j) at a time, i < j in
+    row-major order: the first pair with equal patches gives the witness,
+    its first (p, q) in row-major order."""
+    X = np.asarray(X, dtype=np.float64)
+    PX = layout.extract(X)  # (N, P, l)
+    n = PX.shape[0]
+    min_gap = np.inf
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist = np.abs(PX[i][:, None, :] - PX[j][None, :, :]).max(axis=2)
+            gap = float(dist.min())
+            if gap < min_gap:
+                min_gap = gap
+            if gap == 0.0:
+                p, q = np.unravel_index(int(dist.argmin()), dist.shape)
+                return DistinctPatchesReport(False, (i, j, int(p), int(q)), min_gap)
+    return DistinctPatchesReport(True, None, min_gap)
 
 
 def naive_conv_forward(F_prev, layout, W, b, sigma=None):

@@ -1,7 +1,11 @@
 """Data distinctness, perturbation, and structural assumption checkers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widecnn import (
     AssumptionError,
@@ -21,7 +25,15 @@ from widecnn import (
     ensure_wide_pyramid_assumptions,
     perturb_dataset,
 )
-from widecnn.layout import conv1d_layout, full_layout
+from widecnn import assumptions
+from widecnn.layout import (
+    conv1d_layout,
+    conv2d_layout,
+    conv2d_multichannel_layout,
+    full_layout,
+)
+
+from oracles import pairwise_distinct_patches
 
 
 class TestDistinctPatches:
@@ -54,6 +66,118 @@ class TestDistinctPatches:
         X = np.zeros((6, 8))  # every patch identical
         noisy = perturb_dataset(X, sigma=1e-5, seed=42)
         assert check_distinct_patches(noisy, conv1d_layout(8, 3, 1)).holds
+
+
+def _window(rng):
+    """(extent, kernel, stride) of valid windows that cover every position."""
+    kernel = int(rng.integers(1, 4))
+    stride = int(rng.integers(1, kernel + 1))
+    return kernel + stride * int(rng.integers(0, 4)), kernel, stride
+
+
+def _random_layout(kind, rng):
+    if kind == "full":
+        return full_layout(int(rng.integers(1, 6)))
+    width, kw, sw = _window(rng)
+    if kind == "conv1d":
+        return conv1d_layout(width, kw, sw)
+    height, kh, sh = _window(rng)
+    if kind == "conv2d":
+        return conv2d_layout(height, width, kh, kw, sh, sw)
+    channels = int(rng.integers(2, 4))
+    return conv2d_multichannel_layout(height, width, channels, kh, kw, sh, sw)
+
+
+def _assert_same_report(X, layout):
+    got = check_distinct_patches(X, layout)
+    want = pairwise_distinct_patches(X, layout)
+    assert got.holds == want.holds
+    assert got.witness == want.witness
+    assert got.min_gap.hex() == want.min_gap.hex()
+    return got
+
+
+class TestTiledDistinctPatches:
+    """The tiled search reports what the pair-by-pair scan reports, bit for
+    bit, whatever the block boundaries."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["full", "conv1d", "conv2d", "multichannel"]),
+        st.integers(1, 9),
+        st.integers(0, 3),
+    )
+    def test_matches_pairwise_scan(self, seed, kind, n, grid):
+        rng = np.random.default_rng(seed)
+        layout = _random_layout(kind, rng)
+        # small integer grid: grid 0 is all zeros, larger grids collide less
+        X = rng.integers(-grid, grid + 1, size=(n, layout.width)) * 0.5
+        X[(X == 0.0) & (rng.random(X.shape) < 0.5)] = -0.0
+        if n > 1 and rng.random() < 0.5:
+            i, j = sorted(rng.choice(n, size=2, replace=False))
+            p, q = rng.integers(layout.patch_count, size=2)
+            X[j, list(layout.patches[q])] = X[i, list(layout.patches[p])]
+        # a tile of `block` pairs plus a part of one, so that blocks of
+        # every size from 1 to n-1 and a partial last block are reached
+        pair = layout.patch_size * layout.patch_count**2
+        tile = int(rng.integers(1, n + 1)) * pair + int(rng.integers(pair))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assumptions, "DISTINCT_TILE", tile)
+            _assert_same_report(X, layout)
+
+    def _blocks_of_sixteen(self):
+        # 4096 taps, one patch: 16 later samples per tile
+        layout = full_layout(4096)
+        assert assumptions.DISTINCT_TILE // layout.patch_size == 16
+        X = np.random.default_rng(5).standard_normal((40, 4096))
+        return X, layout
+
+    def test_duplicate_in_a_later_block(self):
+        X, layout = self._blocks_of_sixteen()
+        X[25] = X[3]  # sample 3's blocks start at 4, 20 and 36
+        report = _assert_same_report(X, layout)
+        assert report.witness == (3, 25, 0, 0)
+        assert report.min_gap == 0.0
+
+    def test_duplicate_in_the_last_partial_block(self):
+        X, layout = self._blocks_of_sixteen()
+        X[38] = X[3]  # last block of sample 3 holds samples 36..39
+        X[39] = X[7]
+        assert _assert_same_report(X, layout).witness == (3, 38, 0, 0)
+
+    def test_distinct_samples_across_blocks(self):
+        X, layout = self._blocks_of_sixteen()
+        assert _assert_same_report(X, layout).holds
+
+    def test_pair_larger_than_the_tile(self):
+        layout = conv1d_layout(108, 9, 1)  # P = 100, l = 9
+        assert layout.patch_size * layout.patch_count**2 > assumptions.DISTINCT_TILE
+        X = np.random.default_rng(8).standard_normal((5, 108))
+        assert _assert_same_report(X, layout).holds
+        X[3, 13:22] = X[1, 57:66]
+        assert _assert_same_report(X, layout).witness == (1, 3, 57, 13)
+
+    def test_memory_is_bounded_by_the_tile(self):
+        # comparing sample 0 with all 299 later ones at once would take
+        # 2.8 MB; a tile takes 0.5 MB, and the next one is made before the
+        # last one is dropped
+        layout = conv1d_layout(20, 4, 1)
+        X = np.random.default_rng(2).standard_normal((300, 20))
+        patch_bytes = X.shape[0] * layout.patch_count * layout.patch_size * 8
+        tracemalloc.start()
+        try:
+            assert check_distinct_patches(X, layout).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * patch_bytes + 3 * assumptions.DISTINCT_TILE * 8
+
+    def test_signed_zeros_are_equal(self):
+        X = np.array([[0.0, 1.0, -0.0], [2.0, -0.0, 1.0]])
+        report = _assert_same_report(X, conv1d_layout(3, 2, 1))
+        assert report.witness == (0, 1, 0, 1)
+        assert report.min_gap.hex() == (0.0).hex()
 
 
 class TestPerturb:
