@@ -95,10 +95,16 @@ class Sigmoid(Activation):
         # 1/(1+exp(-t)) for t >= 0 and exp(t)/(1+exp(t)) below, in one pass:
         # exp only sees -|t| <= 0, so nothing overflows and the negative
         # tail keeps its relative accuracy down to the subnormals.
+        # The numerator max(e, t >= 0) is 1 where t >= 0, because e <= 1
+        # there, and e below; unlike a select it takes no data-dependent
+        # branch. Every step writes in place, so at most two full-size
+        # arrays are alive at once; out= keeps a 0-d input an array.
         t = np.asarray(t, dtype=np.float64)
-        e = np.exp(-np.abs(t))
-        out = np.where(t >= 0, 1.0, e)
-        e += 1.0  # in place: at most two full-size arrays are alive at once
+        e = np.abs(t, out=np.empty_like(t))
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        out = np.maximum(e, t >= 0, out=np.empty_like(t))
+        e += 1.0
         out /= e
         return out
 
@@ -106,7 +112,9 @@ class Sigmoid(Activation):
         return self.derivative_at(t, self(t))
 
     def derivative_at(self, G, F):
-        return F * (1.0 - F)
+        out = 1.0 - F
+        out *= F
+        return out
 
     def inverse(self, y):
         y = np.asarray(y, dtype=np.float64)

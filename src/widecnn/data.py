@@ -19,7 +19,7 @@ import numpy as np
 from .assumptions import check_distinct_patches, perturb_dataset
 from .errors import FormatError, GenerationError, StructuralError
 from .layout import full_layout
-from .network import Dataset
+from .network import Dataset, _seal
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -148,12 +148,13 @@ def synthesize_dataset(
         X = perturb_dataset(X, perturb_sigma, seed=int(rng.integers(2**63)))
         labels = rng.permutation(np.arange(N) % m)
         if check_distinct_patches(X, layout).holds:
+            # sealed, so the Dataset and its row slices share them
             Z = np.eye(m)
             return Dataset(
-                X=X,
-                Y=Z[labels],
+                X=_seal(X),
+                Y=_seal(Z[labels]),
                 labels=tuple(int(c) for c in labels),
-                Z=Z,
+                Z=_seal(Z),
             )
     raise GenerationError(
         "could not generate a dataset with distinct rows in 3 attempts"

@@ -10,8 +10,11 @@ A sigmoid layer takes ``sigma'(G_l)`` from its stored features as
 ``F_l (1 - F_l)`` instead of evaluating the sigmoid again. The full-matrix
 gradient is ``grad_U_l = F_{l-1}^T @ D_l``; filter-space gradients follow
 by the adjoint of the lifting map, and bias gradients are the column sums
-of ``D_l``. A central finite-difference oracle over the true parameters
-is provided for verification.
+of ``D_l``. Every filter and bias gradient is written into one flat
+vector, each layer's weights then its bias, layer by layer. A dense layer
+is its own lifted matrix, so its product is written there directly and
+``grad_U_l`` is ``grad_W_l``. A central finite-difference oracle over the
+true parameters is provided for verification.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .network import (
     NetworkSpec,
     Output,
     Params,
+    _param_count,
+    _param_views,
     forward,
     lift_adjoint,
 )
@@ -57,6 +62,14 @@ class GradientSet:
     grad_W: tuple[np.ndarray | None, ...]
     grad_b: tuple[np.ndarray | None, ...]
     deltas: tuple[np.ndarray | None, ...]
+
+    @property
+    def flat(self) -> np.ndarray | None:
+        """The whole gradient as one vector, each differentiated layer's
+        ``grad_W`` then its ``grad_b``, layer by layer. ``backward`` writes
+        every ``grad_W[l]`` and ``grad_b[l]`` as a view of this vector; a
+        set built from separate arrays has none."""
+        return next(g for g in self.grad_W if g is not None).base
 
 
 def backward(
@@ -96,16 +109,19 @@ def backward(
             delta = above.layout.scatter_add(delta.reshape(-1, P, T) @ W.T)
         else:
             delta = delta @ W.T
-        delta = delta * spec.activation(l).derivative_at(trace.G[l], trace.F[l])
+        delta *= spec.activation(l).derivative_at(trace.G[l], trace.F[l])
         deltas[l] = delta
 
-    none_row: list[np.ndarray | None] = [None] * (L + 1)
-    grad_U, grad_W, grad_b = list(none_row), list(none_row), list(none_row)
+    grad_U: list[np.ndarray | None] = [None] * (L + 1)
+    grad_W, grad_b = _param_views(spec, np.empty(_param_count(spec, start_layer)),
+                                  start_layer)
     for l in range(start_layer, L + 1):
-        gU = trace.F[l - 1].T @ deltas[l]
-        grad_U[l] = gU
-        grad_W[l] = lift_adjoint(spec, l, gU)
-        grad_b[l] = deltas[l].sum(axis=0)
+        if isinstance(spec.layer(l), Conv):
+            grad_U[l] = trace.F[l - 1].T @ deltas[l]
+            grad_W[l][...] = lift_adjoint(spec, l, grad_U[l])
+        else:  # the lifted matrix is W itself
+            grad_U[l] = np.matmul(trace.F[l - 1].T, deltas[l], out=grad_W[l])
+        np.sum(deltas[l], axis=0, out=grad_b[l])
     return GradientSet(tuple(grad_U), tuple(grad_W), tuple(grad_b),
                        tuple(deltas.get(l) for l in range(L + 1)))
 

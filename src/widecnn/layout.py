@@ -90,7 +90,9 @@ class PatchLayout:
             raise StructuralError(
                 f"expected (N, {self.width}) feature rows, got {rows.shape}"
             )
-        return rows[:, self._index_array]
+        # take, unlike rows[:, index], returns the (N, P, l) array
+        # C-contiguous, so the convolution's reshape to (N*P, l) is a view
+        return np.take(rows, self._index_array, axis=1)
 
     def scatter_add(self, patches: np.ndarray) -> np.ndarray:
         """Transpose of ``extract``: (N, P, l) patches to (N, width) rows,

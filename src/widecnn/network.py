@@ -14,11 +14,18 @@ gather, ``PatchLayout.scatter_add``, which equals ``D_k U_k^T``.
 ``lift_weights`` builds the dense matrix ``U_k`` of the convolution for
 rank and SVD work only; ``lift_adjoint`` is its transpose as a linear map,
 which pulls full-matrix gradients back to filter space.
+
+The frozen containers copy a caller's arrays but share the arrays the
+library seals as it creates them, and read-only views of those. The
+forward pass proves its features finite by their sums and scans the
+parameters for non-finite entries only when a feature matrix is not
+finite, or when the batch has no rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,9 +138,9 @@ class NetworkSpec:
     def depth(self) -> int:
         return len(self.layers)
 
-    @property
+    @cached_property
     def widths(self) -> tuple[int, ...]:
-        """(n_0, n_1, ..., n_L)."""
+        """(n_0, n_1, ..., n_L), computed once per spec."""
         out = [self.input_width]
         for layer in self.layers:
             out.append(layer.out_width(out[-1]))
@@ -253,19 +260,29 @@ class Params:
 
 def _seal(arr: np.ndarray) -> np.ndarray:
     """Mark an array that the library has just created, and that nothing
-    else references, read-only in place; the frozen containers then take
-    it without a copy."""
+    else references, read-only in place, together with the array it is a
+    view of, if any; the frozen containers then take it without a copy."""
     arr.setflags(write=False)
+    if arr.base is not None:
+        arr.base.setflags(write=False)
     return arr
 
 
+def _is_sealed(arr) -> bool:
+    """A read-only ndarray that owns its memory: no writable view of it
+    exists."""
+    return (isinstance(arr, np.ndarray) and arr.flags.owndata
+            and not arr.flags.writeable)
+
+
 def _frozen(arr):
-    """arr itself if it is sealed: a read-only float64 array that owns its
-    memory, so that no writable view of it exists. Any other array, which
-    includes every writable array a caller passes, is copied by
-    ``_freeze``."""
+    """arr itself if it is a read-only float64 array that is sealed or a
+    view of a sealed array, such as a row slice of a sealed dataset. Any
+    other array, which includes every writable array a caller passes and
+    every read-only view of one, is copied by ``_freeze``."""
     if arr is None or (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                       and arr.base is None and not arr.flags.writeable):
+                       and not arr.flags.writeable
+                       and (arr.base is None or _is_sealed(arr.base))):
         return arr
     return _freeze(arr)
 
@@ -277,8 +294,44 @@ def _freeze(arr) -> np.ndarray:
     return out
 
 
-def validate_params(spec: NetworkSpec, params: Params, up_to: int | None = None) -> None:
-    """Check shapes and finiteness of layers 1..up_to against the network."""
+def _param_views(spec: NetworkSpec, flat: np.ndarray, first: int = 1):
+    """Per-layer (weights, biases) lists of views of the flat vector
+    ``flat``, which holds layer first's filter matrix, then its bias, then
+    layer first+1's, and so on up to the last layer: the order in which
+    the initializers draw. Entries below ``first`` and at pooling layers
+    are None."""
+    weights = [None] * (spec.depth + 1)
+    biases = [None] * (spec.depth + 1)
+    at = 0
+    for k in range(first, spec.depth + 1):
+        shape = spec.filter_shape(k)
+        if shape is None:
+            continue
+        size = shape[0] * shape[1]
+        weights[k] = flat[at : at + size].reshape(shape)
+        biases[k] = flat[at + size : at + size + spec.widths[k]]
+        at += size + spec.widths[k]
+    return weights, biases
+
+
+def _param_count(spec: NetworkSpec, first: int = 1) -> int:
+    """Length of the flat vector that ``_param_views`` splits."""
+    return sum(shape[0] * shape[1] + spec.widths[k]
+               for k in range(first, spec.depth + 1)
+               if (shape := spec.filter_shape(k)) is not None)
+
+
+def _check_params_finite(params: Params, up_to: int) -> None:
+    """Raise StructuralError naming the first of layers 1..up_to whose
+    filter matrix or bias holds a non-finite value."""
+    for k in range(1, up_to + 1):
+        W, b = params.weights[k], params.biases[k]
+        if W is not None and not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+            raise StructuralError(f"layer {k} parameters contain non-finite values")
+
+
+def _check_param_shapes(spec: NetworkSpec, params: Params, up_to: int | None = None) -> None:
+    """Check that layers 1..up_to have parameters of the network's shapes."""
     up_to = spec.depth if up_to is None else up_to
     if len(params.weights) != spec.depth + 1:
         raise StructuralError(
@@ -299,8 +352,6 @@ def validate_params(spec: NetworkSpec, params: Params, up_to: int | None = None)
             raise StructuralError(
                 f"layer {k} bias {b.shape}, expected ({spec.widths[k]},)"
             )
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-            raise StructuralError(f"layer {k} parameters contain non-finite values")
 
 
 @dataclass(frozen=True)
@@ -438,6 +489,26 @@ def patch_products(layout: PatchLayout, F: np.ndarray, W: np.ndarray) -> np.ndar
     return np.tensordot(layout.extract(F), W, axes=([2], [0]))
 
 
+def _all_finite(A: np.ndarray) -> bool:
+    """Whether every entry of A is finite. A finite sum proves it in one
+    pass; a sum that is not finite, which finite entries can also give by
+    overflowing, is settled by the exact entrywise scan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(A.sum()):
+            return True
+    return bool(np.isfinite(A).all())
+
+
+def _raise_non_finite(params: Params, up_to: int, message: str):
+    """Blame a non-finite G or F on the parameters if any of layers
+    1..up_to holds a non-finite entry (StructuralError), otherwise on
+    overflow (NumericOverflowError). A non-finite W or b entry makes a
+    whole column of its layer's G non-finite, so the parameters need to
+    be scanned only here."""
+    _check_params_finite(params, up_to)
+    raise NumericOverflowError(message)
+
+
 def forward(
     spec: NetworkSpec,
     params: Params,
@@ -450,6 +521,11 @@ def forward(
     the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
     floating-point rounding. Pure function: identical inputs give identical
     traces.
+
+    Raises StructuralError for a malformed or non-finite batch and for
+    misshapen or non-finite parameters of layers 1..up_to, and
+    NumericOverflowError naming the layer whose G or F leaves the finite
+    range when the parameters are finite.
     """
     up_to = spec.depth if up_to is None else up_to
     X = np.asarray(X, dtype=np.float64)
@@ -457,9 +533,12 @@ def forward(
         raise StructuralError(
             f"X must be (N, {spec.input_width}), got {X.shape}"
         )
-    if not np.all(np.isfinite(X)):
+    if not _all_finite(X):
         raise StructuralError("X contains non-finite values")
-    validate_params(spec, params, up_to=up_to)
+    _check_param_shapes(spec, params, up_to)
+    if X.shape[0] == 0:
+        # no entry of G can show a non-finite parameter
+        _check_params_finite(params, up_to)
 
     F: list[np.ndarray] = [X]
     G: list[np.ndarray | None] = [None]
@@ -475,15 +554,16 @@ def forward(
                 W, b = params.weights[k], params.biases[k]
                 if isinstance(layer, Conv):
                     Gk = patch_products(layer.layout, prev, W)  # (N, P, T)
-                    Gk = Gk.reshape(prev.shape[0], -1) + b
+                    Gk = Gk.reshape(prev.shape[0], -1)
                 else:
-                    Gk = prev @ W + b
+                    Gk = prev @ W
+                Gk += b  # the product is a new array
                 sigma = spec.activation(k)
                 Fk = Gk if isinstance(sigma, Identity) else sigma(Gk)
-        if Gk is not None and not np.all(np.isfinite(Gk)):
-            raise NumericOverflowError(f"non-finite pre-activation at layer {k}")
-        if not np.all(np.isfinite(Fk)):
-            raise NumericOverflowError(f"non-finite activation at layer {k}")
+        if Gk is not None and not _all_finite(Gk):
+            _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")
+        if Fk is not Gk and not _all_finite(Fk):
+            _raise_non_finite(params, up_to, f"non-finite activation at layer {k}")
         F.append(_seal(Fk))
         G.append(None if Gk is None else _seal(Gk))
     return ForwardTrace(tuple(F), tuple(G))

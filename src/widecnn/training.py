@@ -4,6 +4,12 @@ Full-batch by default (so landscape statements about critical points can
 be tested without minibatch noise); minibatch order is reshuffled each
 epoch from the config seed, making runs reproducible. The learning rate
 follows a step decay schedule.
+
+The trainer keeps the parameters and Adam's moments as flat vectors and
+updates them in place with the per-layer formula's elementwise
+operations, in its order, so each step is the per-layer step bit for bit.
+The full-batch forward that gives an epoch's loss also gives its
+training-error count.
 """
 
 from __future__ import annotations
@@ -20,7 +26,15 @@ from .errors import (
     TrainingDivergedError,
 )
 from .gradients import backward, loss
-from .network import Dataset, NetworkSpec, Params, _seal, forward
+from .network import (
+    Dataset,
+    NetworkSpec,
+    Params,
+    _check_param_shapes,
+    _param_views,
+    _seal,
+    forward,
+)
 
 
 def is_int(value) -> bool:
@@ -118,7 +132,12 @@ class TrainResult:
 
 def classification_errors(spec: NetworkSpec, params: Params, dataset: Dataset) -> int:
     """Count samples whose argmax output disagrees with their class."""
-    out = forward(spec, params, dataset.X).output
+    return _errors(forward(spec, params, dataset.X).output, dataset)
+
+
+def _errors(out: np.ndarray, dataset: Dataset) -> int:
+    """Count rows of the network output ``out`` on ``dataset.X`` whose
+    argmax disagrees with their class."""
     predicted = out.argmax(axis=1)
     if dataset.labels is not None:
         truth = np.asarray(dataset.labels)
@@ -138,31 +157,26 @@ def train_adam(
 
     Deterministic given the config seed; raises TrainingDivergedError with
     the epoch index if the loss leaves the finite range.
+
+    The parameters p, the moments m and v and one scratch vector are flat
+    float64 vectors, each layer's weights then its bias, layer by layer, as
+    ``backward`` writes its flat gradient g. Each step updates them in place
+    with the elementwise operations of the per-layer Adam formula, in its
+    order, so the result does not depend on the layout. The ``Params`` that
+    forward and backward read holds views of p, which is sealed whenever
+    they run and for good once training ends.
     """
     rng = np.random.default_rng(cfg.seed)
     X, Y = dataset.X, dataset.Y
     N = X.shape[0]
     batch = N if cfg.batch_size is None else min(cfg.batch_size, N)
 
-    # Every step replaces these read-only arrays with new ones instead of
-    # updating them in place, so materialize() shares them without a copy.
-    weights = {
-        l: params0.weights[l]
-        for l in range(1, spec.depth + 1)
-        if params0.weights[l] is not None
-    }
-    biases = {l: params0.biases[l] for l in weights}
-    m_state = {l: (np.zeros_like(weights[l]), np.zeros_like(biases[l])) for l in weights}
-    v_state = {l: (np.zeros_like(weights[l]), np.zeros_like(biases[l])) for l in weights}
+    _check_param_shapes(spec, params0)
+    p = _seal(np.concatenate([a.ravel() for pair in zip(params0.weights, params0.biases)
+                              for a in pair if a is not None]))
+    params = Params(*map(tuple, _param_views(spec, p)))
+    m, v, scratch = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
     b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.eps
-
-    def materialize() -> Params:
-        ws = [None] * (spec.depth + 1)
-        bs = [None] * (spec.depth + 1)
-        for l in weights:
-            ws[l] = weights[l]
-            bs[l] = biases[l]
-        return Params(tuple(ws), tuple(bs))
 
     step = 0
     curve = []
@@ -175,31 +189,37 @@ def train_adam(
             slices = [order[i : i + batch] for i in range(0, N, batch)]
         try:
             for rows in slices:
-                params = materialize()
                 # the gather is a new array, so the trace takes it uncopied
                 trace = forward(spec, params, _seal(X[rows]))
-                grads = backward(spec, params, trace, Y[rows])
+                g = backward(spec, params, trace, Y[rows]).flat
                 step += 1
-                corr1 = 1.0 - b1**step
-                corr2 = 1.0 - b2**step
-                for l in weights:
-                    for current, grad, slot in (
-                        (weights, grads.grad_W[l], 0),
-                        (biases, grads.grad_b[l], 1),
-                    ):
-                        if cfg.method == "gd":
-                            new = current[l] - lr * grad
-                        else:
-                            m = m_state[l][slot]
-                            v = v_state[l][slot]
-                            m *= b1
-                            m += (1.0 - b1) * grad
-                            v *= b2
-                            v += (1.0 - b2) * grad * grad
-                            new = current[l] - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-                        new.setflags(write=False)
-                        current[l] = new
-            epoch_loss = loss(forward(spec, materialize(), X), Y)
+                # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps) after
+                # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g; g is
+                # this step's own array, so it serves as a second scratch
+                p.setflags(write=True)
+                if cfg.method == "gd":
+                    g *= lr
+                else:
+                    corr1 = 1.0 - b1**step
+                    corr2 = 1.0 - b2**step
+                    m *= b1
+                    np.multiply(g, 1.0 - b1, out=scratch)
+                    m += scratch
+                    v *= b2
+                    np.multiply(g, 1.0 - b2, out=scratch)
+                    scratch *= g
+                    v += scratch
+                    np.divide(v, corr2, out=scratch)
+                    np.sqrt(scratch, out=scratch)
+                    scratch += eps
+                    np.divide(m, corr1, out=g)
+                    g *= lr
+                    g /= scratch
+                p -= g
+                _seal(p)
+            trace = forward(spec, params, X)
+            epoch_loss, output = loss(trace, Y), trace.output
+            del trace  # keep no full-batch features alive into the next epoch
         except NumericOverflowError as exc:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {exc}", epoch=epoch
@@ -212,15 +232,14 @@ def train_adam(
         if (
             cfg.stop_at_zero_errors
             and (epoch + 1) % ERROR_CHECK_INTERVAL == 0
-            and classification_errors(spec, materialize(), dataset) == 0
+            and _errors(output, dataset) == 0
         ):
             break
 
-    final = materialize()
-    train_errors = classification_errors(spec, final, dataset)
+    train_errors = _errors(output, dataset)  # the last forward ran on the final p
     test_errors = (
-        classification_errors(spec, final, test_dataset)
+        classification_errors(spec, params, test_dataset)
         if test_dataset is not None
         else None
     )
-    return TrainResult(final, tuple(curve), train_errors, test_errors, len(curve))
+    return TrainResult(params, tuple(curve), train_errors, test_errors, len(curve))

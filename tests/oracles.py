@@ -5,14 +5,30 @@ elimination instead of SVD, convolution by a scalar per-patch loop
 instead of lifted matrix products, backpropagation through dense
 lifted matrices instead of the patch scatter, the sigmoid as two
 masked passes instead of one, and patch distinctness by a scan over
-sample pairs instead of tiles of later samples.
+sample pairs instead of tiles of later samples; Adam is a loop over
+per-layer arrays instead of one in-place step over flat vectors.
 """
 
 import numpy as np
 
 from widecnn.assumptions import DistinctPatchesReport
-from widecnn.gradients import GradientSet
-from widecnn.network import lift_adjoint, lift_weights
+from widecnn.errors import NumericOverflowError, TrainingDivergedError
+from widecnn.gradients import GradientSet, backward, loss
+from widecnn.network import (
+    Dataset,
+    NetworkSpec,
+    Params,
+    _seal,
+    forward,
+    lift_adjoint,
+    lift_weights,
+)
+from widecnn.training import (
+    ERROR_CHECK_INTERVAL,
+    TrainConfig,
+    TrainResult,
+    classification_errors,
+)
 
 
 def elimination_rank(A, rel_cutoff=1e-10):
@@ -112,3 +128,101 @@ def lifted_backward(spec, params, trace, Y, start_layer=1):
         grad_b[l] = deltas[l].sum(axis=0)
     kept = tuple(deltas.get(l) for l in range(L + 1))
     return GradientSet(tuple(grad_U), tuple(grad_W), tuple(grad_b), kept)
+
+
+def per_layer_adam(
+    spec: NetworkSpec,
+    params0: Params,
+    dataset: Dataset,
+    cfg: TrainConfig,
+    test_dataset: Dataset | None = None,
+) -> TrainResult:
+    """``train_adam`` as a per-layer loop: every step replaces each layer's
+    read-only W and b with new arrays, and keeps Adam's moments in per-layer
+    state dicts. The library's flat, in-place step must equal it bit for
+    bit."""
+    rng = np.random.default_rng(cfg.seed)
+    X, Y = dataset.X, dataset.Y
+    N = X.shape[0]
+    batch = N if cfg.batch_size is None else min(cfg.batch_size, N)
+
+    # Every step replaces these read-only arrays with new ones instead of
+    # updating them in place, so materialize() shares them without a copy.
+    weights = {
+        l: params0.weights[l]
+        for l in range(1, spec.depth + 1)
+        if params0.weights[l] is not None
+    }
+    biases = {l: params0.biases[l] for l in weights}
+    m_state = {l: (np.zeros_like(weights[l]), np.zeros_like(biases[l])) for l in weights}
+    v_state = {l: (np.zeros_like(weights[l]), np.zeros_like(biases[l])) for l in weights}
+    b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.eps
+
+    def materialize() -> Params:
+        ws = [None] * (spec.depth + 1)
+        bs = [None] * (spec.depth + 1)
+        for l in weights:
+            ws[l] = weights[l]
+            bs[l] = biases[l]
+        return Params(tuple(ws), tuple(bs))
+
+    step = 0
+    curve = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.schedule.at(epoch)
+        if batch == N:
+            slices = [np.arange(N)]
+        else:
+            order = rng.permutation(N)
+            slices = [order[i : i + batch] for i in range(0, N, batch)]
+        try:
+            for rows in slices:
+                params = materialize()
+                # the gather is a new array, so the trace takes it uncopied
+                trace = forward(spec, params, _seal(X[rows]))
+                grads = backward(spec, params, trace, Y[rows])
+                step += 1
+                corr1 = 1.0 - b1**step
+                corr2 = 1.0 - b2**step
+                for l in weights:
+                    for current, grad, slot in (
+                        (weights, grads.grad_W[l], 0),
+                        (biases, grads.grad_b[l], 1),
+                    ):
+                        if cfg.method == "gd":
+                            new = current[l] - lr * grad
+                        else:
+                            m = m_state[l][slot]
+                            v = v_state[l][slot]
+                            m *= b1
+                            m += (1.0 - b1) * grad
+                            v *= b2
+                            v += (1.0 - b2) * grad * grad
+                            new = current[l] - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+                        new.setflags(write=False)
+                        current[l] = new
+            epoch_loss = loss(forward(spec, materialize(), X), Y)
+        except NumericOverflowError as exc:
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch}: {exc}", epoch=epoch
+            ) from exc
+        if not np.isfinite(epoch_loss):
+            raise TrainingDivergedError(
+                f"non-finite loss at epoch {epoch}", epoch=epoch
+            )
+        curve.append(float(epoch_loss))
+        if (
+            cfg.stop_at_zero_errors
+            and (epoch + 1) % ERROR_CHECK_INTERVAL == 0
+            and classification_errors(spec, materialize(), dataset) == 0
+        ):
+            break
+
+    final = materialize()
+    train_errors = classification_errors(spec, final, dataset)
+    test_errors = (
+        classification_errors(spec, final, test_dataset)
+        if test_dataset is not None
+        else None
+    )
+    return TrainResult(final, tuple(curve), train_errors, test_errors, len(curve))

@@ -58,6 +58,9 @@ class TestSigmoidAgainstTwoPass:
         # underflow to 0 below t = -745.2
         np.linspace(-800.0, 800.0, 160_001),
         40.0 * np.random.default_rng(20).standard_normal(10_000),
+        # random signs in a 2-D array, as a layer's pre-activations come
+        4.0 * np.random.default_rng(21).standard_normal((64, 96)),
+        np.array([np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]),
     ]
 
     @pytest.mark.parametrize("t", SAMPLES)
@@ -74,6 +77,14 @@ class TestSigmoidAgainstTwoPass:
         s = two_pass_sigmoid(t)
         assert np.array_equal(bits(Sigmoid().derivative_at(t, F)),
                               bits(s * (1.0 - s)))
+
+    def test_nan_stays_nan(self):
+        """NaN in, NaN out, and the entries around it are unaffected; the
+        sign of a NaN is not a value either formula fixes."""
+        t = np.array([[np.nan, -1.5, 0.0], [2.5, -np.nan, np.inf]])
+        out, want = Sigmoid()(t), two_pass_sigmoid(t)
+        assert np.array_equal(np.isnan(out), np.isnan(t))
+        assert np.array_equal(bits(out[~np.isnan(t)]), bits(want[~np.isnan(t)]))
 
 
 class TestDerivatives:

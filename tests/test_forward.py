@@ -1,5 +1,7 @@
 """Forward pass: per-patch semantics, pooling, purity, and overflow."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,11 @@ from widecnn import (
     Output,
     Params,
     Sigmoid,
+    StructuralError,
     forward,
     lift_weights,
 )
+from widecnn.data import synthesize_dataset
 from widecnn.layout import PatchLayout, conv1d_layout, full_layout
 
 from oracles import naive_conv_forward
@@ -164,6 +168,66 @@ class TestContract:
             forward(spec, params, np.ones((1, 2)))
 
 
+class TestFiniteErrorSplit:
+    """A non-finite parameter is a StructuralError naming its layer, wherever
+    the batch overflows; overflow with finite parameters is a
+    NumericOverflowError naming the layer where it happens. No
+    RuntimeWarning escapes either way."""
+
+    SPEC = NetworkSpec(6, (Conv(conv1d_layout(6, 3, 1), 2, Sigmoid()),
+                           FullyConnected(4, Sigmoid()), Output(2)))
+
+    def params(self):
+        return Params.gaussian(self.SPEC, np.random.default_rng(31))
+
+    def with_entry(self, params, k, which, value):
+        W, b = params.weights[k].copy(), params.biases[k].copy()
+        (W if which == "W" else b).flat[1] = value
+        return params.with_layer(k, W, b)
+
+    def huge(self, params, k):
+        W = np.full_like(params.weights[k], np.finfo(np.float64).max)
+        return params.with_layer(k, W, params.biases[k])
+
+    def raises(self, error, match, params, X):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                forward(self.SPEC, params, X)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["W", "b"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_non_finite_parameter_names_its_layer(self, k, which, value):
+        X = np.random.default_rng(32).standard_normal((5, 6))
+        params = self.with_entry(self.params(), k, which, value)
+        self.raises(StructuralError, f"layer {k} ", params, X)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_overflow_with_finite_parameters_names_its_layer(self, k):
+        X = np.random.default_rng(33).standard_normal((5, 6))
+        if k == 1:
+            X = 1e300 * X
+        params = self.huge(self.params(), k)
+        self.raises(NumericOverflowError, f"layer {k}$", params, X)
+
+    def test_non_finite_parameter_above_an_overflow(self):
+        X = 1e300 * np.random.default_rng(34).standard_normal((5, 6))
+        params = self.huge(self.params(), 1)
+        params = self.with_entry(params, 3, "W", np.nan)
+        self.raises(StructuralError, "layer 3 ", params, X)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_rows_with_non_finite_parameter(self, k):
+        params = self.with_entry(self.params(), k, "W", np.inf)
+        self.raises(StructuralError, f"layer {k} ", params, np.zeros((0, 6)))
+
+    def test_finite_batch_that_sums_to_infinity_is_accepted(self):
+        X = np.full((4, 6), 1e308)  # every entry finite, the sum is not
+        trace = forward(self.SPEC, self.params(), X)
+        assert np.all(np.isfinite(trace.output))
+
+
 class TestFreezing:
     """Frozen containers copy every array a caller owns and share the arrays
     the library has just created."""
@@ -198,6 +262,23 @@ class TestFreezing:
         dataset = Dataset(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
         trace = forward(spec, params, dataset.X)
         assert trace.F[0] is dataset.X
+
+    def test_slice_of_a_sealed_dataset_is_shared(self):
+        full = synthesize_dataset(12, 4, 3, seed=14)
+        part = Dataset(full.X[3:9], full.Y[3:9], full.labels[3:9], full.Z)
+        assert part.X.base is full.X and part.Y.base is full.Y
+        assert part.Z is full.Z
+        np.testing.assert_array_equal(part.X, full.X[3:9])
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        X = np.random.default_rng(15).standard_normal((6, 3))
+        rows = X[1:5]
+        rows.setflags(write=False)  # read-only, but X can still change it
+        before = rows.copy()
+        dataset = Dataset(rows, np.zeros((4, 2)))
+        assert not np.shares_memory(dataset.X, X)
+        X += 1.0
+        np.testing.assert_array_equal(dataset.X, before)
 
 
 class TestSpecValidation:

@@ -1,11 +1,14 @@
 """Adam training loop behaviour."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from widecnn import (
     ConfigError,
     ConstructionParams,
+    Conv,
     Dataset,
     FullyConnected,
     Identity,
@@ -17,8 +20,13 @@ from widecnn import (
     train_adam,
     zero_loss_construction,
 )
+from widecnn.architectures import desk_sweep_network
+from widecnn.data import synthesize_dataset
 from widecnn.experiments import zero_loss_demo_case
+from widecnn.layout import conv1d_layout
 from widecnn.training import LearningRateSchedule, TrainConfig
+
+from oracles import per_layer_adam
 
 
 class TestTrainConfigChecks:
@@ -128,3 +136,64 @@ class TestEarlyStop:
         result = train_adam(spec, Params.fan_in_gaussian(spec, rng), dataset, cfg)
         assert result.train_error_count == 0
         assert result.epochs_run < 2000
+
+
+class TestFlatStepAgainstPerLayerLoop:
+    """The flat in-place step gives the per-layer loop's parameters, loss
+    curve and error counts bit for bit, for both methods, full batch and
+    minibatch, with the early stop hit and not hit."""
+
+    NETS = {
+        "desk": desk_sweep_network(12, 2, 3),
+        "conv-conv": NetworkSpec(12, (
+            Conv(conv1d_layout(12, 3, 1), 3, Sigmoid()),
+            Conv(conv1d_layout(30, 10, 5), 4, Sigmoid()),
+            Output(3),
+        )),
+    }
+    EPOCHS = 100
+
+    @pytest.mark.parametrize("net, method, batch_size, stops", [
+        ("desk", "adam", None, False),
+        ("desk", "adam", 8, True),
+        ("desk", "gd", None, False),
+        ("desk", "gd", 8, False),
+        ("conv-conv", "adam", None, False),
+        ("conv-conv", "adam", 8, True),
+        ("conv-conv", "gd", None, False),
+        ("conv-conv", "gd", 8, False),
+    ])
+    def test_bit_identical(self, net, method, batch_size, stops):
+        spec = self.NETS[net]
+        train, test = synthesize_dataset(24, 12, 3, seed=5), synthesize_dataset(24, 12, 3, seed=6)
+        lr = 2e-2 if method == "adam" else 5e-2
+        cfg = TrainConfig(epochs=self.EPOCHS, schedule=LearningRateSchedule(lr, 0.7, 40),
+                          batch_size=batch_size, seed=3, stop_at_zero_errors=True,
+                          method=method)
+        params0 = Params.fan_in_gaussian(spec, np.random.default_rng(4))
+        got = train_adam(spec, params0, train, cfg, test)
+        want = per_layer_adam(spec, params0, train, cfg, test)
+        assert (got.epochs_run < self.EPOCHS) == stops
+        assert [x.hex() for x in got.loss_curve] == [x.hex() for x in want.loss_curve]
+        for field in ("weights", "biases"):
+            for a, b in zip(getattr(got.params, field), getattr(want.params, field)):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert (got.epochs_run, got.train_error_count, got.test_error_count) == (
+            want.epochs_run, want.train_error_count, want.test_error_count)
+
+    def test_peak_memory_of_a_desk_run(self):
+        """A T1=16 desk-shaped run of 3 epochs allocates no more than the
+        per-layer loop did, 9,923,008 B (9.46 MiB) in this test: the flat
+        state is written in place and the gradient is written into its flat
+        vector, not copied there."""
+        train = synthesize_dataset(256, 64, 10, seed=0)
+        spec = desk_sweep_network(64, 16, 10)
+        params0 = Params.fan_in_gaussian(spec, np.random.default_rng(0))
+        cfg = TrainConfig(epochs=3, batch_size=64)
+        tracemalloc.start()
+        try:
+            train_adam(spec, params0, train, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.47 * 2**20
