@@ -95,6 +95,7 @@ from .network import (
     NetworkSpec,
     Output,
     Params,
+    Workspace,
     forward,
     lift_adjoint,
     lift_weights,

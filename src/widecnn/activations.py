@@ -49,20 +49,30 @@ class ActivationProfile:
 
 
 class Activation:
-    """Base class; subclasses are immutable and stateless."""
+    """Base class; subclasses are immutable and stateless.
+
+    A call ``sigma(t, out=None, scratch=None)`` writes its result into
+    ``out`` when given, and may overwrite ``scratch``, an array of t's
+    shape, with temporaries; the result is the same bit for bit.
+    """
 
     name: str = "abstract"
 
-    def __call__(self, t):
+    def __call__(self, t, out=None, scratch=None):
         raise NotImplementedError
 
     def derivative(self, t):
         raise NotImplementedError
 
-    def derivative_at(self, G, F):
+    def derivative_at(self, G, F, out=None):
         """sigma'(G) where ``F = self(G)`` was already computed, as the
-        forward trace stores it; equal to ``derivative(G)`` bit for bit."""
-        return self.derivative(G)
+        forward trace stores it; equal to ``derivative(G)`` bit for bit.
+        Written into ``out`` when given."""
+        d = self.derivative(G)
+        if out is None:
+            return d
+        np.copyto(out, d)
+        return out
 
     def inverse(self, y):
         raise RangeError(f"{self.name} has no inverse")
@@ -91,19 +101,20 @@ class Activation:
 class Sigmoid(Activation):
     name = "sigmoid"
 
-    def __call__(self, t):
+    def __call__(self, t, out=None, scratch=None):
         # 1/(1+exp(-t)) for t >= 0 and exp(t)/(1+exp(t)) below, in one pass:
         # exp only sees -|t| <= 0, so nothing overflows and the negative
         # tail keeps its relative accuracy down to the subnormals.
         # The numerator max(e, t >= 0) is 1 where t >= 0, because e <= 1
         # there, and e below; unlike a select it takes no data-dependent
         # branch. Every step writes in place, so at most two full-size
-        # arrays are alive at once; out= keeps a 0-d input an array.
+        # arrays are alive at once: e in scratch and the result in out;
+        # out= keeps a 0-d input an array.
         t = np.asarray(t, dtype=np.float64)
-        e = np.abs(t, out=np.empty_like(t))
+        e = np.abs(t, out=np.empty_like(t) if scratch is None else scratch)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        out = np.maximum(e, t >= 0, out=np.empty_like(t))
+        out = np.maximum(e, t >= 0, out=np.empty_like(t) if out is None else out)
         e += 1.0
         out /= e
         return out
@@ -111,8 +122,8 @@ class Sigmoid(Activation):
     def derivative(self, t):
         return self.derivative_at(t, self(t))
 
-    def derivative_at(self, G, F):
-        out = 1.0 - F
+    def derivative_at(self, G, F, out=None):
+        out = np.subtract(1.0, F, out=out)
         out *= F
         return out
 
@@ -140,8 +151,8 @@ class Sigmoid(Activation):
 class ReLU(Activation):
     name = "relu"
 
-    def __call__(self, t):
-        return np.maximum(np.asarray(t, dtype=np.float64), 0.0)
+    def __call__(self, t, out=None, scratch=None):
+        return np.maximum(np.asarray(t, dtype=np.float64), 0.0, out=out)
 
     def derivative(self, t):
         # subgradient convention: derivative at 0 is 0
@@ -181,9 +192,10 @@ class Softplus(Activation):
                              f"finite number, got {alpha!r}")
         object.__setattr__(self, "alpha", float(alpha))
 
-    def __call__(self, t):
+    def __call__(self, t, out=None, scratch=None):
         at = self.alpha * np.asarray(t, dtype=np.float64)
-        return (np.maximum(at, 0.0) + np.log1p(np.exp(-np.abs(at)))) / self.alpha
+        return np.divide(np.maximum(at, 0.0) + np.log1p(np.exp(-np.abs(at))),
+                         self.alpha, out=out)
 
     def derivative(self, t):
         return Sigmoid()(self.alpha * np.asarray(t, dtype=np.float64))
@@ -231,8 +243,12 @@ class Identity(Activation):
 
     name = "identity"
 
-    def __call__(self, t):
-        return np.asarray(t, dtype=np.float64)
+    def __call__(self, t, out=None, scratch=None):
+        t = np.asarray(t, dtype=np.float64)
+        if out is None:
+            return t
+        np.copyto(out, t)
+        return out
 
     def derivative(self, t):
         return np.ones_like(np.asarray(t, dtype=np.float64))

@@ -13,8 +13,12 @@ by the adjoint of the lifting map, and bias gradients are the column sums
 of ``D_l``. Every filter and bias gradient is written into one flat
 vector, each layer's weights then its bias, layer by layer. A dense layer
 is its own lifted matrix, so its product is written there directly and
-``grad_U_l`` is ``grad_W_l``. A central finite-difference oracle over the
-true parameters is provided for verification.
+``grad_U_l`` is ``grad_W_l``. Given a ``Workspace``, every delta, lifted
+gradient and the flat vector are its buffers, and sigma' goes to its
+scratch. Overflow in the loss or the recursion gives non-finite values,
+not warnings; the trainer turns them into ``TrainingDivergedError``. A
+central finite-difference oracle over the true parameters is provided for
+verification.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ from .network import (
     NetworkSpec,
     Output,
     Params,
+    Workspace,
     _param_count,
     _param_views,
+    _take,
     forward,
     lift_adjoint,
 )
@@ -43,8 +49,9 @@ def loss(trace: ForwardTrace, Y: np.ndarray) -> float:
     out = trace.output
     if out.shape != Y.shape:
         raise StructuralError(f"output {out.shape} vs targets {Y.shape}")
-    diff = out - Y
-    return 0.5 * float(np.sum(diff * diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = out - Y
+        return 0.5 * float(np.sum(diff * diff))
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,12 @@ class GradientSet:
     def flat(self) -> np.ndarray | None:
         """The whole gradient as one vector, each differentiated layer's
         ``grad_W`` then its ``grad_b``, layer by layer. ``backward`` writes
-        every ``grad_W[l]`` and ``grad_b[l]`` as a view of this vector; a
-        set built from separate arrays has none."""
-        return next(g for g in self.grad_W if g is not None).base
+        every ``grad_W[l]`` and ``grad_b[l]`` as a view of this vector, which
+        starts its buffer; a set built from separate arrays has none."""
+        parts = [a for pair in zip(self.grad_W, self.grad_b) for a in pair
+                 if a is not None]
+        base = parts[0].base
+        return None if base is None else base[:sum(a.size for a in parts)]
 
 
 def backward(
@@ -78,12 +88,16 @@ def backward(
     trace: ForwardTrace,
     Y: np.ndarray,
     start_layer: int = 1,
+    *,
+    workspace: Workspace | None = None,
 ) -> GradientSet:
     """Exact gradients of the squared loss for layers ``start_layer..L``.
 
     The trace must come from ``forward`` on the same (spec, params). Every
     layer in the differentiated segment must be convolutional or fully
     connected; ReLU uses the subgradient convention derivative(0) = 0.
+    With a ``workspace`` the arrays of the result are its buffers, which
+    the next call with that workspace overwrites; they hold the same bits.
     """
     if not isinstance(spec.layers[-1], Output):
         raise StructuralError("loss-level operations require an Output last layer")
@@ -100,28 +114,38 @@ def backward(
     if trace.output.shape != Y.shape:
         raise StructuralError(f"output {trace.output.shape} vs targets {Y.shape}")
 
-    delta = trace.output - Y  # output layer is linear
-    deltas: dict[int, np.ndarray] = {L: delta}
-    for l in range(L - 1, start_layer - 1, -1):
-        above, W = spec.layer(l + 1), params.weights[l + 1]
-        if isinstance(above, Conv):
-            P, T = above.layout.patch_count, above.filters
-            delta = above.layout.scatter_add(delta.reshape(-1, P, T) @ W.T)
-        else:
-            delta = delta @ W.T
-        delta *= spec.activation(l).derivative_at(trace.G[l], trace.F[l])
-        deltas[l] = delta
-
+    N, widths = Y.shape[0], spec.widths
+    count = _param_count(spec, start_layer)
     grad_U: list[np.ndarray | None] = [None] * (L + 1)
-    grad_W, grad_b = _param_views(spec, np.empty(_param_count(spec, start_layer)),
-                                  start_layer)
-    for l in range(start_layer, L + 1):
-        if isinstance(spec.layer(l), Conv):
-            grad_U[l] = trace.F[l - 1].T @ deltas[l]
-            grad_W[l][...] = lift_adjoint(spec, l, grad_U[l])
-        else:  # the lifted matrix is W itself
-            grad_U[l] = np.matmul(trace.F[l - 1].T, deltas[l], out=grad_W[l])
-        np.sum(deltas[l], axis=0, out=grad_b[l])
+    # a diverging run overflows here; the trainer reports it as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the output layer is linear
+        delta = np.subtract(trace.output, Y, out=_take(workspace, ("delta", L), Y.shape))
+        deltas: dict[int, np.ndarray] = {L: delta}
+        for l in range(L - 1, start_layer - 1, -1):
+            above, W = spec.layer(l + 1), params.weights[l + 1]
+            if isinstance(above, Conv):
+                P, T = above.layout.patch_count, above.filters
+                delta = above.layout.scatter_add(delta.reshape(-1, P, T) @ W.T)
+            else:
+                delta = np.matmul(delta, W.T,
+                                  out=_take(workspace, ("delta", l), (N, widths[l])))
+            delta *= spec.activation(l).derivative_at(
+                trace.G[l], trace.F[l], out=_take(workspace, "scratch", delta.shape))
+            deltas[l] = delta
+
+        grad_W, grad_b = _param_views(
+            spec, np.empty(count) if workspace is None else workspace.take("grad", (count,)),
+            start_layer)
+        for l in range(start_layer, L + 1):
+            if isinstance(spec.layer(l), Conv):
+                grad_U[l] = np.matmul(trace.F[l - 1].T, deltas[l],
+                                      out=_take(workspace, ("grad_U", l),
+                                                (widths[l - 1], widths[l])))
+                grad_W[l][...] = lift_adjoint(spec, l, grad_U[l])
+            else:  # the lifted matrix is W itself
+                grad_U[l] = np.matmul(trace.F[l - 1].T, deltas[l], out=grad_W[l])
+            np.sum(deltas[l], axis=0, out=grad_b[l])
     return GradientSet(tuple(grad_U), tuple(grad_W), tuple(grad_b),
                        tuple(deltas.get(l) for l in range(L + 1)))
 

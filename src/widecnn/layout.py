@@ -79,11 +79,12 @@ class PatchLayout:
         """(P, l) integer array of patch indices; read-only."""
         return self._index_array
 
-    def extract(self, rows: np.ndarray) -> np.ndarray:
+    def extract(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gather patches from feature rows.
 
         ``rows`` is (N, width); returns (N, P, l) with
-        ``out[i, p, :] = rows[i, patches[p]]``.
+        ``out[i, p, :] = rows[i, patches[p]]``, written into ``out`` when
+        given.
         """
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.width:
@@ -91,8 +92,11 @@ class PatchLayout:
                 f"expected (N, {self.width}) feature rows, got {rows.shape}"
             )
         # take, unlike rows[:, index], returns the (N, P, l) array
-        # C-contiguous, so the convolution's reshape to (N*P, l) is a view
-        return np.take(rows, self._index_array, axis=1)
+        # C-contiguous, so the convolution's reshape to (N*P, l) is a view.
+        # The indices were checked against the width at construction, so
+        # "clip" alters none; the default "raise" would gather into a
+        # temporary and copy that into out.
+        return np.take(rows, self._index_array, axis=1, out=out, mode="clip")
 
     def scatter_add(self, patches: np.ndarray) -> np.ndarray:
         """Transpose of ``extract``: (N, P, l) patches to (N, width) rows,

@@ -19,11 +19,22 @@ The frozen containers copy a caller's arrays but share the arrays the
 library seals as it creates them, and read-only views of those. The
 forward pass proves its features finite by their sums and scans the
 parameters for non-finite entries only when a feature matrix is not
-finite, or when the batch has no rows.
+finite, or when the batch has no rows. A bounded activation of finite
+pre-activations is finite, so only an activation with an unbounded tail
+has its features summed.
+
+A ``Workspace`` holds one float64 buffer per role (a layer's G, F, delta
+or lifted gradient, the flat gradient, and one scratch for temporaries
+that die inside a call). ``forward`` and ``backward`` given the same
+workspace write into those buffers instead of allocating, so a training
+run faults its arrays in once instead of once per step. A trace or
+gradient set made with a workspace is overwritten by the next call that
+uses it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -483,10 +494,51 @@ def lift_adjoint(spec: NetworkSpec, k: int, V: np.ndarray) -> np.ndarray:
     return V.reshape(-1, P, T)[idx, np.arange(P)[:, None]].sum(axis=0)
 
 
-def patch_products(layout: PatchLayout, F: np.ndarray, W: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Float64 buffers keyed by role, reused from call to call.
+
+    ``take`` hands out the first ``prod(shape)`` entries of the role's
+    buffer, which grows to the largest request. A buffer that ``_seal``
+    made read-only for a trace is made writable again first: the trace's
+    own views stay read-only, but their contents change with the next
+    call that takes the same role.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def take(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        else:
+            buf.setflags(write=True)
+        return buf[:size].reshape(shape)
+
+
+def _take(workspace: Workspace | None, key, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The workspace's buffer for ``key``, or None without a workspace, in
+    which case the operation that receives it allocates its result."""
+    return None if workspace is None else workspace.take(key, shape)
+
+
+def patch_products(
+    layout: PatchLayout,
+    F: np.ndarray,
+    W: np.ndarray,
+    out: np.ndarray | None = None,
+    gather: np.ndarray | None = None,
+) -> np.ndarray:
     """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: the
-    convolution's pre-activation before the bias, via the patch gather."""
-    return np.tensordot(layout.extract(F), W, axes=([2], [0]))
+    convolution's pre-activation before the bias, via the patch gather.
+    ``out`` (N*P*T entries) receives the products and ``gather`` the
+    patches; without them both are allocated, the gather first."""
+    patches = layout.extract(F, out=gather)
+    N, P, l = patches.shape
+    G = np.matmul(patches.reshape(N * P, l), W,
+                  out=None if out is None else out.reshape(N * P, W.shape[1]))
+    return G.reshape(N, P, W.shape[1])
 
 
 def _all_finite(A: np.ndarray) -> bool:
@@ -509,18 +561,29 @@ def _raise_non_finite(params: Params, up_to: int, message: str):
     raise NumericOverflowError(message)
 
 
+def _unbounded(sigma: Activation) -> bool:
+    """Whether sigma has a tail without a finite limit, so that finite
+    pre-activations can give non-finite features."""
+    profile = sigma.profile()
+    return profile.limit_neg is None or profile.limit_pos is None
+
+
 def forward(
     spec: NetworkSpec,
     params: Params,
     X: np.ndarray,
     up_to: int | None = None,
+    *,
+    workspace: Workspace | None = None,
 ) -> ForwardTrace:
     """Evaluate layers 1..up_to (default: all) on a batch.
 
     Convolutional layers are computed by ``patch_products``, which equals
     the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
     floating-point rounding. Pure function: identical inputs give identical
-    traces.
+    traces. With a ``workspace`` every G and F except the input is a view
+    of its buffers, computed by the same operations in the same order, and
+    the next call with that workspace overwrites them.
 
     Raises StructuralError for a malformed or non-finite batch and for
     misshapen or non-finite parameters of layers 1..up_to, and
@@ -536,7 +599,8 @@ def forward(
     if not _all_finite(X):
         raise StructuralError("X contains non-finite values")
     _check_param_shapes(spec, params, up_to)
-    if X.shape[0] == 0:
+    N = X.shape[0]
+    if N == 0:
         # no entry of G can show a non-finite parameter
         _check_params_finite(params, up_to)
 
@@ -545,24 +609,35 @@ def forward(
     for k in range(1, up_to + 1):
         layer = spec.layer(k)
         prev = F[k - 1]
+        shape = (N, spec.widths[k])
+        sigma = spec.activation(k)
         # overflow surfaces as NumericOverflowError below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             if isinstance(layer, MaxPool):
-                Fk = layer.layout.extract(prev).max(axis=2)
+                P, l = layer.layout.index_array().shape
+                gather = _take(workspace, "scratch", (N, P, l))
+                # no name holds an allocated gather alive into the next layer
+                Fk = np.max(layer.layout.extract(prev, out=gather), axis=2,
+                            out=_take(workspace, ("F", k), shape))
                 Gk = None
             else:
                 W, b = params.weights[k], params.biases[k]
+                out = _take(workspace, ("G", k), shape)
                 if isinstance(layer, Conv):
-                    Gk = patch_products(layer.layout, prev, W)  # (N, P, T)
-                    Gk = Gk.reshape(prev.shape[0], -1)
+                    P, l = layer.layout.index_array().shape
+                    Gk = patch_products(layer.layout, prev, W, out,
+                                        _take(workspace, "scratch", (N, P, l)))
+                    Gk = Gk.reshape(shape)
                 else:
-                    Gk = prev @ W
-                Gk += b  # the product is a new array
-                sigma = spec.activation(k)
-                Fk = Gk if isinstance(sigma, Identity) else sigma(Gk)
+                    Gk = np.matmul(prev, W, out=out)
+                Gk += b  # the product is a new array or the workspace's
+                Fk = Gk if isinstance(sigma, Identity) else sigma(
+                    Gk, out=_take(workspace, ("F", k), shape),
+                    scratch=_take(workspace, "scratch", shape))
         if Gk is not None and not _all_finite(Gk):
             _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")
-        if Fk is not Gk and not _all_finite(Fk):
+        if (Fk is not Gk and (sigma is None or _unbounded(sigma))
+                and not _all_finite(Fk)):
             _raise_non_finite(params, up_to, f"non-finite activation at layer {k}")
         F.append(_seal(Fk))
         G.append(None if Gk is None else _seal(Gk))

@@ -9,7 +9,9 @@ The trainer keeps the parameters and Adam's moments as flat vectors and
 updates them in place with the per-layer formula's elementwise
 operations, in its order, so each step is the per-layer step bit for bit.
 The full-batch forward that gives an epoch's loss also gives its
-training-error count.
+training-error count. Every forward and backward of a run writes into one
+``Workspace``, so the run faults its feature and gradient arrays in once
+instead of once per step.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     NumericOverflowError,
+    StructuralError,
     TrainingDivergedError,
 )
 from .gradients import backward, loss
@@ -30,7 +33,10 @@ from .network import (
     Dataset,
     NetworkSpec,
     Params,
+    Workspace,
+    _all_finite,
     _check_param_shapes,
+    _check_params_finite,
     _param_views,
     _seal,
     forward,
@@ -156,7 +162,8 @@ def train_adam(
     """Optimize all filter matrices and biases with Adam.
 
     Deterministic given the config seed; raises TrainingDivergedError with
-    the epoch index if the loss leaves the finite range.
+    the epoch index if the loss, the features or the parameters leave the
+    finite range, and StructuralError if params0 is not finite.
 
     The parameters p, the moments m and v and one scratch vector are flat
     float64 vectors, each layer's weights then its bias, layer by layer, as
@@ -165,6 +172,11 @@ def train_adam(
     order, so the result does not depend on the layout. The ``Params`` that
     forward and backward read holds views of p, which is sealed whenever
     they run and for good once training ends.
+
+    Every forward and backward, the test set's included, writes into one
+    workspace. Each step's trace and gradient are dropped before the next
+    forward overwrites them, and the epoch's output, which the error
+    counts read, is copied out of it.
     """
     rng = np.random.default_rng(cfg.seed)
     X, Y = dataset.X, dataset.Y
@@ -172,11 +184,14 @@ def train_adam(
     batch = N if cfg.batch_size is None else min(cfg.batch_size, N)
 
     _check_param_shapes(spec, params0)
+    # past this check a non-finite parameter means that training diverged
+    _check_params_finite(params0, spec.depth)
     p = _seal(np.concatenate([a.ravel() for pair in zip(params0.weights, params0.biases)
                               for a in pair if a is not None]))
     params = Params(*map(tuple, _param_views(spec, p)))
     m, v, scratch = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
     b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.eps
+    workspace = Workspace()
 
     step = 0
     curve = []
@@ -190,37 +205,45 @@ def train_adam(
         try:
             for rows in slices:
                 # the gather is a new array, so the trace takes it uncopied
-                trace = forward(spec, params, _seal(X[rows]))
-                g = backward(spec, params, trace, Y[rows]).flat
+                trace = forward(spec, params, _seal(X[rows]), workspace=workspace)
+                g = backward(spec, params, trace, Y[rows], workspace=workspace).flat
+                del trace  # the next forward overwrites its arrays
                 step += 1
                 # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps) after
                 # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g; g is
-                # this step's own array, so it serves as a second scratch
+                # this step's own array, so it serves as a second scratch.
+                # A diverging step overflows here; the next forward finds p
+                # non-finite.
                 p.setflags(write=True)
-                if cfg.method == "gd":
-                    g *= lr
-                else:
-                    corr1 = 1.0 - b1**step
-                    corr2 = 1.0 - b2**step
-                    m *= b1
-                    np.multiply(g, 1.0 - b1, out=scratch)
-                    m += scratch
-                    v *= b2
-                    np.multiply(g, 1.0 - b2, out=scratch)
-                    scratch *= g
-                    v += scratch
-                    np.divide(v, corr2, out=scratch)
-                    np.sqrt(scratch, out=scratch)
-                    scratch += eps
-                    np.divide(m, corr1, out=g)
-                    g *= lr
-                    g /= scratch
-                p -= g
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if cfg.method == "gd":
+                        g *= lr
+                    else:
+                        corr1 = 1.0 - b1**step
+                        corr2 = 1.0 - b2**step
+                        m *= b1
+                        np.multiply(g, 1.0 - b1, out=scratch)
+                        m += scratch
+                        v *= b2
+                        np.multiply(g, 1.0 - b2, out=scratch)
+                        scratch *= g
+                        v += scratch
+                        np.divide(v, corr2, out=scratch)
+                        np.sqrt(scratch, out=scratch)
+                        scratch += eps
+                        np.divide(m, corr1, out=g)
+                        g *= lr
+                        g /= scratch
+                    p -= g
+                del g
                 _seal(p)
-            trace = forward(spec, params, X)
-            epoch_loss, output = loss(trace, Y), trace.output
-            del trace  # keep no full-batch features alive into the next epoch
-        except NumericOverflowError as exc:
+            trace = forward(spec, params, X, workspace=workspace)
+            epoch_loss, output = loss(trace, Y), trace.output.copy()
+            del trace
+        except (NumericOverflowError, StructuralError) as exc:
+            # params0 is finite, so non-finite parameters came from a step
+            if isinstance(exc, StructuralError) and _all_finite(p):
+                raise
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {exc}", epoch=epoch
             ) from exc
@@ -236,10 +259,13 @@ def train_adam(
         ):
             break
 
-    train_errors = _errors(output, dataset)  # the last forward ran on the final p
+    # this forward reuses the workspace, which is why output is a copy
     test_errors = (
-        classification_errors(spec, params, test_dataset)
+        _errors(forward(spec, params, test_dataset.X, workspace=workspace).output,
+                test_dataset)
         if test_dataset is not None
         else None
     )
-    return TrainResult(params, tuple(curve), train_errors, test_errors, len(curve))
+    # the last training forward ran on the final p
+    return TrainResult(params, tuple(curve), _errors(output, dataset), test_errors,
+                       len(curve))

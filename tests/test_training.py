@@ -1,6 +1,7 @@
 """Adam training loop behaviour."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from widecnn import (
     Output,
     Params,
     Sigmoid,
+    StructuralError,
     TrainingDivergedError,
     train_adam,
     zero_loss_construction,
@@ -121,6 +123,41 @@ class TestDivergence:
         with pytest.raises(TrainingDivergedError) as err:
             train_adam(spec, params, dataset, cfg)
         assert err.value.epoch is not None
+
+    CONV_CONV = NetworkSpec(12, (
+        Conv(conv1d_layout(12, 3, 1), 3, Sigmoid()),
+        Conv(conv1d_layout(30, 10, 5), 4, Sigmoid()),
+        Output(2),
+    ))
+
+    def diverging_case(self):
+        """Data and the fifth fan-in draw of one rng: at lr 0.5 the loss
+        overflows, at lr 1e6 a plain gradient step makes layer 1's
+        parameters non-finite."""
+        rng = np.random.default_rng(0)
+        dataset = Dataset(rng.standard_normal((16, 12)), rng.standard_normal((16, 2)))
+        for _ in range(5):
+            params0 = Params.fan_in_gaussian(self.CONV_CONV, rng)
+        return dataset, params0
+
+    @pytest.mark.parametrize("lr, epoch", [(0.5, 70), (1e6, 10)])
+    def test_diverging_gradient_descent_ends_in_a_typed_error(self, lr, epoch):
+        dataset, params0 = self.diverging_case()
+        cfg = TrainConfig(epochs=200, schedule=LearningRateSchedule(lr, 1.0, 1000),
+                          batch_size=8, method="gd")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as err:
+                train_adam(self.CONV_CONV, params0, dataset, cfg)
+        assert err.value.epoch == epoch
+
+    def test_non_finite_initial_parameters_are_a_structural_error(self):
+        dataset, params0 = self.diverging_case()
+        W = params0.weights[2].copy()
+        W[0, 0] = np.nan
+        params0 = params0.with_layer(2, W, params0.biases[2])
+        with pytest.raises(StructuralError, match="layer 2 "):
+            train_adam(self.CONV_CONV, params0, dataset, TrainConfig(epochs=1))
 
 
 class TestEarlyStop:
