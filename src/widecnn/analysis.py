@@ -2,7 +2,12 @@
 
 Numerical rank counts the singular values above
 ``0.5 * sqrt(m + n + 1) * sigma_max * eps`` (working-precision machine
-epsilon). The gradient bounds sandwich the Frobenius norm of the
+epsilon). Singular values come from one LAPACK SVD for a matrix of at
+most ``RANK_TILE`` entries. A larger matrix, such as the short-fat
+feature matrix of a wide layer, is first reduced to the R factors of
+cache-sized row blocks of its tall orientation (a sequential TSQR), so
+that the SVD reads it about once instead of once per Householder
+reflector. The gradient bounds sandwich the Frobenius norm of the
 full-matrix gradient at the layer after a wide layer between products of
 extreme singular values, extreme activation derivatives, and the
 residual norm; at points where the feature matrix of the wide layer and
@@ -38,22 +43,55 @@ class RankReport:
         return self.estimated_rank == min(self.rows, self.cols)
 
 
+# Entries above which a matrix's singular values are taken from the R
+# factors of row blocks of about this many entries (2 MiB of float64, which
+# stays in cache while LAPACK's unblocked reflectors sweep it). Above the
+# largest matrix the desk sweep, rank genericity and the constructions
+# rank, 256 x 896, so their singular values are LAPACK's own bits.
+RANK_TILE = 1 << 18
+
+
+def _singular_values(A: np.ndarray) -> np.ndarray:
+    """Singular values of a float64 matrix, largest first.
+
+    A matrix of at most ``RANK_TILE`` entries goes to one
+    ``np.linalg.svd``. Above the tile, row blocks of the tall orientation
+    are replaced by their R factors until the stack fits in one block,
+    and the stack's singular values, which are A's, are returned. A block
+    must hold at least twice the short side for a round to shrink the
+    stack, so a matrix too square for that goes to the direct call. A
+    LAPACK failure raises NumericError.
+    """
+    tall = A.T if A.shape[0] < A.shape[1] else A
+    short = tall.shape[1]
+    try:
+        if A.size > RANK_TILE and 2 * short * short <= RANK_TILE:
+            block = RANK_TILE // short  # at least 2 * short rows
+            while tall.shape[0] > block:
+                tall = np.vstack([np.linalg.qr(tall[i:i + block], mode="r")
+                                  for i in range(0, tall.shape[0], block)])
+            A = tall
+        return np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed to converge: {exc}") from exc
+
+
 def estimate_rank(A: np.ndarray) -> RankReport:
     """Estimate rank by counting singular values above the threshold
-    ``0.5 * sqrt(m + n + 1) * sigma_max * eps``.
+    ``0.5 * sqrt(m + n + 1) * sigma_max * eps``, with m and n the shape
+    of A.
 
-    Computes a full SVD; an SVD convergence failure raises NumericError
-    rather than being reported as rank 0.
+    The singular values are LAPACK's for a matrix of at most
+    ``RANK_TILE`` entries and come from a blocked QR reduction above it
+    (see ``_singular_values``). A convergence failure raises
+    NumericError rather than being reported as rank 0.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
         raise StructuralError(f"expected a non-empty matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise StructuralError("matrix contains non-finite entries")
-    try:
-        sv = np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed to converge: {exc}") from exc
+    sv = _singular_values(A)
     m, n = A.shape
     eps = float(np.finfo(np.float64).eps)
     sigma_max = float(sv[0])
@@ -104,14 +142,13 @@ def _sandwich_factors(
     factors = []
     lower_prod, upper_prod = 1.0, 1.0
     for l in range(wide_layer + 1, spec.depth):
-        sv = np.linalg.svd(lift_weights(spec, l + 1, params.weights[l + 1]),
-                           compute_uv=False)
+        sv = _singular_values(lift_weights(spec, l + 1, params.weights[l + 1]))
         d = np.abs(spec.activation(l).derivative_at(trace.G[l], trace.F[l]))
         entry = (float(sv[-1]), float(sv[0]), float(d.min()), float(d.max()))
         factors.append(entry)
         lower_prod *= entry[0] * entry[2]
         upper_prod *= entry[1] * entry[3]
-    sv_f = np.linalg.svd(trace.F[wide_layer], compute_uv=False)
+    sv_f = _singular_values(trace.F[wide_layer])
     return float(sv_f[-1]), float(sv_f[0]), lower_prod, upper_prod, tuple(factors)
 
 

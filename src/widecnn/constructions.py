@@ -51,6 +51,7 @@ from .network import (
     Params,
     forward,
     lift_weights,
+    max_pool,
     patch_products,
 )
 
@@ -186,7 +187,7 @@ def _transport_impl(spec, X, up_to_layer, rng):
     for k in range(1, up_to_layer + 1):
         layer = spec.layer(k)
         if isinstance(layer, MaxPool):
-            F_prev = layer.layout.extract(F_prev).max(axis=2)
+            F_prev = max_pool(layer.layout, F_prev)
             continue
         W, b, F_prev = _transport_layer(spec, k, F_prev, rng)
         params = params.with_layer(k, W, b)

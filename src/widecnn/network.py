@@ -5,8 +5,9 @@ A network is an ordered stack of layers over an input of width ``d``.
 Convolutional layers apply ``T`` shared filters to the patches of the
 previous layer; the unit for (patch p, filter t) sits at position
 ``h = p*T + t``. A fully connected layer is the single-patch special
-case. Max-pooling takes the per-patch maximum. The output layer is fully
-connected with no nonlinearity.
+case. Max-pooling takes the per-patch maximum, as a running maximum over
+the layout's taps (``max_pool``). The output layer is fully connected
+with no nonlinearity.
 
 A convolution is computed by gathering its layout's patches
 (``patch_products``); backward propagates through the transpose of that
@@ -541,6 +542,25 @@ def patch_products(
     return G.reshape(N, P, W.shape[1])
 
 
+def max_pool(
+    layout: PatchLayout,
+    F: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """(N, P) per-patch maxima of the (N, layout.width) rows F: tap 0's
+    column, then a running ``np.maximum`` with each later tap's column,
+    so no (N, P, l) gather is formed. NaN propagates. ``out`` receives
+    the maxima and ``scratch`` (N*P entries) each later tap's column;
+    without them both are allocated."""
+    taps = layout.index_array().T  # (l, P)
+    # mode="clip" as in PatchLayout.extract: the layout's indices are valid
+    M = np.take(F, taps[0], axis=1, out=out, mode="clip")
+    for tap in taps[1:]:
+        np.maximum(M, np.take(F, tap, axis=1, out=scratch, mode="clip"), out=M)
+    return M
+
+
 def _all_finite(A: np.ndarray) -> bool:
     """Whether every entry of A is finite. A finite sum proves it in one
     pass; a sum that is not finite, which finite entries can also give by
@@ -614,11 +634,8 @@ def forward(
         # overflow surfaces as NumericOverflowError below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             if isinstance(layer, MaxPool):
-                P, l = layer.layout.index_array().shape
-                gather = _take(workspace, "scratch", (N, P, l))
-                # no name holds an allocated gather alive into the next layer
-                Fk = np.max(layer.layout.extract(prev, out=gather), axis=2,
-                            out=_take(workspace, ("F", k), shape))
+                Fk = max_pool(layer.layout, prev, _take(workspace, ("F", k), shape),
+                              _take(workspace, "scratch", shape))
                 Gk = None
             else:
                 W, b = params.weights[k], params.biases[k]

@@ -4,9 +4,11 @@ These deliberately avoid the library's code paths: rank by Gaussian
 elimination instead of SVD, convolution by a scalar per-patch loop
 instead of lifted matrix products, backpropagation through dense
 lifted matrices instead of the patch scatter, the sigmoid as two
-masked passes instead of one, and patch distinctness by a scan over
-sample pairs instead of tiles of later samples; Adam is a loop over
-per-layer arrays instead of one in-place step over flat vectors.
+masked passes instead of one, patch distinctness by a scan over
+sample pairs instead of tiles of later samples, and max-pooling as a
+reduce over the whole patch gather instead of a running maximum over
+taps; Adam is a loop over per-layer arrays instead of one in-place step
+over flat vectors.
 """
 
 import numpy as np
@@ -93,6 +95,12 @@ def pairwise_distinct_patches(X, layout):
                 p, q = np.unravel_index(int(dist.argmin()), dist.shape)
                 return DistinctPatchesReport(False, (i, j, int(p), int(q)), min_gap)
     return DistinctPatchesReport(True, None, min_gap)
+
+
+def gather_max_pool(layout, F):
+    """Per-patch maxima as one length-l ``np.max`` reduce over the
+    (N, P, l) patch gather."""
+    return np.max(layout.extract(F), axis=2)
 
 
 def naive_conv_forward(F_prev, layout, W, b, sigma=None):

@@ -1,8 +1,11 @@
 """Rank estimation, sandwich bounds, membership, and the width audit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from widecnn import analysis
 from widecnn import (
     ConstructionParams,
     FullyConnected,
@@ -74,6 +77,163 @@ class TestEstimateRank:
     def test_rejects_non_finite(self):
         with pytest.raises(StructuralError):
             estimate_rank(np.array([[np.inf, 1.0]]))
+
+
+# |sigma_blocked - sigma_lapack| <= SIGMA_TOL * sigma_max above RANK_TILE;
+# the reference net's F_1 (32 x 67 600) reads at most 2.4e-15 on seeds 0-39
+SIGMA_TOL = 1e-13
+
+
+def _direct_report(A):
+    """The report of one LAPACK SVD, as below the tile."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    m, n = A.shape
+    eps = float(np.finfo(np.float64).eps)
+    threshold = 0.5 * np.sqrt(m + n + 1.0) * float(sv[0]) * eps
+    return analysis.RankReport(m, n, int(np.sum(sv > threshold)), float(sv[-1]),
+                               float(sv[0]), float(threshold), eps)
+
+
+class _CountingQR:
+    """np.linalg.qr that counts its calls, to tell the blocked path from
+    the direct one."""
+
+    def __init__(self):
+        self.calls = 0
+        self._qr = np.linalg.qr
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._qr(*args, **kwargs)
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    counter = _CountingQR()
+    monkeypatch.setattr(np.linalg, "qr", counter)
+    return counter
+
+
+def _assert_close_to_lapack(A):
+    sv = analysis._singular_values(A)
+    expected = np.linalg.svd(A, compute_uv=False)
+    assert sv.shape == expected.shape
+    assert np.all(np.abs(sv - expected) <= SIGMA_TOL * expected[0])
+
+
+class TestBlockedSingularValues:
+    """Above ``RANK_TILE`` entries the singular values come from stacked R
+    factors of row blocks; the tile is patched small here, as
+    ``TestTiledDistinctPatches`` patches ``DISTINCT_TILE``."""
+
+    def test_planted_ranks_in_both_orientations(self, monkeypatch, qr_calls):
+        rng = np.random.default_rng(20)
+        for _ in range(150):
+            short = int(rng.integers(1, 7))
+            tile = int(rng.integers(2 * short * short, 4 * short * short + 8))
+            long = int(rng.integers(tile // short + 1, 6 * tile // short + 2))
+            r = int(rng.integers(0, short + 1))
+            tall = planted_rank_matrix(rng, long, short, r)
+            monkeypatch.setattr(analysis, "RANK_TILE", tile)
+            for A in (tall, np.ascontiguousarray(tall.T)):
+                before = qr_calls.calls
+                report = estimate_rank(A)
+                assert qr_calls.calls > before
+                assert report.estimated_rank == r == elimination_rank(tall)
+                assert (report.rows, report.cols) == A.shape
+                _assert_close_to_lapack(A)
+
+    def test_near_deficient_matrices(self, monkeypatch):
+        # singular values far above and far below the threshold, which is
+        # about 3e-15 * sigma_max at this shape
+        rng = np.random.default_rng(21)
+        monkeypatch.setattr(analysis, "RANK_TILE", 200)
+        for spectrum, rank in (
+            ([1.0, 1e-3, 1e-8, 1e-12, 1e-19], 4),
+            ([5.0, 5.0, 1e-11, 1e-18, 0.0], 3),
+            ([1.0, 1e-13, 1e-13, 1e-20, 1e-20], 3),
+        ):
+            U, _ = np.linalg.qr(rng.standard_normal((400, 5)))
+            V, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            A = (U * spectrum) @ V.T
+            for B in (A, A.T):
+                assert estimate_rank(B).estimated_rank == rank
+                assert _direct_report(B).estimated_rank == rank
+                _assert_close_to_lapack(B)
+
+    def test_near_square_matrix_above_the_tile_takes_the_direct_call(
+            self, monkeypatch, qr_calls):
+        # a block of 64 // 10 = 6 rows could not halve 12 rows of width 10
+        monkeypatch.setattr(analysis, "RANK_TILE", 64)
+        A = np.random.default_rng(22).standard_normal((12, 10))
+        assert estimate_rank(A) == _direct_report(A)
+        assert qr_calls.calls == 0
+
+    def test_blocks_of_exactly_twice_the_short_side(self, monkeypatch, qr_calls):
+        monkeypatch.setattr(analysis, "RANK_TILE", 32)  # short 4, block 8
+        A = np.random.default_rng(23).standard_normal((4, 1001))
+        assert estimate_rank(A).estimated_rank == 4
+        assert qr_calls.calls > 1001 // 8
+        _assert_close_to_lapack(A)
+
+    def test_last_block_shorter_than_the_short_side(self, monkeypatch):
+        monkeypatch.setattr(analysis, "RANK_TILE", 50)  # short 5, block 10
+        rng = np.random.default_rng(24)
+        for long in (61, 63, 64, 94):  # last blocks of 1, 3, 4 and 4 rows
+            A = planted_rank_matrix(rng, long, 5, 5)
+            A[-1] *= 1e6  # the short last block carries the largest row
+            assert estimate_rank(A).estimated_rank == 5
+            assert estimate_rank(A.T).estimated_rank == 5
+            _assert_close_to_lapack(A)
+
+    def test_zero_matrix(self, monkeypatch):
+        monkeypatch.setattr(analysis, "RANK_TILE", 50)
+        report = estimate_rank(np.zeros((3, 500)))
+        assert report.estimated_rank == 0
+        assert report.sigma_max == report.sigma_min == report.threshold == 0.0
+
+    def test_transposed_strided_and_read_only_inputs(self, monkeypatch):
+        monkeypatch.setattr(analysis, "RANK_TILE", 100)
+        base = np.random.default_rng(25).standard_normal((7, 1200))
+        sealed = base.copy()
+        sealed.setflags(write=False)
+        kept = sealed.copy()
+        for A in (base.T, base[:, ::2], base[::-1, 1::3].T, sealed, sealed.T):
+            expected = estimate_rank(np.ascontiguousarray(A))
+            assert estimate_rank(A) == expected
+            assert expected.estimated_rank == 7
+        np.testing.assert_array_equal(sealed, kept)
+
+    def test_exactly_one_tile_keeps_the_lapack_bits(self, qr_calls):
+        assert 256 * 896 < analysis.RANK_TILE  # the desk sweep's widest F_1
+        A = np.random.default_rng(26).uniform(size=(32, analysis.RANK_TILE // 32))
+        assert A.size == analysis.RANK_TILE
+        assert estimate_rank(A) == _direct_report(A)
+        assert qr_calls.calls == 0
+
+    def test_short_fat_matrix_at_the_real_tile(self, qr_calls):
+        A = np.random.default_rng(27).standard_normal((16, 20_000))
+        assert A.size > analysis.RANK_TILE
+        report = estimate_rank(A)
+        assert qr_calls.calls > 0
+        assert report.estimated_rank == 16
+        _assert_close_to_lapack(A)
+        direct = _direct_report(A)
+        assert (report.rows, report.cols) == (16, 20_000)
+        assert abs(report.threshold - direct.threshold) <= SIGMA_TOL * direct.threshold
+
+    def test_wide_feature_matrix_is_never_copied_whole(self):
+        A = np.random.default_rng(28).uniform(size=(32, 67_600))
+        estimate_rank(A[:, :1000])  # warm numpy's linalg module
+        tracemalloc.start()
+        try:
+            report = estimate_rank(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.estimated_rank == 32
+        # the isfinite mask (A.size bytes) or one block's copy (2 MiB)
+        assert peak <= A.nbytes // 4
 
 
 class TestGradientBounds:

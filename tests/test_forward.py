@@ -17,15 +17,24 @@ from widecnn import (
     NumericOverflowError,
     Output,
     Params,
+    ReLU,
     Sigmoid,
     StructuralError,
+    Workspace,
     forward,
     lift_weights,
 )
+from widecnn.architectures import mnist_conv_pool_network
 from widecnn.data import synthesize_dataset
-from widecnn.layout import PatchLayout, conv1d_layout, full_layout
+from widecnn.layout import (
+    PatchLayout,
+    conv1d_layout,
+    full_layout,
+    pool2d_multichannel_layout,
+)
+from widecnn.network import max_pool
 
-from oracles import naive_conv_forward
+from oracles import gather_max_pool, naive_conv_forward
 
 
 class TestBasics:
@@ -123,6 +132,92 @@ class TestAgainstNaiveDefinition:
             forward(conv, params, X).F[1],
             rtol=1e-12,
         )
+
+
+# the pooling layouts of the library's and the tests' nets, with fewer
+# channels than the reference net's 100 and 80
+POOL_LAYOUTS = {
+    "1d-3-2-1": conv1d_layout(3, 2, 1),
+    "1d-4-2-2": conv1d_layout(4, 2, 2),
+    "1d-18-2-2": conv1d_layout(18, 2, 2),
+    "1d-40-8-4": conv1d_layout(40, 8, 4),
+    "2d-26x26x3": pool2d_multichannel_layout(26, 26, 3, 2, 2, 2, 2),
+    "2d-6x6x5": pool2d_multichannel_layout(6, 6, 5, 2, 2, 2, 2),
+}
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.5])
+
+
+def _bits(a):
+    return a.shape, a.tobytes()
+
+
+def _special_rows(rng, n, width):
+    """Gaussian rows with about half of the entries replaced by signed
+    zeros, infinities, NaN and repeated values, so that windows hold
+    ties, ±0 pairs and non-finite entries."""
+    F = rng.standard_normal((n, width))
+    mask = rng.random(F.shape) < 0.5
+    F[mask] = SPECIAL[rng.integers(len(SPECIAL), size=int(mask.sum()))]
+    return F
+
+
+class TestMaxPoolRunningMaximum:
+    """``max_pool``'s running maximum over taps equals the reduce over the
+    whole patch gather bit for bit on windows of up to 8 taps."""
+
+    @pytest.mark.parametrize("name", sorted(POOL_LAYOUTS))
+    def test_matches_gather_reduce(self, name):
+        layout = POOL_LAYOUTS[name]
+        rng = np.random.default_rng(len(name))
+        workspace = Workspace()
+        for n in (1, 5, 3):  # the workspace shrinks after growing
+            F = _special_rows(rng, n, layout.width)
+            shape = (n, layout.patch_count)
+            expected = _bits(gather_max_pool(layout, F))
+            assert _bits(max_pool(layout, F)) == expected
+            out, scratch = workspace.take("F", shape), workspace.take("scratch", shape)
+            out[...] = scratch[...] = np.nan  # stale contents must not leak
+            result = max_pool(layout, F, out, scratch)
+            assert result is out
+            assert _bits(result) == expected
+
+    def test_non_contiguous_rows(self):
+        layout = POOL_LAYOUTS["2d-6x6x5"]
+        F = _special_rows(np.random.default_rng(4), 7, 2 * layout.width)[:, ::2]
+        assert _bits(max_pool(layout, F)) == _bits(gather_max_pool(layout, F))
+
+    def test_wide_windows_agree_up_to_the_sign_of_zero(self):
+        # np.max reduces a window of 9 or more taps in its own order, so a
+        # tie between +0 and -0 may keep the other zero
+        layout = pool2d_multichannel_layout(9, 9, 2, 3, 3, 3, 3)
+        F = _special_rows(np.random.default_rng(9), 40, layout.width)
+        ours, theirs = max_pool(layout, F), gather_max_pool(layout, F)
+        np.testing.assert_array_equal(ours, theirs)
+        zero_or_nan = (ours == 0.0) | np.isnan(ours)
+        assert _bits(ours[~zero_or_nan]) == _bits(theirs[~zero_or_nan])
+
+    @pytest.mark.parametrize("use_workspace", [False, True])
+    def test_forward_pools_match_gather_reduce(self, use_workspace):
+        rng = np.random.default_rng(12)
+        nets = (
+            mnist_conv_pool_network(2, 3, 4),
+            NetworkSpec(12, (
+                Conv(conv1d_layout(12, 3, 1), 4, ReLU()),  # zero ties
+                MaxPool(conv1d_layout(40, 8, 4)),
+                FullyConnected(6, Sigmoid()),
+                Output(3),
+            )),
+        )
+        for spec in nets:
+            params = Params.fan_in_gaussian(spec, rng)
+            workspace = Workspace() if use_workspace else None
+            for n in (6, 2):
+                X = rng.uniform(-1.0, 1.0, size=(n, spec.input_width))
+                trace = forward(spec, params, X, workspace=workspace)
+                for k in range(1, spec.depth + 1):
+                    if spec.is_pooling(k):
+                        expected = gather_max_pool(spec.layer(k).layout, trace.F[k - 1])
+                        assert _bits(trace.F[k]) == _bits(expected)
 
 
 class TestContract:
