@@ -51,8 +51,6 @@ from .data import (
     read_idx_images,
     read_idx_labels,
     synthesize_dataset,
-    write_idx_images,
-    write_idx_labels,
 )
 from .errors import (
     AssumptionError,
@@ -73,9 +71,7 @@ from .errors import (
 from .gradients import (
     GradientSet,
     backward,
-    finite_difference_gradient,
     loss,
-    max_relative_gradient_error,
 )
 from .layout import (
     PatchLayout,

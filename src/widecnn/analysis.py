@@ -12,12 +12,15 @@ full-matrix gradient at the layer after a wide layer between products of
 extreme singular values, extreme activation derivatives, and the
 residual norm; at points where the feature matrix of the wide layer and
 all downstream weight matrices have full rank, zero loss and zero
-gradient are therefore equivalent.
+gradient are therefore equivalent. Each probe of such a point decomposes
+F_k and each lifted U_{k+2}..U_L once, in ``_spectra``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,7 +55,7 @@ RANK_TILE = 1 << 18
 
 
 def _singular_values(A: np.ndarray) -> np.ndarray:
-    """Singular values of a float64 matrix, largest first.
+    """Singular values of a non-empty finite matrix, largest first.
 
     A matrix of at most ``RANK_TILE`` entries goes to one
     ``np.linalg.svd``. Above the tile, row blocks of the tall orientation
@@ -60,8 +63,14 @@ def _singular_values(A: np.ndarray) -> np.ndarray:
     and the stack's singular values, which are A's, are returned. A block
     must hold at least twice the short side for a round to shrink the
     stack, so a matrix too square for that goes to the direct call. A
-    LAPACK failure raises NumericError.
+    malformed, empty or non-finite matrix raises StructuralError and a
+    LAPACK failure NumericError.
     """
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.size == 0:
+        raise StructuralError(f"expected a non-empty matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise StructuralError("matrix contains non-finite entries")
     tall = A.T if A.shape[0] < A.shape[1] else A
     short = tall.shape[1]
     try:
@@ -76,6 +85,15 @@ def _singular_values(A: np.ndarray) -> np.ndarray:
         raise NumericError(f"SVD failed to converge: {exc}") from exc
 
 
+def _rank_report(shape: tuple[int, int], sv: np.ndarray) -> RankReport:
+    m, n = shape
+    eps = float(np.finfo(np.float64).eps)
+    sigma_max = float(sv[0])
+    threshold = 0.5 * np.sqrt(m + n + 1.0) * sigma_max * eps
+    return RankReport(m, n, int(np.sum(sv > threshold)), float(sv[-1]), sigma_max,
+                      float(threshold), eps)
+
+
 def estimate_rank(A: np.ndarray) -> RankReport:
     """Estimate rank by counting singular values above the threshold
     ``0.5 * sqrt(m + n + 1) * sigma_max * eps``, with m and n the shape
@@ -83,28 +101,11 @@ def estimate_rank(A: np.ndarray) -> RankReport:
 
     The singular values are LAPACK's for a matrix of at most
     ``RANK_TILE`` entries and come from a blocked QR reduction above it
-    (see ``_singular_values``). A convergence failure raises
-    NumericError rather than being reported as rank 0.
+    (see ``_singular_values``). A malformed, empty or non-finite matrix
+    raises StructuralError; a convergence failure raises NumericError
+    rather than being reported as rank 0.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.size == 0:
-        raise StructuralError(f"expected a non-empty matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise StructuralError("matrix contains non-finite entries")
-    sv = _singular_values(A)
-    m, n = A.shape
-    eps = float(np.finfo(np.float64).eps)
-    sigma_max = float(sv[0])
-    threshold = 0.5 * np.sqrt(m + n + 1.0) * sigma_max * eps
-    return RankReport(
-        rows=m,
-        cols=n,
-        estimated_rank=int(np.sum(sv > threshold)),
-        sigma_min=float(sv[-1]),
-        sigma_max=sigma_max,
-        threshold=float(threshold),
-        machine_eps=eps,
-    )
+    return _rank_report(np.shape(A), _singular_values(A))
 
 
 @dataclass(frozen=True)
@@ -135,54 +136,58 @@ class BoundReport:
         ]
 
 
-def _sandwich_factors(
-    spec: NetworkSpec, params: Params, trace: ForwardTrace, wide_layer: int
+def _spectra(spec: NetworkSpec, params: Params, trace: ForwardTrace, wide_layer: int):
+    """(shape, singular values) of F_k, then of each lifted U_{k+2}..U_L:
+    the one decomposition of each matrix of the full-rank set."""
+    L = spec.depth
+    if not 1 <= wide_layer <= L - 1:
+        raise StructuralError(f"wide layer {wide_layer} outside [1, {L - 1}]")
+    if trace.last_layer < wide_layer:
+        raise StructuralError(f"trace ends at layer {trace.last_layer}, "
+                              f"below wide layer {wide_layer}")
+    matrices = chain([trace.F[wide_layer]], (lift_weights(spec, l, params.weights[l])
+                                             for l in range(wide_layer + 2, L + 1)))
+    return [(A.shape, _singular_values(A)) for A in matrices]
+
+
+def _sandwich(
+    spec: NetworkSpec, params: Params, trace: ForwardTrace, Y: np.ndarray, wide_layer: int
 ):
-    """Per-layer singular-value and derivative extremes for the sandwich."""
+    """The spectra, the upper factor (the upper bound without the residual)
+    and the BoundReport at one point: the one evaluation behind
+    ``gradient_bounds`` and ``critical_point_check``."""
+    from .assumptions import ensure_wide_pyramid_assumptions
+
+    ensure_wide_pyramid_assumptions(spec, wide_layer, trace.F[0].shape[0])
+    # backward checks that the trace reaches the output and Y matches it
+    grads = backward(spec, params, trace, Y, start_layer=wide_layer + 1)
+    spectra = _spectra(spec, params, trace, wide_layer)
     factors = []
-    lower_prod, upper_prod = 1.0, 1.0
-    for l in range(wide_layer + 1, spec.depth):
-        sv = _singular_values(lift_weights(spec, l + 1, params.weights[l + 1]))
+    for l, (_, sv) in zip(range(wide_layer + 1, spec.depth), spectra[1:]):
         d = np.abs(spec.activation(l).derivative_at(trace.G[l], trace.F[l]))
-        entry = (float(sv[-1]), float(sv[0]), float(d.min()), float(d.max()))
-        factors.append(entry)
-        lower_prod *= entry[0] * entry[2]
-        upper_prod *= entry[1] * entry[3]
-    sv_f = _singular_values(trace.F[wide_layer])
-    return float(sv_f[-1]), float(sv_f[0]), lower_prod, upper_prod, tuple(factors)
+        factors.append((float(sv[-1]), float(sv[0]), float(d.min()), float(d.max())))
+    sv_f = spectra[0][1]
+    lower = float(sv_f[-1]) * math.prod(f[0] * f[2] for f in factors)
+    upper_factor = float(sv_f[0]) * math.prod(f[1] * f[3] for f in factors)
+    residual = float(np.linalg.norm(grads.deltas[spec.depth]))  # ||F_L - Y||_F
+    grad_norm = float(np.linalg.norm(grads.grad_U[wide_layer + 1]))
+    return spectra, upper_factor, BoundReport(
+        lower * residual, upper_factor * residual, grad_norm, residual, tuple(factors))
 
 
 def gradient_bounds(
-    spec: NetworkSpec,
-    params: Params,
-    trace: ForwardTrace,
-    Y: np.ndarray,
-    wide_layer: int,
+    spec: NetworkSpec, params: Params, trace: ForwardTrace, Y: np.ndarray, wide_layer: int
 ) -> BoundReport:
     """Evaluate both sides of the gradient sandwich at one point.
 
     lower = sigma_min(F_k) * prod_l [sigma_min(U_{l+1}) * min|sigma_l'(G_l)|] * ||F_L - Y||_F
     upper = the same with maxima. The actual gradient norm is computed by
     exact backpropagation and lies between the two (up to roundoff).
+    Decomposes F_k and each lifted U once. Raises what
+    ``ensure_wide_pyramid_assumptions`` raises, and StructuralError for a
+    trace that stops short of the output or a Y not shaped like it.
     """
-    from .assumptions import ensure_wide_pyramid_assumptions
-
-    N = trace.F[0].shape[0]
-    ensure_wide_pyramid_assumptions(spec, wide_layer, N)
-    Y = np.asarray(Y, dtype=np.float64)
-    residual = float(np.linalg.norm(trace.output - Y))
-    smin_f, smax_f, lower_prod, upper_prod, factors = _sandwich_factors(
-        spec, params, trace, wide_layer
-    )
-    grads = backward(spec, params, trace, Y, start_layer=wide_layer + 1)
-    grad_norm = float(np.linalg.norm(grads.grad_U[wide_layer + 1]))
-    return BoundReport(
-        lower=smin_f * lower_prod * residual,
-        upper=smax_f * upper_prod * residual,
-        grad_norm=grad_norm,
-        residual=residual,
-        factors=factors,
-    )
+    return _sandwich(spec, params, trace, Y, wide_layer)[2]
 
 
 @dataclass(frozen=True)
@@ -193,19 +198,23 @@ class MembershipReport:
     detail: tuple[RankReport, ...]  # F_k first, then U_{k+2}..U_L
 
 
+def _membership(spectra, n_samples: int) -> MembershipReport:
+    reports = tuple(_rank_report(shape, sv) for shape, sv in spectra)
+    ok = reports[0].estimated_rank == n_samples and all(r.full_rank for r in reports[1:])
+    return MembershipReport(ok, reports)
+
+
 def s_k_membership(
     spec: NetworkSpec, params: Params, trace: ForwardTrace, wide_layer: int
 ) -> MembershipReport:
     """Check rank(F_k) = N and full rank of every weight matrix from layer
-    k+2 to the output; critical points inside this set are global minima."""
-    N = trace.F[0].shape[0]
-    reports = [estimate_rank(trace.F[wide_layer])]
-    ok = reports[0].estimated_rank == N
-    for l in range(wide_layer + 2, spec.depth + 1):
-        rep = estimate_rank(lift_weights(spec, l, params.weights[l]))
-        reports.append(rep)
-        ok = ok and rep.full_rank
-    return MembershipReport(ok, tuple(reports))
+    k+2 to the output; critical points inside this set are global minima.
+
+    Each matrix is decomposed once and ranked as ``estimate_rank`` ranks
+    it. Raises StructuralError for a wide layer outside [1, L-1], a trace
+    that stops below it, or a malformed or non-finite matrix.
+    """
+    return _membership(_spectra(spec, params, trace, wide_layer), trace.F[0].shape[0])
 
 
 @dataclass(frozen=True)
@@ -229,29 +238,22 @@ ZERO_LOSS_TOL = 1e-12
 
 
 def critical_point_check(
-    spec: NetworkSpec,
-    params: Params,
-    dataset: Dataset,
-    wide_layer: int,
+    spec: NetworkSpec, params: Params, dataset: Dataset, wide_layer: int
 ) -> CriticalPointReport:
     """Test that zero loss and zero gradient coincide at one point.
 
     A loss counts as zero at or below ``ZERO_LOSS_TOL``. The gradient is
     judged against ``upper_factor * sqrt(2 * ZERO_LOSS_TOL)``, the largest
     gradient norm compatible with that loss under the sandwich upper bound,
-    making the comparison scale-aware.
+    making the comparison scale-aware. The point is evaluated as
+    ``gradient_bounds`` evaluates it, and raises what that raises; its
+    membership reads the same decompositions.
     """
-    from .assumptions import ensure_wide_pyramid_assumptions
-
-    ensure_wide_pyramid_assumptions(spec, wide_layer, dataset.sample_count)
     trace = forward(spec, params, dataset.X)
-    membership = s_k_membership(spec, params, trace, wide_layer)
-    value = loss(trace, dataset.Y)
-    grads = backward(spec, params, trace, dataset.Y, start_layer=wide_layer + 1)
-    grad_norm = float(np.linalg.norm(grads.grad_U[wide_layer + 1]))
-    _, smax_f, _, upper_prod, _ = _sandwich_factors(spec, params, trace, wide_layer)
-    grad_tol = smax_f * upper_prod * np.sqrt(2.0 * ZERO_LOSS_TOL)
-    if not membership.in_good_set:
+    spectra, upper_factor, bounds = _sandwich(spec, params, trace, dataset.Y, wide_layer)
+    value, grad_norm = loss(trace, dataset.Y), bounds.grad_norm
+    grad_tol = upper_factor * np.sqrt(2.0 * ZERO_LOSS_TOL)
+    if not _membership(spectra, dataset.sample_count).in_good_set:
         return CriticalPointReport(value, grad_norm, False, False, grad_tol)
     equivalence = (value <= ZERO_LOSS_TOL) == (grad_norm <= grad_tol)
     return CriticalPointReport(value, grad_norm, equivalence, True, grad_tol)

@@ -148,6 +148,15 @@ def _conv_or_fc(spec: NetworkSpec, k: int) -> None:
         raise StructuralError(f"layer {k} must be convolutional or fully connected")
 
 
+def _ensure_distinct_input_patches(spec: NetworkSpec, X: np.ndarray) -> None:
+    report = check_distinct_patches(X, spec.input_layout)
+    if not report.holds:
+        raise AssumptionError(
+            f"input patches collide across samples at {report.witness}",
+            witness=report.witness,
+        )
+
+
 TRANSPORT_SHRINK_STEPS = 80
 
 
@@ -176,12 +185,7 @@ def _transport_impl(spec, X, up_to_layer, rng):
     if not 1 <= up_to_layer <= spec.depth:
         raise StructuralError(f"target layer {up_to_layer} outside [1, {spec.depth}]")
     _conv_or_fc(spec, 1)
-    report = check_distinct_patches(X, spec.input_layout)
-    if not report.holds:
-        raise AssumptionError(
-            f"input patches collide across samples at {report.witness}",
-            witness=report.witness,
-        )
+    _ensure_distinct_input_patches(spec, X)
     params = Params.empty(spec)
     F_prev = X
     for k in range(1, up_to_layer + 1):
@@ -298,12 +302,7 @@ def _independence_impl(spec, X, wide_layer, rng):
     if k > 1:
         params, F_prev = _transport_impl(spec, X, k - 1, rng)
     else:
-        report = check_distinct_patches(X, spec.input_layout)
-        if not report.holds:
-            raise AssumptionError(
-                f"input patches collide across samples at {report.witness}",
-                witness=report.witness,
-            )
+        _ensure_distinct_input_patches(spec, X)
         params, F_prev = Params.empty(spec), X
 
     layer = spec.layer(k)

@@ -3,10 +3,9 @@
 The IDX readers parse the classic big-endian byte format (magic, dims,
 unsigned-byte payload), refuse malformed headers and payloads with
 FormatError, scale pixels to [0, 1], and produce one-hot targets with the
-identity class embedding. A writer is provided so loaders can be
-round-trip tested byte-for-byte. The synthetic generator draws Gaussian
-inputs with balanced random classes and certifies patch distinctness
-before returning.
+identity class embedding. The synthetic generator draws Gaussian inputs
+with balanced random classes and certifies patch distinctness before
+returning.
 """
 
 from __future__ import annotations
@@ -80,26 +79,6 @@ def read_idx_labels(path) -> np.ndarray:
             f"bytes, expected {count}"
         )
     return np.frombuffer(buf, dtype=np.uint8, offset=8)
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write a (count, rows, cols) uint8 array in IDX image format."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise StructuralError("images must be (count, rows, cols)")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IMAGE_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels) -> None:
-    """Write integer labels 0..255 in IDX label format."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise StructuralError("labels must be one-dimensional")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">ii", LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
 
 
 def load_idx(images_path, labels_path) -> Dataset:

@@ -16,9 +16,7 @@ is its own lifted matrix, so its product is written there directly and
 ``grad_U_l`` is ``grad_W_l``. Given a ``Workspace``, every delta, lifted
 gradient and the flat vector are its buffers, and sigma' goes to its
 scratch. Overflow in the loss or the recursion gives non-finite values,
-not warnings; the trainer turns them into ``TrainingDivergedError``. A
-central finite-difference oracle over the true parameters is provided for
-verification.
+not warnings; the trainer turns them into ``TrainingDivergedError``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .network import (
     _param_count,
     _param_views,
     _take,
-    forward,
     lift_adjoint,
 )
 
@@ -148,71 +145,3 @@ def backward(
             np.sum(deltas[l], axis=0, out=grad_b[l])
     return GradientSet(tuple(grad_U), tuple(grad_W), tuple(grad_b),
                        tuple(deltas.get(l) for l in range(L + 1)))
-
-
-# Step of the central differences in ``finite_difference_gradient``.
-FD_STEP = 1e-6
-
-
-def finite_difference_gradient(
-    spec: NetworkSpec,
-    params: Params,
-    X: np.ndarray,
-    Y: np.ndarray,
-    start_layer: int = 1,
-) -> GradientSet:
-    """Central-difference gradient, with step ``FD_STEP``, over every filter
-    and bias coordinate.
-
-    Independent of ``backward``: evaluates the loss through the forward
-    pass only. ``grad_U`` and ``deltas`` entries are left as None since the
-    lifted matrix is not a free parameter and no recursion runs.
-    """
-    L = spec.depth
-
-    def phi(p: Params) -> float:
-        return loss(forward(spec, p, X), Y)
-
-    none_row: list[np.ndarray | None] = [None] * (L + 1)
-    grad_W, grad_b = list(none_row), list(none_row)
-    for l in range(start_layer, L + 1):
-        if spec.is_pooling(l):
-            continue
-        W = params.weights[l]
-        b = params.biases[l]
-        gW = np.zeros_like(W)
-        for r in range(W.shape[0]):
-            for c in range(W.shape[1]):
-                Wp, Wm = W.copy(), W.copy()
-                Wp[r, c] += FD_STEP
-                Wm[r, c] -= FD_STEP
-                gW[r, c] = (
-                    phi(params.with_layer(l, Wp, b)) - phi(params.with_layer(l, Wm, b))
-                ) / (2.0 * FD_STEP)
-        gb = np.zeros_like(b)
-        for r in range(b.shape[0]):
-            bp, bm = b.copy(), b.copy()
-            bp[r] += FD_STEP
-            bm[r] -= FD_STEP
-            gb[r] = (
-                phi(params.with_layer(l, W, bp)) - phi(params.with_layer(l, W, bm))
-            ) / (2.0 * FD_STEP)
-        grad_W[l] = gW
-        grad_b[l] = gb
-    return GradientSet(tuple(none_row), tuple(grad_W), tuple(grad_b), tuple(none_row))
-
-
-def max_relative_gradient_error(exact: GradientSet, approx: GradientSet) -> float:
-    """Largest relative disagreement across all shared W/b coordinates.
-
-    Uses ``|a-b| / max(1, |a|, |b|)`` so that near-zero coordinates are
-    compared absolutely.
-    """
-    worst = 0.0
-    for field in ("grad_W", "grad_b"):
-        for a, b in zip(getattr(exact, field), getattr(approx, field)):
-            if a is None or b is None:
-                continue
-            scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-            worst = max(worst, float((np.abs(a - b) / scale).max()))
-    return worst

@@ -8,7 +8,8 @@ masked passes instead of one, patch distinctness by a scan over
 sample pairs instead of tiles of later samples, and max-pooling as a
 reduce over the whole patch gather instead of a running maximum over
 taps; Adam is a loop over per-layer arrays instead of one in-place step
-over flat vectors.
+over flat vectors; the gradient is a central difference of the loss
+instead of backpropagation.
 """
 
 import numpy as np
@@ -234,3 +235,71 @@ def per_layer_adam(
         else None
     )
     return TrainResult(final, tuple(curve), train_errors, test_errors, len(curve))
+
+
+# Step of the central differences in ``finite_difference_gradient``.
+FD_STEP = 1e-6
+
+
+def finite_difference_gradient(
+    spec: NetworkSpec,
+    params: Params,
+    X: np.ndarray,
+    Y: np.ndarray,
+    start_layer: int = 1,
+) -> GradientSet:
+    """Central-difference gradient, with step ``FD_STEP``, over every filter
+    and bias coordinate.
+
+    Independent of ``backward``: evaluates the loss through the forward
+    pass only. ``grad_U`` and ``deltas`` entries are left as None since the
+    lifted matrix is not a free parameter and no recursion runs.
+    """
+    L = spec.depth
+
+    def phi(p: Params) -> float:
+        return loss(forward(spec, p, X), Y)
+
+    none_row: list[np.ndarray | None] = [None] * (L + 1)
+    grad_W, grad_b = list(none_row), list(none_row)
+    for l in range(start_layer, L + 1):
+        if spec.is_pooling(l):
+            continue
+        W = params.weights[l]
+        b = params.biases[l]
+        gW = np.zeros_like(W)
+        for r in range(W.shape[0]):
+            for c in range(W.shape[1]):
+                Wp, Wm = W.copy(), W.copy()
+                Wp[r, c] += FD_STEP
+                Wm[r, c] -= FD_STEP
+                gW[r, c] = (
+                    phi(params.with_layer(l, Wp, b)) - phi(params.with_layer(l, Wm, b))
+                ) / (2.0 * FD_STEP)
+        gb = np.zeros_like(b)
+        for r in range(b.shape[0]):
+            bp, bm = b.copy(), b.copy()
+            bp[r] += FD_STEP
+            bm[r] -= FD_STEP
+            gb[r] = (
+                phi(params.with_layer(l, W, bp)) - phi(params.with_layer(l, W, bm))
+            ) / (2.0 * FD_STEP)
+        grad_W[l] = gW
+        grad_b[l] = gb
+    return GradientSet(tuple(none_row), tuple(grad_W), tuple(grad_b), tuple(none_row))
+
+
+def max_relative_gradient_error(exact: GradientSet, approx: GradientSet) -> float:
+    """Largest relative disagreement across all shared W/b coordinates.
+
+    Uses ``|a-b| / max(1, |a|, |b|)`` so that near-zero coordinates are
+    compared absolutely.
+    """
+    worst = 0.0
+    for field in ("grad_W", "grad_b"):
+        for a, b in zip(getattr(exact, field), getattr(approx, field)):
+            if a is None or b is None:
+                continue
+            scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            worst = max(worst, float((np.abs(a - b) / scale).max()))
+    return worst

@@ -18,6 +18,7 @@ from widecnn import (
     estimate_rank,
     forward,
     gradient_bounds,
+    lift_weights,
     s_k_membership,
     width_audit,
     zero_loss_construction,
@@ -94,23 +95,30 @@ def _direct_report(A):
                                float(sv[0]), float(threshold), eps)
 
 
-class _CountingQR:
-    """np.linalg.qr that counts its calls, to tell the blocked path from
-    the direct one."""
+class _Counting:
+    """A numpy function that counts its calls: qr tells the blocked path
+    from the direct one, svd counts decompositions."""
 
-    def __init__(self):
+    def __init__(self, fn):
         self.calls = 0
-        self._qr = np.linalg.qr
+        self._fn = fn
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self._qr(*args, **kwargs)
+        return self._fn(*args, **kwargs)
 
 
 @pytest.fixture
 def qr_calls(monkeypatch):
-    counter = _CountingQR()
+    counter = _Counting(np.linalg.qr)
     monkeypatch.setattr(np.linalg, "qr", counter)
+    return counter
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    counter = _Counting(np.linalg.svd)
+    monkeypatch.setattr(np.linalg, "svd", counter)
     return counter
 
 
@@ -236,6 +244,10 @@ class TestBlockedSingularValues:
         assert peak <= A.nbytes // 4
 
 
+def _sv(A):
+    return np.linalg.svd(A, compute_uv=False)
+
+
 class TestGradientBounds:
     def test_sandwich_on_random_cases(self):
         rng = np.random.default_rng(10)
@@ -245,6 +257,17 @@ class TestGradientBounds:
             report = gradient_bounds(spec, params, trace, Y, k)
             slack = 1e-8 * max(1.0, report.upper)
             assert report.lower - slack <= report.grad_norm <= report.upper + slack
+            # the same bits as direct SVDs of F_k and of each lifted U
+            sv_f = _sv(trace.F[k])
+            lower, upper = 1.0, 1.0
+            for l, factor in zip(range(k + 1, spec.depth), report.factors, strict=True):
+                sv = _sv(lift_weights(spec, l + 1, params.weights[l + 1]))
+                assert factor[:2] == (float(sv[-1]), float(sv[0]))
+                lower *= factor[0] * factor[2]
+                upper *= factor[1] * factor[3]
+            residual = float(np.linalg.norm(trace.output - Y))
+            assert report.lower == float(sv_f[-1]) * lower * residual
+            assert report.upper == float(sv_f[0]) * upper * residual
 
     def test_zero_residual_collapses_both_bounds(self):
         spec, dataset, k = zero_loss_demo_case(1, seed=2)
@@ -329,6 +352,10 @@ class TestMembership:
         report = s_k_membership(spec, params, trace, 1)
         assert not report.in_good_set
         assert report.detail[1].estimated_rank == 0  # detail = (F_1, U_3, U_4)
+        assert report.detail == (
+            estimate_rank(trace.F[1]),
+            *(estimate_rank(lift_weights(spec, l, params.weights[l])) for l in (3, 4)),
+        )
 
     def test_random_analytic_points_are_inside_with_high_probability(self):
         """Random Gaussian parameters land in the full-rank set essentially
@@ -352,6 +379,15 @@ class TestMembership:
 
 
 class TestCriticalPoint:
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_each_matrix_is_decomposed_once(self, case, svd_calls):
+        # F_k and U_{k+2}..U_L: 1, 2 and 3 matrices in cases 1-3
+        spec, dataset, k = zero_loss_demo_case(case, seed=2)
+        params = zero_loss_construction(spec, dataset, k, ConstructionParams(seed=2))
+        before = svd_calls.calls
+        assert critical_point_check(spec, params, dataset, k).applicable
+        assert svd_calls.calls - before == case
+
     def test_constructed_zero_loss_point(self):
         spec, dataset, k = zero_loss_demo_case(2, seed=5)
         params = zero_loss_construction(spec, dataset, k, ConstructionParams(seed=5))
@@ -399,6 +435,51 @@ class TestCriticalPoint:
         dataset = Dataset(rng.standard_normal((4, 3)), Z[list(labels)], labels, Z)
         report = critical_point_check(spec, params, dataset, 1)
         assert not report.applicable
+
+
+def _probe_net():
+    """Depth 4 with the wide layer at 1, a trace of 4 samples and targets."""
+    rng = np.random.default_rng(18)
+    spec = NetworkSpec(3, (FullyConnected(6, Sigmoid()), FullyConnected(4, Sigmoid()),
+                           FullyConnected(3, Sigmoid()), Output(2)))
+    params = Params.gaussian(spec, rng)
+    X = rng.standard_normal((4, 3))
+    return spec, params, X, rng.standard_normal((4, 2))
+
+
+def _bounds_on_trace_to_wide_layer(spec, params, X, Y):
+    return gradient_bounds(spec, params, forward(spec, params, X, up_to=1), Y, 1)
+
+
+def _bounds_with_a_row_short(spec, params, X, Y):
+    return gradient_bounds(spec, params, forward(spec, params, X), Y[:-1], 1)
+
+
+def _membership_at(wide_layer, up_to=None):
+    def probe(spec, params, X, Y):
+        trace = forward(spec, params, X, up_to=up_to)
+        return s_k_membership(spec, params, trace, wide_layer)
+    return probe
+
+
+class TestProbeInputs:
+    @pytest.mark.parametrize("probe, message", [
+        pytest.param(_bounds_on_trace_to_wide_layer,
+                     "trace does not cover the full network", id="bounds-short-trace"),
+        pytest.param(_bounds_with_a_row_short,
+                     r"output \(4, 2\) vs targets \(3, 2\)", id="bounds-short-Y"),
+        pytest.param(_membership_at(-1), r"wide layer -1 outside \[1, 3\]",
+                     id="membership-layer-minus-1"),
+        pytest.param(_membership_at(0), r"wide layer 0 outside \[1, 3\]",
+                     id="membership-layer-0"),
+        pytest.param(_membership_at(5), r"wide layer 5 outside \[1, 3\]",
+                     id="membership-layer-L+1"),
+        pytest.param(_membership_at(2, up_to=1), "trace ends at layer 1, below wide layer 2",
+                     id="membership-short-trace"),
+    ])
+    def test_bad_inputs_raise_structural_error(self, probe, message):
+        with pytest.raises(StructuralError, match=message):
+            probe(*_probe_net())
 
 
 class TestWidthAudit:

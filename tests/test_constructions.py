@@ -19,6 +19,7 @@ from widecnn import (
     StructuralError,
     WidthError,
     backward,
+    check_distinct_patches,
     estimate_rank,
     expressivity_fit,
     expressivity_params,
@@ -59,8 +60,12 @@ class TestTransport:
     def test_duplicate_rows_rejected(self):
         spec = NetworkSpec(4, (Conv(conv1d_layout(4, 2, 1), 2, Sigmoid()),))
         X = np.ones((2, 4))
-        with pytest.raises(AssumptionError):
-            transport_construction(spec, X, 1, ConstructionParams(seed=1))
+        witness = check_distinct_patches(X, spec.input_layout).witness
+        for build in (transport_construction, independence_construction):
+            with pytest.raises(AssumptionError) as info:
+                build(spec, X, 1, ConstructionParams(seed=1))
+            assert str(info.value) == f"input patches collide across samples at {witness}"
+            assert info.value.witness == witness
 
     def test_distinctness_survives_max_pooling(self):
         rng = np.random.default_rng(2)

@@ -14,10 +14,10 @@ from widecnn import (
     read_idx_images,
     read_idx_labels,
     synthesize_dataset,
-    write_idx_images,
-    write_idx_labels,
 )
 from widecnn.layout import full_layout
+
+from idx_files import write_idx_images, write_idx_labels
 
 
 def write_pair(tmp_path, images, labels):

@@ -285,7 +285,7 @@ class TestZeroLossDemos:
 
 class TestSweepDatasets:
     def test_subset_larger_than_dataset_rejected(self, tmp_path):
-        from widecnn.data import write_idx_images, write_idx_labels
+        from idx_files import write_idx_images, write_idx_labels
         from widecnn.experiments import sweep_datasets
         import numpy as np
 

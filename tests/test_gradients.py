@@ -18,15 +18,17 @@ from widecnn import (
     StructuralError,
     UnsupportedLayerError,
     backward,
-    finite_difference_gradient,
     forward,
     loss,
-    max_relative_gradient_error,
 )
-from widecnn import gradients
 from widecnn.layout import PatchLayout, conv1d_layout
 
-from oracles import lifted_backward
+import oracles
+from oracles import (
+    finite_difference_gradient,
+    lifted_backward,
+    max_relative_gradient_error,
+)
 
 
 def random_smooth_net(rng, depth=None, max_width=8):
@@ -254,7 +256,7 @@ class TestFiniteDifferences:
     def test_exact_for_quadratic_objective(self, monkeypatch):
         """A single linear layer makes the loss quadratic in parameters, so
         central differences are exact up to roundoff."""
-        monkeypatch.setattr(gradients, "FD_STEP", 1e-4)
+        monkeypatch.setattr(oracles, "FD_STEP", 1e-4)
         rng = np.random.default_rng(6)
         spec = NetworkSpec(3, (Output(2),))
         params = Params.gaussian(spec, rng)
@@ -292,7 +294,7 @@ class TestFiniteDifferences:
         grads = backward(spec, params, forward(spec, params, X), Y)
 
         def error_at(h):
-            monkeypatch.setattr(gradients, "FD_STEP", h)
+            monkeypatch.setattr(oracles, "FD_STEP", h)
             fd = finite_difference_gradient(spec, params, X, Y)
             return max_relative_gradient_error(grads, fd)
 

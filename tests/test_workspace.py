@@ -19,7 +19,6 @@ from widecnn import (
     Softplus,
     Workspace,
     backward,
-    finite_difference_gradient,
     forward,
     train_adam,
 )
@@ -27,6 +26,8 @@ from widecnn.architectures import desk_sweep_network
 from widecnn.data import synthesize_dataset
 from widecnn.layout import conv1d_layout
 from widecnn.training import TrainConfig
+
+from oracles import finite_difference_gradient
 
 # (spec, first layer that backward differentiates); the pooled net is
 # differentiated above its pooling layer only
