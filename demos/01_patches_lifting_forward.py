@@ -49,7 +49,7 @@ np.set_printoptions(precision=3, suppress=True)
 
 # %%
 layout = conv1d_layout(5, 3, 1)
-print("patches:", layout.patches)
+print("patches:", layout.patches.tolist())
 
 spec = NetworkSpec(5, (Conv(layout, 2, Sigmoid()),))
 W = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])  # columns are filters

@@ -59,7 +59,7 @@ for case in (1, 2, 3):
     print(f"case {case}: widths {spec.widths}, wide layer {k}")
     print(f"  loss {loss(trace, dataset.Y):.2e}, "
           f"grad wrt lifted layer-{k + 1} weights "
-          f"{np.linalg.norm(grads.grad_U[k + 1]):.2e}, "
+          f"{np.linalg.norm(grads.grad_W[k + 1]):.2e}, "
           f"full-rank set: {s_k_membership(spec, params, trace, k).in_good_set}")
 
 # %% [markdown]

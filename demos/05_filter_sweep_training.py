@@ -34,7 +34,7 @@ cfg = table2_desk_config(
     n_subset=128,
     filter_counts=(2, 4, 8),
     epochs=1500,
-    out="/tmp/widecnn_sweep_demo.csv",
+    out="widecnn_sweep_demo.csv",
 )
 
 started = time.time()

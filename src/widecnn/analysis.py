@@ -170,7 +170,8 @@ def _sandwich(
     lower = float(sv_f[-1]) * math.prod(f[0] * f[2] for f in factors)
     upper_factor = float(sv_f[0]) * math.prod(f[1] * f[3] for f in factors)
     residual = float(np.linalg.norm(grads.deltas[spec.depth]))  # ||F_L - Y||_F
-    grad_norm = float(np.linalg.norm(grads.grad_U[wide_layer + 1]))
+    # the gradient with respect to the lifted matrix U_{k+1}
+    grad_norm = float(np.linalg.norm(trace.F[wide_layer].T @ grads.deltas[wide_layer + 1]))
     return spectra, upper_factor, BoundReport(
         lower * residual, upper_factor * residual, grad_norm, residual, tuple(factors))
 

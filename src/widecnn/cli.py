@@ -5,9 +5,10 @@ overrides and writes CSV or text reports. Flag overrides go through the
 config dataclasses, so they are checked like config keys, and ``--n``
 must be a positive integer. Exit codes: 0 on success; 1 when a run
 finishes but an assertion or acceptance condition fails, or a run fails
-(any other ``WideCnnError``, or an ``OSError``); 2 on usage errors, that
-is a malformed flag value, config, netspec or IDX file (``ConfigError``,
-``FormatError``).
+(any other ``WideCnnError``, an ``OSError``, or running out of memory);
+2 on usage errors, that is a malformed flag value, config, netspec or IDX
+file (``ConfigError``, ``FormatError``). Every error is one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -287,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     except (WideCnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, FormatError)) else 1
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

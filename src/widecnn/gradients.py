@@ -7,16 +7,16 @@ by ``W^T``; a convolution multiplies each patch's block by ``W^T`` and
 adds it back through the patch scatter, which equals ``D_{l+1} U_{l+1}^T``
 without the dense ``U`` that ``lift_weights`` builds for rank and SVD work.
 A sigmoid layer takes ``sigma'(G_l)`` from its stored features as
-``F_l (1 - F_l)`` instead of evaluating the sigmoid again. The full-matrix
-gradient is ``grad_U_l = F_{l-1}^T @ D_l``; filter-space gradients follow
-by the adjoint of the lifting map, and bias gradients are the column sums
-of ``D_l``. Every filter and bias gradient is written into one flat
-vector, each layer's weights then its bias, layer by layer. A dense layer
-is its own lifted matrix, so its product is written there directly and
-``grad_U_l`` is ``grad_W_l``. Given a ``Workspace``, every delta, lifted
-gradient and the flat vector are its buffers, and sigma' goes to its
-scratch. Overflow in the loss or the recursion gives non-finite values,
-not warnings; the trainer turns them into ``TrainingDivergedError``.
+``F_l (1 - F_l)`` instead of evaluating the sigmoid again. The gradient
+with respect to the lifted matrix is ``F_{l-1}^T @ D_l``: a dense layer's
+filter gradient, and a temporary that a convolution pulls back to filter
+space by the adjoint of the lifting map. Bias gradients are the column
+sums of ``D_l``. Every filter and bias gradient is written into one flat
+vector, each layer's weights then its bias, layer by layer. Given a
+``Workspace``, every delta and the flat vector are its buffers, every
+convolution's lifted product passes through one more, and sigma' goes to
+its scratch. Overflow in the loss or the recursion gives non-finite
+values, not warnings; the trainer turns them into ``TrainingDivergedError``.
 """
 
 from __future__ import annotations
@@ -56,13 +56,12 @@ class GradientSet:
     """Per-layer gradients, indexed by layer (None below the differentiated
     segment and at pooling).
 
-    ``grad_U[l]`` is with respect to the lifted full matrix, ``grad_W[l]``
-    with respect to the true filter matrix (adjoint pull-back of grad_U),
-    ``grad_b[l]`` with respect to the bias, and ``deltas[l]`` is the
-    sensitivity matrix D_l of the backward recursion.
+    ``grad_W[l]`` is with respect to the filter matrix (the adjoint
+    pull-back of the lifted gradient ``F_{l-1}^T D_l``), ``grad_b[l]``
+    with respect to the bias, and ``deltas[l]`` is the sensitivity matrix
+    D_l of the backward recursion.
     """
 
-    grad_U: tuple[np.ndarray | None, ...]
     grad_W: tuple[np.ndarray | None, ...]
     grad_b: tuple[np.ndarray | None, ...]
     deltas: tuple[np.ndarray | None, ...]
@@ -113,7 +112,6 @@ def backward(
 
     N, widths = Y.shape[0], spec.widths
     count = _param_count(spec, start_layer)
-    grad_U: list[np.ndarray | None] = [None] * (L + 1)
     # a diverging run overflows here; the trainer reports it as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         # the output layer is linear
@@ -136,12 +134,11 @@ def backward(
             start_layer)
         for l in range(start_layer, L + 1):
             if isinstance(spec.layer(l), Conv):
-                grad_U[l] = np.matmul(trace.F[l - 1].T, deltas[l],
-                                      out=_take(workspace, ("grad_U", l),
-                                                (widths[l - 1], widths[l])))
-                grad_W[l][...] = lift_adjoint(spec, l, grad_U[l])
+                lifted = np.matmul(trace.F[l - 1].T, deltas[l], out=_take(
+                    workspace, "lifted", (widths[l - 1], widths[l])))
+                grad_W[l][...] = lift_adjoint(spec, l, lifted)
             else:  # the lifted matrix is W itself
-                grad_U[l] = np.matmul(trace.F[l - 1].T, deltas[l], out=grad_W[l])
+                np.matmul(trace.F[l - 1].T, deltas[l], out=grad_W[l])
             np.sum(deltas[l], axis=0, out=grad_b[l])
-    return GradientSet(tuple(grad_U), tuple(grad_W), tuple(grad_b),
+    return GradientSet(tuple(grad_W), tuple(grad_b),
                        tuple(deltas.get(l) for l in range(L + 1)))

@@ -1,16 +1,17 @@
 """Patch layouts: which neurons of a layer each filter window reads.
 
-A layout is an explicit, ordered list of index lists into the previous
-layer's neurons. All patches share one size, every neuron belongs to at
-least one patch, and no two patches read exactly the same index set.
-Builders cover the common cases (whole-layer, 1D/2D valid convolution
-windows, per-channel pooling windows); anything else can be constructed
-directly from index lists.
+A layout is a (P, l) integer array whose row p lists the neurons of the
+previous layer that patch p reads; the gather, the scatter, lifting and
+max-pooling all index with it. No row repeats an index, every neuron is
+in some row, and no two rows read the same index set. Builders compute
+the rows by index arithmetic for the common cases (whole-layer, 1D/2D
+valid convolution windows, per-channel pooling windows); any other
+layout is built from a (P, l) array-like, such as nested index lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,63 +22,46 @@ from .errors import StructuralError
 class PatchLayout:
     """Ordered patches over a layer of ``width`` neurons.
 
-    ``patches[p]`` lists the neuron indices read by patch ``p``; indices
-    within one patch must be unique (a filter tap reads each neuron once).
+    ``patches`` is a read-only (P, l) ``intp`` copy of the array-like
+    given; row ``p`` lists the neuron indices read by patch ``p``, each
+    once (a filter tap reads each neuron once).
     """
 
     width: int
-    patches: tuple[tuple[int, ...], ...]
-    _index_array: np.ndarray = field(init=False, repr=False, compare=False)
+    patches: np.ndarray
 
     def __post_init__(self):
         if self.width < 1:
             raise StructuralError("layout width must be positive")
-        patches = tuple(tuple(int(i) for i in p) for p in self.patches)
-        object.__setattr__(self, "patches", patches)
-        if not patches:
-            raise StructuralError("layout needs at least one patch")
-        size = len(patches[0])
-        if size == 0:
-            raise StructuralError("patches must be non-empty")
-        covered = set()
-        seen = set()
-        for p, idx in enumerate(patches):
-            if len(idx) != size:
+        try:
+            arr = np.array(self.patches, dtype=np.intp)
+        except (ValueError, OverflowError) as exc:  # ragged rows, or an index beyond intp
+            sizes = [len(idx) for idx in self.patches]
+            p = next((p for p, n in enumerate(sizes) if n != sizes[0]), None)
+            if p is None:
                 raise StructuralError(
-                    f"patch {p} has size {len(idx)}, expected {size}"
-                )
-            if len(set(idx)) != len(idx):
-                raise StructuralError(f"patch {p} repeats a neuron index")
-            for i in idx:
-                if not 0 <= i < self.width:
-                    raise StructuralError(
-                        f"patch {p} index {i} out of range [0, {self.width})"
-                    )
-            key = frozenset(idx)
-            if key in seen:
-                raise StructuralError(f"patch {p} duplicates an earlier index set")
-            seen.add(key)
-            covered.update(idx)
-        if len(covered) != self.width:
-            missing = sorted(set(range(self.width)) - covered)[:5]
+                    f"patches must be lists of integer indices in [0, {self.width})") from exc
             raise StructuralError(
-                f"patches do not cover the layer; first uncovered neurons: {missing}"
-            )
-        arr = np.asarray(patches, dtype=np.intp)
+                f"patch {p} has size {sizes[p]}, expected {sizes[0]}") from exc
+        _check(arr, self.width)
         arr.setflags(write=False)
-        object.__setattr__(self, "_index_array", arr)
+        object.__setattr__(self, "patches", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, PatchLayout):
+            return NotImplemented
+        return self.width == other.width and np.array_equal(self.patches, other.patches)
+
+    def __hash__(self):
+        return hash((self.width, self.patches.shape, self.patches.tobytes()))
 
     @property
     def patch_count(self) -> int:
-        return len(self.patches)
+        return self.patches.shape[0]
 
     @property
     def patch_size(self) -> int:
-        return len(self.patches[0])
-
-    def index_array(self) -> np.ndarray:
-        """(P, l) integer array of patch indices; read-only."""
-        return self._index_array
+        return self.patches.shape[1]
 
     def extract(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gather patches from feature rows.
@@ -96,26 +80,65 @@ class PatchLayout:
         # The indices were checked against the width at construction, so
         # "clip" alters none; the default "raise" would gather into a
         # temporary and copy that into out.
-        return np.take(rows, self._index_array, axis=1, out=out, mode="clip")
+        return np.take(rows, self.patches, axis=1, out=out, mode="clip")
 
     def scatter_add(self, patches: np.ndarray) -> np.ndarray:
         """Transpose of ``extract``: (N, P, l) patches to (N, width) rows,
         each neuron summing every patch entry that reads it. Windows
         overlap, hence ``np.add.at``: a buffered ``+=`` drops repeats."""
         patches = np.asarray(patches)
-        if patches.ndim != 3 or patches.shape[1:] != self._index_array.shape:
+        if patches.ndim != 3 or patches.shape[1:] != self.patches.shape:
             raise StructuralError(
                 f"expected (N, {self.patch_count}, {self.patch_size}) patches, "
                 f"got {patches.shape}"
             )
         out = np.zeros((patches.shape[0], self.width), dtype=patches.dtype)
-        np.add.at(out, (slice(None), self._index_array), patches)
+        np.add.at(out, (slice(None), self.patches), patches)
         return out
+
+
+def _check(arr: np.ndarray, width: int) -> None:
+    """Raise StructuralError for a layout without patches, for the first
+    row that repeats an index, reads outside ``[0, width)`` or reads the
+    index set of an earlier row (checked in that order within a row), and
+    for a neuron in no row. Rows whose smallest indices rise from row to
+    row are distinct, as every builder's are; then the first row holds the
+    smallest index, and the row-by-row search is skipped."""
+    if arr.shape[:1] == (0,):
+        raise StructuralError("layout needs at least one patch")
+    if arr.ndim != 2:
+        raise StructuralError("patches must be flat index lists")
+    if arr.shape[1] == 0:
+        raise StructuralError("patches must be non-empty")
+    rows = np.sort(arr, axis=1)
+    lows = rows[:, 0]
+    if not ((len(rows) == 1 or (lows[1:] > lows[:-1]).all()) and lows[0] >= 0
+            and rows[:, -1].max() < width and (rows[:, 1:] != rows[:, :-1]).all()):
+        repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        outside = (lows < 0) | (rows[:, -1] >= width)
+        order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+        later = order[1:][(rows[order[1:]] == rows[order[:-1]]).all(axis=1)]
+        faults = np.flatnonzero(repeats | outside | np.isin(np.arange(len(rows)), later))
+        if faults.size:
+            p = faults[0]
+            if repeats[p]:
+                raise StructuralError(f"patch {p} repeats a neuron index")
+            if outside[p]:
+                i = arr[p][(arr[p] < 0) | (arr[p] >= width)][0]
+                raise StructuralError(f"patch {p} index {i} out of range [0, {width})")
+            raise StructuralError(f"patch {p} duplicates an earlier index set")
+    covered = np.zeros(width, dtype=bool)
+    covered[arr] = True
+    if not covered.all():
+        missing = np.flatnonzero(~covered)[:5].tolist()
+        raise StructuralError(
+            f"patches do not cover the layer; first uncovered neurons: {missing}"
+        )
 
 
 def full_layout(width: int) -> PatchLayout:
     """Single patch covering the whole layer (the fully connected case)."""
-    return PatchLayout(width, (tuple(range(width)),))
+    return PatchLayout(width, np.arange(width)[None, :])
 
 
 def conv1d_layout(width: int, kernel: int, stride: int = 1) -> PatchLayout:
@@ -124,19 +147,12 @@ def conv1d_layout(width: int, kernel: int, stride: int = 1) -> PatchLayout:
         raise StructuralError("kernel and stride must be positive")
     if kernel > width:
         raise StructuralError(f"kernel {kernel} exceeds layer width {width}")
-    starts = range(0, width - kernel + 1, stride)
-    patches = tuple(tuple(range(s, s + kernel)) for s in starts)
-    return PatchLayout(width, patches)
+    starts = np.arange(0, width - kernel + 1, stride)
+    return PatchLayout(width, starts[:, None] + np.arange(kernel))
 
 
-def conv2d_layout(
-    height: int,
-    width: int,
-    kernel_h: int,
-    kernel_w: int,
-    stride_h: int = 1,
-    stride_w: int = 1,
-) -> PatchLayout:
+def conv2d_layout(height: int, width: int, kernel_h: int, kernel_w: int,
+                  stride_h: int = 1, stride_w: int = 1) -> PatchLayout:
     """Valid 2D windows over a row-major single-channel grid.
 
     Patch order is row-major over window positions; indices within a patch
@@ -147,15 +163,9 @@ def conv2d_layout(
     )
 
 
-def conv2d_multichannel_layout(
-    height: int,
-    width: int,
-    channels: int,
-    kernel_h: int,
-    kernel_w: int,
-    stride_h: int = 1,
-    stride_w: int = 1,
-) -> PatchLayout:
+def conv2d_multichannel_layout(height: int, width: int, channels: int, kernel_h: int,
+                               kernel_w: int, stride_h: int = 1,
+                               stride_w: int = 1) -> PatchLayout:
     """2D windows spanning all channels of a channels-last grid.
 
     The layer is assumed indexed ``(r*width + c)*channels + t``, the
@@ -163,51 +173,34 @@ def conv2d_multichannel_layout(
     whose output unit for (position p, filter t) is ``p*T + t``. Each
     patch covers a ``kernel_h x kernel_w`` window across every channel.
     """
-    _check_grid(height, width, channels, kernel_h, kernel_w, stride_h, stride_w)
-    patches = []
-    for r0 in range(0, height - kernel_h + 1, stride_h):
-        for c0 in range(0, width - kernel_w + 1, stride_w):
-            idx = [
-                ((r0 + dr) * width + (c0 + dc)) * channels + t
-                for dr in range(kernel_h)
-                for dc in range(kernel_w)
-                for t in range(channels)
-            ]
-            patches.append(tuple(idx))
-    return PatchLayout(height * width * channels, tuple(patches))
+    grid = _windows(height, width, channels, kernel_h, kernel_w, stride_h, stride_w)
+    return PatchLayout(height * width * channels,
+                       grid.reshape(-1, kernel_h * kernel_w * channels))
 
 
-def pool2d_multichannel_layout(
-    height: int,
-    width: int,
-    channels: int,
-    kernel_h: int,
-    kernel_w: int,
-    stride_h: int,
-    stride_w: int,
-) -> PatchLayout:
+def pool2d_multichannel_layout(height: int, width: int, channels: int, kernel_h: int,
+                               kernel_w: int, stride_h: int,
+                               stride_w: int) -> PatchLayout:
     """Per-channel 2D windows for max-pooling a channels-last grid.
 
     One patch per (window position, channel), ordered position-major then
     channel, so the pooled layer keeps the same channels-last indexing
     convention as a convolutional layer with ``channels`` filters.
     """
-    _check_grid(height, width, channels, kernel_h, kernel_w, stride_h, stride_w)
-    patches = []
-    for r0 in range(0, height - kernel_h + 1, stride_h):
-        for c0 in range(0, width - kernel_w + 1, stride_w):
-            for t in range(channels):
-                idx = [
-                    ((r0 + dr) * width + (c0 + dc)) * channels + t
-                    for dr in range(kernel_h)
-                    for dc in range(kernel_w)
-                ]
-                patches.append(tuple(idx))
-    return PatchLayout(height * width * channels, tuple(patches))
+    grid = _windows(height, width, channels, kernel_h, kernel_w, stride_h, stride_w)
+    return PatchLayout(height * width * channels,
+                       grid.transpose(0, 1, 4, 2, 3).reshape(-1, kernel_h * kernel_w))
 
 
-def _check_grid(height, width, channels, kernel_h, kernel_w, stride_h, stride_w):
+def _windows(height, width, channels, kernel_h, kernel_w, stride_h, stride_w):
+    """Index ``(r*width + c)*channels + t`` of every cell of every valid
+    window, as a (window row, window column, dr, dc, t) grid, where
+    ``(r, c) = (r0 + dr, c0 + dc)`` for the window at (r0, c0)."""
     if min(height, width, channels, kernel_h, kernel_w, stride_h, stride_w) < 1:
         raise StructuralError("grid, kernel and stride sizes must be positive")
     if kernel_h > height or kernel_w > width:
         raise StructuralError("kernel exceeds grid size")
+    r = np.arange(0, height - kernel_h + 1, stride_h)[:, None] + np.arange(kernel_h)
+    c = np.arange(0, width - kernel_w + 1, stride_w)[:, None] + np.arange(kernel_w)
+    cells = r[:, None, :, None] * width + c[None, :, None, :]
+    return cells[..., None] * channels + np.arange(channels)

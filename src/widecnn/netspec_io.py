@@ -45,8 +45,8 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
 def _activation(obj, where: str):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: activation must be an object")
-    _require_keys(obj, {"kind"}, {"alpha"} if obj.get("kind") == "softplus" else set(),
-                  where)
+    _require_keys(obj, {"kind", "alpha"} if obj.get("kind") == "softplus" else {"kind"},
+                  set(), where)
     try:
         return activation_from_dict(obj)
     except ValueError as exc:
@@ -62,7 +62,7 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
                     "kind": "conv",
                     "filters": layer.filters,
                     "activation": layer.activation.to_dict(),
-                    "patches": [list(p) for p in layer.layout.patches],
+                    "patches": layer.layout.patches.tolist(),
                 }
             )
         elif isinstance(layer, FullyConnected):
@@ -75,7 +75,7 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
             )
         elif isinstance(layer, MaxPool):
             layers.append(
-                {"kind": "max_pool", "patches": [list(p) for p in layer.layout.patches]}
+                {"kind": "max_pool", "patches": layer.layout.patches.tolist()}
             )
         else:
             layers.append({"kind": "output", "width": layer.width})
@@ -134,9 +134,8 @@ def _integer(value, what: str) -> int:
 def _layout(patches, width: int, where: str) -> PatchLayout:
     if not isinstance(patches, list) or not all(isinstance(p, list) for p in patches):
         raise FormatError(f"{where}: patches must be a list of index lists")
-    return PatchLayout(width, tuple(
-        tuple(_integer(i, f"{where}: patch index") for i in p) for p in patches
-    ))
+    return PatchLayout(width, [[_integer(i, f"{where}: patch index") for i in p]
+                               for p in patches])
 
 
 def save_netspec(spec: NetworkSpec, path) -> None:

@@ -14,7 +14,9 @@ A convolution is computed by gathering its layout's patches
 gather, ``PatchLayout.scatter_add``, which equals ``D_k U_k^T``.
 ``lift_weights`` builds the dense matrix ``U_k`` of the convolution for
 rank and SVD work only; ``lift_adjoint`` is its transpose as a linear map,
-which pulls full-matrix gradients back to filter space.
+which pulls full-matrix gradients back to filter space. All of them,
+and ``max_pool``, index with the layout's (P, l) array
+``PatchLayout.patches``.
 
 The frozen containers copy a caller's arrays but share the arrays the
 library seals as it creates them, and read-only views of those. The
@@ -24,8 +26,9 @@ finite, or when the batch has no rows. A bounded activation of finite
 pre-activations is finite, so only an activation with an unbounded tail
 has its features summed.
 
-A ``Workspace`` holds one float64 buffer per role (a layer's G, F, delta
-or lifted gradient, the flat gradient, and one scratch for temporaries
+A ``Workspace`` holds one float64 buffer per role (a layer's G, F or
+delta, the flat gradient, one lifted gradient that every convolution's
+filter gradient passes through in turn, and one scratch for temporaries
 that die inside a call). ``forward`` and ``backward`` given the same
 workspace write into those buffers instead of allocating, so a training
 run faults its arrays in once instead of once per step. A trace or
@@ -467,7 +470,7 @@ def lift_weights(spec: NetworkSpec, k: int, W: np.ndarray) -> np.ndarray:
         raise StructuralError(f"layer {k} weights {W.shape}, expected {shape}")
     if isinstance(layer, (FullyConnected, Output)):
         return W.copy()
-    idx = layer.layout.index_array()  # (P, l)
+    idx = layer.layout.patches  # (P, l)
     P, T = layer.layout.patch_count, layer.filters
     U = np.zeros((spec.widths[k - 1], P * T))
     U.reshape(-1, P, T)[idx, np.arange(P)[:, None]] = W
@@ -489,7 +492,7 @@ def lift_adjoint(spec: NetworkSpec, k: int, V: np.ndarray) -> np.ndarray:
         raise StructuralError(f"layer {k} lifted matrix {V.shape}, expected {expected}")
     if isinstance(layer, (FullyConnected, Output)):
         return V.copy()
-    idx = layer.layout.index_array()
+    idx = layer.layout.patches
     P, T = layer.layout.patch_count, layer.filters
     # summing the (l, T) blocks in patch order fixes the rounding of grad_W
     return V.reshape(-1, P, T)[idx, np.arange(P)[:, None]].sum(axis=0)
@@ -553,7 +556,7 @@ def max_pool(
     so no (N, P, l) gather is formed. NaN propagates. ``out`` receives
     the maxima and ``scratch`` (N*P entries) each later tap's column;
     without them both are allocated."""
-    taps = layout.index_array().T  # (l, P)
+    taps = layout.patches.T  # (l, P)
     # mode="clip" as in PatchLayout.extract: the layout's indices are valid
     M = np.take(F, taps[0], axis=1, out=out, mode="clip")
     for tap in taps[1:]:
@@ -641,7 +644,7 @@ def forward(
                 W, b = params.weights[k], params.biases[k]
                 out = _take(workspace, ("G", k), shape)
                 if isinstance(layer, Conv):
-                    P, l = layer.layout.index_array().shape
+                    P, l = layer.layout.patches.shape
                     Gk = patch_products(layer.layout, prev, W, out,
                                         _take(workspace, "scratch", (N, P, l)))
                     Gk = Gk.reshape(shape)

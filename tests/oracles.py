@@ -9,7 +9,8 @@ sample pairs instead of tiles of later samples, and max-pooling as a
 reduce over the whole patch gather instead of a running maximum over
 taps; Adam is a loop over per-layer arrays instead of one in-place step
 over flat vectors; the gradient is a central difference of the loss
-instead of backpropagation.
+instead of backpropagation; patch layouts are nested index loops instead
+of index arithmetic.
 """
 
 import numpy as np
@@ -104,6 +105,42 @@ def gather_max_pool(layout, F):
     return np.max(layout.extract(F), axis=2)
 
 
+def loop_conv1d_patches(width, kernel, stride):
+    """Index tuples of the valid 1D windows, one start at a time."""
+    starts = range(0, width - kernel + 1, stride)
+    return tuple(tuple(range(s, s + kernel)) for s in starts)
+
+
+def loop_conv2d_patches(height, width, channels, kernel_h, kernel_w, stride_h, stride_w):
+    """Index tuples of the 2D windows over all channels of a channels-last
+    grid, window position by position, each row-major in the window."""
+    patches = []
+    for r0 in range(0, height - kernel_h + 1, stride_h):
+        for c0 in range(0, width - kernel_w + 1, stride_w):
+            patches.append(tuple(
+                ((r0 + dr) * width + (c0 + dc)) * channels + t
+                for dr in range(kernel_h)
+                for dc in range(kernel_w)
+                for t in range(channels)
+            ))
+    return tuple(patches)
+
+
+def loop_pool2d_patches(height, width, channels, kernel_h, kernel_w, stride_h, stride_w):
+    """Index tuples of the per-channel 2D pooling windows, ordered by
+    window position, then channel."""
+    patches = []
+    for r0 in range(0, height - kernel_h + 1, stride_h):
+        for c0 in range(0, width - kernel_w + 1, stride_w):
+            for t in range(channels):
+                patches.append(tuple(
+                    ((r0 + dr) * width + (c0 + dc)) * channels + t
+                    for dr in range(kernel_h)
+                    for dc in range(kernel_w)
+                ))
+    return tuple(patches)
+
+
 def naive_conv_forward(F_prev, layout, W, b, sigma=None):
     """Per-patch scalar evaluation of a convolutional layer: unit
     h = p*T + t is <filter_t, patch_p> + b_h, then the activation."""
@@ -130,13 +167,12 @@ def lifted_backward(spec, params, trace, Y, start_layer=1):
         U = lift_weights(spec, l + 1, params.weights[l + 1])
         delta = (delta @ U.T) * spec.activation(l).derivative(trace.G[l])
         deltas[l] = delta
-    grad_U, grad_W, grad_b = ([None] * (L + 1) for _ in range(3))
+    grad_W, grad_b = [None] * (L + 1), [None] * (L + 1)
     for l in range(start_layer, L + 1):
-        grad_U[l] = trace.F[l - 1].T @ deltas[l]
-        grad_W[l] = lift_adjoint(spec, l, grad_U[l])
+        grad_W[l] = lift_adjoint(spec, l, trace.F[l - 1].T @ deltas[l])
         grad_b[l] = deltas[l].sum(axis=0)
     kept = tuple(deltas.get(l) for l in range(L + 1))
-    return GradientSet(tuple(grad_U), tuple(grad_W), tuple(grad_b), kept)
+    return GradientSet(tuple(grad_W), tuple(grad_b), kept)
 
 
 def per_layer_adam(
@@ -252,8 +288,8 @@ def finite_difference_gradient(
     and bias coordinate.
 
     Independent of ``backward``: evaluates the loss through the forward
-    pass only. ``grad_U`` and ``deltas`` entries are left as None since the
-    lifted matrix is not a free parameter and no recursion runs.
+    pass only. ``deltas`` entries are left as None since no recursion
+    runs.
     """
     L = spec.depth
 
@@ -286,7 +322,7 @@ def finite_difference_gradient(
             ) / (2.0 * FD_STEP)
         grad_W[l] = gW
         grad_b[l] = gb
-    return GradientSet(tuple(none_row), tuple(grad_W), tuple(grad_b), tuple(none_row))
+    return GradientSet(tuple(grad_W), tuple(grad_b), tuple(none_row))
 
 
 def max_relative_gradient_error(exact: GradientSet, approx: GradientSet) -> float:

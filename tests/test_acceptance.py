@@ -204,7 +204,7 @@ def test_08_zero_loss_iff_zero_gradient():
         )
         trace = w.forward(spec, params, dataset.X)
         grads = w.backward(spec, params, trace, dataset.Y, start_layer=k + 1)
-        norm = float(np.linalg.norm(grads.grad_U[k + 1]))
+        norm = float(np.linalg.norm(grads.grad_W[k + 1]))
         assert norm <= 1e-10, (case, norm)
     # reverse direction: full-rank points with real residual have gradients
     # no smaller than the (positive) lower bound

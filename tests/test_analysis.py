@@ -14,10 +14,12 @@ from widecnn import (
     Params,
     Sigmoid,
     StructuralError,
+    backward,
     critical_point_check,
     estimate_rank,
     forward,
     gradient_bounds,
+    lift_adjoint,
     lift_weights,
     s_k_membership,
     width_audit,
@@ -26,7 +28,7 @@ from widecnn import (
 from widecnn.architectures import mnist_conv_pool_network
 from widecnn.experiments import SCHEMAS, random_landscape_case, zero_loss_demo_case
 
-from oracles import elimination_rank, planted_rank_matrix
+from oracles import elimination_rank, lifted_backward, planted_rank_matrix
 
 
 class TestEstimateRank:
@@ -323,9 +325,18 @@ class TestGradientBounds:
         params = Params.gaussian(spec, rng)
         X = rng.standard_normal((4, 5))
         Y = rng.standard_normal((4, 2))
-        report = gradient_bounds(spec, params, forward(spec, params, X), Y, 1)
+        trace = forward(spec, params, X)
+        report = gradient_bounds(spec, params, trace, Y, 1)
         slack = 1e-8 * max(1.0, report.upper)
         assert report.lower - slack <= report.grad_norm <= report.upper + slack
+        # grad_norm is the norm of the gradient with respect to the lifted
+        # U_2, F_1^T D_2, and that pulls back to backward's filter gradient
+        deltas = lifted_backward(spec, params, trace, Y, start_layer=2).deltas
+        lifted = trace.F[1].T @ deltas[2]
+        np.testing.assert_allclose(report.grad_norm, np.linalg.norm(lifted), rtol=1e-12)
+        np.testing.assert_allclose(lift_adjoint(spec, 2, lifted),
+                                   backward(spec, params, trace, Y, 2).grad_W[2],
+                                   rtol=1e-12, atol=1e-14)
 
 
 class TestMembership:

@@ -1,6 +1,11 @@
 """CLI exit codes and end-to-end subcommand behaviour."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +200,22 @@ class TestRankGenericityVerdict:
                     "--spec", str(spec_path)]
             assert main(argv) == expected, name
         assert capsys.readouterr().out.count("(N=16): 0.00") == 2
+
+
+def test_out_of_memory_is_one_error_line():
+    """Under a 512 MiB address-space limit, set in the child only, the
+    construction's first layout cannot be allocated."""
+    limit = 512 * 2**20
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "widecnn.cli", "construct-independent", "--n", "100000000"],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), done.stderr

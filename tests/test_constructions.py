@@ -268,7 +268,7 @@ class TestZeroLoss:
         params = zero_loss_construction(spec, dataset, k, ConstructionParams(seed=35))
         trace = forward(spec, params, dataset.X)
         grads = backward(spec, params, trace, dataset.Y, start_layer=k + 1)
-        assert float(np.linalg.norm(grads.grad_U[k + 1])) <= 1e-10
+        assert float(np.linalg.norm(grads.grad_W[k + 1])) <= 1e-10
 
     def test_distinct_seeds_give_distinct_minima(self):
         spec, dataset, k = zero_loss_demo_case(2, seed=36)

@@ -99,7 +99,6 @@ class TestBackward:
         for l in range(1, spec.depth + 1):
             assert not grads.grad_W[l].any()
             assert not grads.grad_b[l].any()
-            assert not grads.grad_U[l].any()
 
     def test_tiny_sigmoid_conv_net_matches_finite_differences(self):
         rng = np.random.default_rng(2)

@@ -115,6 +115,8 @@ class TestIntegerFields:
         (_dense_doc(width=0), "layer 1"),
         (_dense_doc(activation={"kind": "softplus", "alpha": "10"}), "layer 1"),
         (_dense_doc(activation={"kind": "sigmoid", "alpha": 3.0}), "layer 1"),
+        (_dense_doc(activation={"kind": "softplus"}), "layer 1"),  # alpha required
+        (_conv_doc([[0, 1], [2, 10**20]]), "layer 1"),  # beyond a machine integer
     ])
     def test_malformed_document_names_its_place(self, doc, where):
         with pytest.raises(FormatError, match=where):

@@ -38,6 +38,11 @@ NETS = {
         FullyConnected(7, Softplus(4.0)),
         Output(3),
     )), 1),
+    "conv-conv": (NetworkSpec(12, (
+        Conv(conv1d_layout(12, 3, 1), 2, Sigmoid()),
+        Conv(conv1d_layout(20, 4, 2), 3, Softplus(4.0)),
+        Output(3),
+    )), 1),
     "conv-pool-dense": (NetworkSpec(12, (
         Conv(conv1d_layout(12, 3, 1), 4, ReLU()),
         MaxPool(conv1d_layout(40, 8, 4)),
@@ -104,9 +109,23 @@ def test_calls_without_a_workspace_share_no_memory(net):
         trace = forward(spec, params, X)
         grads = backward(spec, params, trace, Y, start)
         arrays.append([a for a in (*trace.F[1:], *trace.G, *grads.deltas,
-                                   *grads.grad_U, grads.flat) if a is not None])
+                                   grads.flat) if a is not None])
     first, second = arrays
     assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+def test_lifted_products_share_one_role():
+    """Each convolution's lifted gradient F_{l-1}^T D_l is a temporary in
+    one workspace role, however many conv layers there are."""
+    spec, start = NETS["conv-conv"]
+    rng = np.random.default_rng(10)
+    X, Y = rng.standard_normal((5, 12)), rng.standard_normal((5, 3))
+    params = Params.fan_in_gaussian(spec, rng)
+    workspace = Workspace()
+    backward(spec, params, forward(spec, params, X, workspace=workspace), Y, start,
+             workspace=workspace)
+    roles = {key if isinstance(key, str) else key[0] for key in workspace._buffers}
+    assert roles == {"G", "F", "delta", "grad", "lifted", "scratch"}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
