@@ -272,14 +272,19 @@ class Identity(Activation):
 
 
 def activation_from_dict(d: dict) -> Activation:
-    """Inverse of ``Activation.to_dict``; raises on unknown kinds."""
+    """Inverse of ``Activation.to_dict``: the keys are exactly ``kind``,
+    plus ``alpha`` for softplus; raises ``ValueError`` otherwise."""
     kind = d.get("kind")
+    keys = {"kind", "alpha"} if kind == "softplus" else {"kind"}
+    if set(d) != keys:
+        raise ValueError(f"activation {kind!r} takes exactly the keys "
+                         f"{sorted(keys)}, got {list(d)}")
     if kind == "sigmoid":
         return Sigmoid()
     if kind == "relu":
         return ReLU()
     if kind == "softplus":
-        return Softplus(alpha=d.get("alpha", 1.0))
+        return Softplus(alpha=d["alpha"])
     if kind == "identity":
         return Identity()
     raise ValueError(f"unknown activation kind: {kind!r}")

@@ -1,12 +1,14 @@
 """Command-line entry point.
 
-Each subcommand reads an optional JSON experiment config plus flag
-overrides and writes CSV or text reports. Flag overrides go through the
-config dataclasses, so they are checked like config keys, and ``--n``
-must be a positive integer. Exit codes: 0 on success; 1 when a run
-finishes but an assertion or acceptance condition fails, or a run fails
-(any other ``WideCnnError``, an ``OSError``, or running out of memory);
-2 on usage errors, that is a malformed flag value, config, netspec or IDX
+Each subcommand reads an optional JSON experiment config (``--config``)
+and the flags of its row in ``_COMMANDS``, and writes CSV or text
+reports; any other flag is a usage error. ``_load`` is the one place
+where a flag overrides its config field, through the config dataclasses,
+so flag values are checked like config keys, and ``--n`` must be a
+positive integer. Exit codes: 0 on success; 1 when a run finishes but an
+assertion or acceptance condition fails, or a run fails (any other
+``WideCnnError``, an ``OSError``, or running out of memory); 2 on usage
+errors, that is an unknown or malformed flag, config, netspec or IDX
 file (``ConfigError``, ``FormatError``). Every error is one ``error:``
 line on stderr.
 """
@@ -40,28 +42,28 @@ from .network import Conv, FullyConnected, NetworkSpec, Output, Params, forward,
 from .training import train_adam
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="experiment config JSON file")
-    parser.add_argument("--seed", type=int, help="override the first seed")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--spec", help="network description JSON file")
+# flag -> the config field it overrides; --seed replaces the first seed
+_FIELDS = {"out": "out", "spec": "network", "activation": "activation",
+           "case": "case", "trials": "trials"}
 
 
 def _load(args) -> experiments.ExperimentConfig:
-    if getattr(args, "n", 1) < 1:
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    if flags.get("n", 1) < 1:
         raise ConfigError(f"--n must be a positive integer, got {args.n}")
     cfg = (
         experiments.load_config(args.config)
         if args.config
         else experiments.ExperimentConfig()
     )
-    if args.seed is not None:
-        cfg = replace(cfg, seeds=(args.seed,) + tuple(cfg.seeds[1:]))
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if args.spec is not None:
-        cfg = replace(cfg, network=args.spec)
-    return cfg
+    fields = {field: flags[flag] for flag, field in _FIELDS.items() if flag in flags}
+    if "seed" in flags:
+        fields["seeds"] = (args.seed,) + cfg.seeds[1:]
+    if args.command == "rank-genericity" and "trials" in flags:
+        # each rank-genericity trial is one seed, counted up from --seed
+        first = flags.get("seed", 0)
+        fields["seeds"] = tuple(range(first, first + args.trials))
+    return replace(cfg, **fields)
 
 
 def _require_spec(cfg, command: str):
@@ -112,10 +114,6 @@ def cmd_check_assumptions(args) -> int:
 
 def cmd_rank_genericity(args) -> int:
     cfg = _load(args)
-    if args.trials is not None:
-        cfg = replace(cfg, seeds=tuple(range(args.trials)))
-    if args.activation is not None:
-        cfg = replace(cfg, activation=args.activation)
     result = experiments.run_rank_genericity(cfg)
     N, width = result.reports[0].rows, result.reports[0].cols
     print(f"full-rank fraction over {len(cfg.seeds)} seeds (N={N}): "
@@ -157,15 +155,14 @@ def cmd_construct_independent(args) -> int:
 
 def cmd_construct_zeroloss(args) -> int:
     cfg = _load(args)
-    case = args.case if args.case is not None else cfg.case
-    spec, dataset, k = experiments.zero_loss_demo_case(case, seed=cfg.seeds[0])
+    spec, dataset, k = experiments.zero_loss_demo_case(cfg.case, seed=cfg.seeds[0])
     params = zero_loss_construction(
         spec, dataset, k, ConstructionParams(seed=cfg.seeds[0])
     )
     trace = forward(spec, params, dataset.X)
     value = loss(trace, dataset.Y)
     membership = s_k_membership(spec, params, trace, k)
-    print(f"case {case}: loss = {value:.3e}, full-rank set membership: "
+    print(f"case {cfg.case}: loss = {value:.3e}, full-rank set membership: "
           f"{membership.in_good_set}")
     return 0 if membership.in_good_set else 1
 
@@ -187,8 +184,6 @@ def cmd_fit_expressivity(args) -> int:
 
 def cmd_grad_bounds(args) -> int:
     cfg = _load(args)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
     result = experiments.run_grad_bounds(cfg)
     print(f"sandwich held in {cfg.trials - result.violations}/{cfg.trials} trials")
     return 0 if result.violations == 0 else 1
@@ -220,6 +215,41 @@ def cmd_train(args) -> int:
     return 0
 
 
+# argparse options of each flag
+_FLAGS = {
+    "--config": {"help": "experiment config JSON file"},
+    "--seed": {"type": int, "help": "override the first seed"},
+    "--out": {"help": "output CSV path"},
+    "--spec": {"help": "network description JSON file"},
+    "--n": {"type": int, "default": 8, "help": "sample count N"},
+    "--case": {"type": int, "choices": (1, 2, 3), "help": "zero-loss demo case"},
+    "--trials": {"type": int, "help": "number of trials; rank-genericity runs "
+                 "that many seeds, counted up from --seed"},
+    "--activation": {"help": "sigmoid | relu | softplus(alpha)"},
+}
+
+# subcommand -> (handler, help, the flags it reads; "!" marks a required one)
+_COMMANDS = {
+    "width-audit": (cmd_width_audit, "max hidden width vs sample count",
+                    "--config --spec --n!"),
+    "check-assumptions": (cmd_check_assumptions, "data and structure checks",
+                          "--config --seed --spec"),
+    "rank-genericity": (cmd_rank_genericity, "rank of features under random weights",
+                        "--config --seed --out --spec --trials --activation"),
+    "construct-independent": (cmd_construct_independent, "rank-N feature construction",
+                              "--config --seed --spec --n"),
+    "construct-zeroloss": (cmd_construct_zeroloss, "exact zero-loss parameters",
+                           "--config --seed --case"),
+    "fit-expressivity": (cmd_fit_expressivity, "exact interpolation of targets",
+                         "--config --seed --n"),
+    "grad-bounds": (cmd_grad_bounds, "gradient sandwich on random nets",
+                    "--config --seed --out --trials"),
+    "table2-sweep": (cmd_table2_sweep, "desk-scale filter-count sweep",
+                     "--config --seed --out"),
+    "train": (cmd_train, "Adam training run", "--config --seed --out --spec"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="widecnn",
@@ -227,50 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments for patch-based CNNs",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("width-audit", help="max hidden width vs sample count")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True, help="sample count N")
-    p.set_defaults(func=cmd_width_audit)
-
-    p = sub.add_parser("check-assumptions", help="data and structure checks")
-    _add_common(p)
-    p.set_defaults(func=cmd_check_assumptions)
-
-    p = sub.add_parser("rank-genericity", help="rank of features under random weights")
-    _add_common(p)
-    p.add_argument("--trials", type=int, help="number of seeds")
-    p.add_argument("--activation", help="sigmoid | relu | softplus(alpha)")
-    p.set_defaults(func=cmd_rank_genericity)
-
-    p = sub.add_parser("construct-independent", help="rank-N feature construction")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=8, help="sample count N")
-    p.set_defaults(func=cmd_construct_independent)
-
-    p = sub.add_parser("construct-zeroloss", help="exact zero-loss parameters")
-    _add_common(p)
-    p.add_argument("--case", type=int, choices=(1, 2, 3))
-    p.set_defaults(func=cmd_construct_zeroloss)
-
-    p = sub.add_parser("fit-expressivity", help="exact interpolation of targets")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=8, help="number of targets")
-    p.set_defaults(func=cmd_fit_expressivity)
-
-    p = sub.add_parser("grad-bounds", help="gradient sandwich on random nets")
-    _add_common(p)
-    p.add_argument("--trials", type=int)
-    p.set_defaults(func=cmd_grad_bounds)
-
-    p = sub.add_parser("table2-sweep", help="desk-scale filter-count sweep")
-    _add_common(p)
-    p.set_defaults(func=cmd_table2_sweep)
-
-    p = sub.add_parser("train", help="Adam training run")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            option = flag.rstrip("!")
+            p.add_argument(option, required=flag.endswith("!"), **_FLAGS[option])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -199,14 +199,12 @@ def _transport_impl(spec, X, up_to_layer, rng):
 
 
 def _transport_layer(spec, k, F_prev, rng):
-    layer = spec.layer(k)
     layout = spec.layer_layout(k)
-    T = layer.filters if isinstance(layer, Conv) else spec.widths[k]
     sigma = spec.activation(k)
     beta = default_beta(sigma)
     lo, hi = sigma.bijective_interval
     for _ in range(RESAMPLE_BUDGET):
-        Q = _sample_filters(rng, (layout.patch_size, T))
+        Q = _sample_filters(rng, spec.filter_shape(k))
         ip = patch_products(layout, F_prev, Q)
         if _collisions_across_samples(ip):
             continue
@@ -305,14 +303,12 @@ def _independence_impl(spec, X, wide_layer, rng):
         _ensure_distinct_input_patches(spec, X)
         params, F_prev = Params.empty(spec), X
 
-    layer = spec.layer(k)
     layout = spec.layer_layout(k)
-    T = layer.filters if isinstance(layer, Conv) else spec.widths[k]
     sigma = spec.activation(k)
     beta = default_beta(sigma)
 
     for _ in range(RESAMPLE_BUDGET):
-        Q = _sample_filters(rng, (layout.patch_size, T))
+        Q = _sample_filters(rng, spec.filter_shape(k))
         ip = patch_products(layout, F_prev, Q)
         if _collisions_within_columns(ip):
             continue

@@ -45,8 +45,6 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
 def _activation(obj, where: str):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: activation must be an object")
-    _require_keys(obj, {"kind", "alpha"} if obj.get("kind") == "softplus" else {"kind"},
-                  set(), where)
     try:
         return activation_from_dict(obj)
     except ValueError as exc:

@@ -133,7 +133,6 @@ class TrainResult:
     loss_curve: tuple[float, ...]  # full-batch loss after each epoch
     train_error_count: int
     test_error_count: int | None
-    epochs_run: int = 0
 
 
 def classification_errors(spec: NetworkSpec, params: Params, dataset: Dataset) -> int:
@@ -267,5 +266,4 @@ def train_adam(
         else None
     )
     # the last training forward ran on the final p
-    return TrainResult(params, tuple(curve), _errors(output, dataset), test_errors,
-                       len(curve))
+    return TrainResult(params, tuple(curve), _errors(output, dataset), test_errors)

@@ -270,7 +270,7 @@ def per_layer_adam(
         if test_dataset is not None
         else None
     )
-    return TrainResult(final, tuple(curve), train_errors, test_errors, len(curve))
+    return TrainResult(final, tuple(curve), train_errors, test_errors)
 
 
 # Step of the central differences in ``finite_difference_gradient``.

@@ -170,6 +170,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             activation_from_dict({"kind": "tanh"})
 
+    @pytest.mark.parametrize("d", [{"kind": "softplus"},
+                                   {"kind": "sigmoid", "alpha": 3}])
+    def test_alpha_exactly_for_softplus(self, d):
+        with pytest.raises(ValueError, match="alpha"):
+            activation_from_dict(d)
+
     @pytest.mark.parametrize("alpha", ["10", True, -1.0, 0.0, float("inf"),
                                        float("nan"), [1.0], None])
     def test_softplus_alpha_must_be_a_positive_finite_number(self, alpha):

@@ -1,7 +1,9 @@
 """CLI exit codes and end-to-end subcommand behaviour."""
 
+import argparse
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -11,8 +13,34 @@ import pytest
 
 from widecnn import FullyConnected, NetworkSpec, ReLU, Sigmoid
 from widecnn.architectures import mnist_conv_pool_network, single_conv_network
-from widecnn.cli import main
+from widecnn.cli import build_parser, main
+from widecnn.experiments import read_csv
 from widecnn.netspec_io import save_netspec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the flags each subcommand reads; width-audit's --n is required
+ROWS = {
+    "width-audit": "--config --spec --n",
+    "check-assumptions": "--config --seed --spec",
+    "rank-genericity": "--config --seed --out --spec --trials --activation",
+    "construct-independent": "--config --seed --spec --n",
+    "construct-zeroloss": "--config --seed --case",
+    "fit-expressivity": "--config --seed --n",
+    "grad-bounds": "--config --seed --out --trials",
+    "table2-sweep": "--config --seed --out",
+    "train": "--config --seed --out --spec",
+}
+ALL_FLAGS = sorted({flag for flags in ROWS.values() for flag in flags.split()})
+
+
+def _parser_rows():
+    """{subcommand: {flag: required}} as ``build_parser`` defines them."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.option_strings[0]: a.required
+                   for a in parser._actions if a.dest != "help"}
+            for name, parser in sub.choices.items()}
 
 
 @pytest.fixture
@@ -32,6 +60,35 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["width-audit"]) == 2  # --n is required
+
+
+class TestFlagTable:
+    def test_each_subcommand_takes_exactly_its_row(self):
+        rows = _parser_rows()
+        assert {name: set(flags) for name, flags in rows.items()} == {
+            name: set(flags.split()) for name, flags in ROWS.items()}
+        assert [(name, flag) for name, flags in rows.items()
+                for flag, required in flags.items() if required] == [("width-audit", "--n")]
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in ROWS.items()
+        for flag in ALL_FLAGS if flag not in flags.split()
+    ])
+    def test_flag_outside_the_row_is_a_usage_error(self, command, flag, capsys):
+        required = ["--n", "4"] if command == "width-audit" else []
+        assert main([command, *required, flag, "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_rows_match_the_parser(self):
+        text = README.read_text()
+        section = text[text.index("## Command line"):]
+        section = section[:section.index("\n## ", 1)]
+        documented = {
+            name: {flag: bool(required)
+                   for flag, required in re.findall(r"`(--[\w-]+)`( \(required\))?", flags)}
+            for name, flags in re.findall(r"^\| `([\w-]+)` *\| ([^|]*)\|", section, re.M)
+        }
+        assert documented == _parser_rows()
 
 
 class TestWidthAudit:
@@ -56,6 +113,17 @@ class TestRuns:
         assert code == 0
         assert "1.00" in capsys.readouterr().out
 
+    def test_rank_genericity_trials_count_up_from_the_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"source": "synthetic", "n": 8, "d": 6, "m": 2, "seed": 0},
+        }))
+        out = tmp_path / "rank.csv"
+        assert main(["rank-genericity", "--config", str(cfg), "--trials", "3",
+                     "--seed", "5", "--out", str(out)]) == 0
+        tag, columns, rows = read_csv(out)
+        assert [row[columns.index("seed")] for row in rows] == ["5", "6", "7"]
+
     def test_construct_independent(self, capsys):
         assert main(["construct-independent", "--n", "6", "--seed", "1"]) == 0
         assert "rank(F_1) = 6" in capsys.readouterr().out
@@ -71,6 +139,12 @@ class TestRuns:
     def test_grad_bounds(self, capsys):
         assert main(["grad-bounds", "--trials", "5", "--seed", "2"]) == 0
         assert "5/5" in capsys.readouterr().out
+
+    def test_grad_bounds_writes_its_csv(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert main(["grad-bounds", "--trials", "2", "--out", str(out)]) == 0
+        tag, columns, rows = read_csv(out)
+        assert tag == "grad-bounds.v1" and len(rows) == 2
 
     def test_check_assumptions(self, tmp_path, capsys):
         spec_path = tmp_path / "net.netspec"
