@@ -61,18 +61,11 @@ class Activation:
     def __call__(self, t, out=None, scratch=None):
         raise NotImplementedError
 
-    def derivative(self, t):
+    def derivative(self, t, F=None, out=None):
+        """sigma'(t), written into ``out`` when given. ``F = self(t)``, when
+        already computed (the forward trace stores it), may stand in for a
+        second evaluation; the result is the same bit for bit."""
         raise NotImplementedError
-
-    def derivative_at(self, G, F, out=None):
-        """sigma'(G) where ``F = self(G)`` was already computed, as the
-        forward trace stores it; equal to ``derivative(G)`` bit for bit.
-        Written into ``out`` when given."""
-        d = self.derivative(G)
-        if out is None:
-            return d
-        np.copyto(out, d)
-        return out
 
     def inverse(self, y):
         raise RangeError(f"{self.name} has no inverse")
@@ -119,10 +112,8 @@ class Sigmoid(Activation):
         out /= e
         return out
 
-    def derivative(self, t):
-        return self.derivative_at(t, self(t))
-
-    def derivative_at(self, G, F, out=None):
+    def derivative(self, t, F=None, out=None):
+        F = self(t) if F is None else F
         out = np.subtract(1.0, F, out=out)
         out *= F
         return out
@@ -154,9 +145,10 @@ class ReLU(Activation):
     def __call__(self, t, out=None, scratch=None):
         return np.maximum(np.asarray(t, dtype=np.float64), 0.0, out=out)
 
-    def derivative(self, t):
+    def derivative(self, t, F=None, out=None):
         # subgradient convention: derivative at 0 is 0
-        return np.where(np.asarray(t, dtype=np.float64) > 0.0, 1.0, 0.0)
+        t = np.asarray(t, dtype=np.float64)
+        return np.greater(t, 0.0, out=np.empty_like(t) if out is None else out)
 
     @property
     def bijective_interval(self) -> tuple[float, float]:
@@ -197,8 +189,8 @@ class Softplus(Activation):
         return np.divide(np.maximum(at, 0.0) + np.log1p(np.exp(-np.abs(at))),
                          self.alpha, out=out)
 
-    def derivative(self, t):
-        return Sigmoid()(self.alpha * np.asarray(t, dtype=np.float64))
+    def derivative(self, t, F=None, out=None):
+        return Sigmoid()(self.alpha * np.asarray(t, dtype=np.float64), out=out)
 
     def inverse(self, y):
         y = np.asarray(y, dtype=np.float64)
@@ -250,8 +242,10 @@ class Identity(Activation):
         np.copyto(out, t)
         return out
 
-    def derivative(self, t):
-        return np.ones_like(np.asarray(t, dtype=np.float64))
+    def derivative(self, t, F=None, out=None):
+        out = np.empty_like(np.asarray(t, dtype=np.float64)) if out is None else out
+        out.fill(1.0)
+        return out
 
     def inverse(self, y):
         return np.asarray(y, dtype=np.float64)

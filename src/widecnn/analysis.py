@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import NumericError, StructuralError
 from .gradients import backward, loss
-from .network import Dataset, ForwardTrace, NetworkSpec, Params, forward, lift_weights
+from .network import (Dataset, ForwardTrace, NetworkSpec, Params, _all_finite, forward,
+                      lift_weights)
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def _singular_values(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
         raise StructuralError(f"expected a non-empty matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    if not _all_finite(A):  # a sum, not an A.size boolean mask
         raise StructuralError("matrix contains non-finite entries")
     tall = A.T if A.shape[0] < A.shape[1] else A
     short = tall.shape[1]
@@ -164,7 +165,7 @@ def _sandwich(
     spectra = _spectra(spec, params, trace, wide_layer)
     factors = []
     for l, (_, sv) in zip(range(wide_layer + 1, spec.depth), spectra[1:]):
-        d = np.abs(spec.activation(l).derivative_at(trace.G[l], trace.F[l]))
+        d = np.abs(spec.activation(l).derivative(trace.G[l], trace.F[l]))
         factors.append((float(sv[-1]), float(sv[0]), float(d.min()), float(d.max())))
     sv_f = spectra[0][1]
     lower = float(sv_f[-1]) * math.prod(f[0] * f[2] for f in factors)

@@ -27,6 +27,7 @@ from .assumptions import (
     check_conv_structure,
     check_distinct_patches,
     ensure_hidden_activations,
+    hidden_layer_indices,
 )
 from .constructions import (
     ConstructionParams,
@@ -38,7 +39,7 @@ from .constructions import (
 from .errors import ConfigError, FormatError, WideCnnError
 from .gradients import loss
 from .netspec_io import load_netspec
-from .network import Conv, FullyConnected, NetworkSpec, Output, Params, forward, lift_weights
+from .network import NetworkSpec, Output, Params, forward, lift_weights
 from .training import train_adam
 
 
@@ -53,7 +54,7 @@ def _load(args) -> experiments.ExperimentConfig:
         raise ConfigError(f"--n must be a positive integer, got {args.n}")
     cfg = (
         experiments.load_config(args.config)
-        if args.config
+        if args.config is not None
         else experiments.ExperimentConfig()
     )
     fields = {field: flags[flag] for flag, field in _FIELDS.items() if flag in flags}
@@ -94,15 +95,14 @@ def cmd_check_assumptions(args) -> int:
           f"(min gap {report.min_gap:.3e})")
     ok &= report.holds
 
-    for k in range(1, spec.depth + 1):
-        if isinstance(spec.layer(k), (Conv, FullyConnected)):
-            conv = check_conv_structure(spec, k, trials=16, seed=cfg.seeds[0])
-            print(
-                f"layer {k} lifted full rank: "
-                f"{'PASS' if conv.holds else 'FAIL'} "
-                f"(fraction {conv.full_rank_fraction:.2f})"
-            )
-            ok &= conv.holds
+    for k in hidden_layer_indices(spec):
+        conv = check_conv_structure(spec, k, trials=16, seed=cfg.seeds[0])
+        print(
+            f"layer {k} lifted full rank: "
+            f"{'PASS' if conv.holds else 'FAIL'} "
+            f"(fraction {conv.full_rank_fraction:.2f})"
+        )
+        ok &= conv.holds
     try:
         ensure_hidden_activations(spec)
         print("hidden activation growth conditions: PASS")
@@ -215,9 +215,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _path(value: str) -> str:
+    """A non-empty path; an empty one is a usage error."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return value
+
+
 # argparse options of each flag
 _FLAGS = {
-    "--config": {"help": "experiment config JSON file"},
+    "--config": {"type": _path, "help": "experiment config JSON file"},
     "--seed": {"type": int, "help": "override the first seed"},
     "--out": {"help": "output CSV path"},
     "--spec": {"help": "network description JSON file"},

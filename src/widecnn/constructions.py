@@ -42,7 +42,6 @@ from .errors import (
 )
 from .gradients import loss
 from .network import (
-    Conv,
     Dataset,
     FullyConnected,
     MaxPool,
@@ -144,7 +143,7 @@ def _lifted_full_rank(spec: NetworkSpec, k: int, Q: np.ndarray) -> bool:
 
 
 def _conv_or_fc(spec: NetworkSpec, k: int) -> None:
-    if not isinstance(spec.layer(k), (Conv, FullyConnected, Output)):
+    if spec.is_pooling(k):
         raise StructuralError(f"layer {k} must be convolutional or fully connected")
 
 

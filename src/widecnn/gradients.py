@@ -2,21 +2,19 @@
 
 The backward recursion follows the standard matrix form: the output
 residual seeds ``D_L = F_L - Y`` and each step applies
-``D_l = (D_{l+1} @ U_{l+1}^T) * sigma_l'(G_l)``. A dense layer multiplies
-by ``W^T``; a convolution multiplies each patch's block by ``W^T`` and
-adds it back through the patch scatter, which equals ``D_{l+1} U_{l+1}^T``
-without the dense ``U`` that ``lift_weights`` builds for rank and SVD work.
-A sigmoid layer takes ``sigma'(G_l)`` from its stored features as
-``F_l (1 - F_l)`` instead of evaluating the sigmoid again. The gradient
-with respect to the lifted matrix is ``F_{l-1}^T @ D_l``: a dense layer's
-filter gradient, and a temporary that a convolution pulls back to filter
-space by the adjoint of the lifting map. Bias gradients are the column
-sums of ``D_l``. Every filter and bias gradient is written into one flat
-vector, each layer's weights then its bias, layer by layer. Given a
-``Workspace``, every delta and the flat vector are its buffers, every
-convolution's lifted product passes through one more, and sigma' goes to
-its scratch. Overflow in the loss or the recursion gives non-finite
-values, not warnings; the trainer turns them into ``TrainingDivergedError``.
+``D_l = (D_{l+1} @ U_{l+1}^T) * sigma_l'(G_l)``. Every weighted layer is
+a convolution, so the step is one GEMM of the (N*P, T) rows of
+``D_{l+1}`` with ``W^T`` and then the layout's patch scatter, without the
+dense ``U`` that ``lift_weights`` builds for rank and SVD work.
+``sigma_l'`` comes from the stored features where that is exact (a
+sigmoid's ``F_l (1 - F_l)``). The lifted gradient ``F_{l-1}^T @ D_l`` is
+the filter gradient of a whole-layer layout; any other layout pulls it
+back to filter space by the adjoint of the lifting map. Bias gradients
+are the column sums of ``D_l``. Every filter and bias gradient is written
+into one flat vector, each layer's weights then its bias, layer by
+layer. Given a ``Workspace``, the products, the flat vector, the lifted
+products and sigma' go to its buffers. Overflow gives non-finite values,
+not warnings; the trainer turns them into ``TrainingDivergedError``.
 """
 
 from __future__ import annotations
@@ -27,14 +25,13 @@ import numpy as np
 
 from .errors import StructuralError, UnsupportedLayerError
 from .network import (
-    Conv,
     ForwardTrace,
     NetworkSpec,
-    Output,
     Params,
     Workspace,
     _param_count,
     _param_views,
+    _require_output_last,
     _take,
     lift_adjoint,
 )
@@ -90,13 +87,12 @@ def backward(
     """Exact gradients of the squared loss for layers ``start_layer..L``.
 
     The trace must come from ``forward`` on the same (spec, params). Every
-    layer in the differentiated segment must be convolutional or fully
-    connected; ReLU uses the subgradient convention derivative(0) = 0.
+    layer in the differentiated segment must have weights, not pool;
+    ReLU uses the subgradient convention derivative(0) = 0.
     With a ``workspace`` the arrays of the result are its buffers, which
     the next call with that workspace overwrites; they hold the same bits.
     """
-    if not isinstance(spec.layers[-1], Output):
-        raise StructuralError("loss-level operations require an Output last layer")
+    _require_output_last(spec)
     L = spec.depth
     if not 1 <= start_layer <= L:
         raise StructuralError(f"start layer {start_layer} outside [1, {L}]")
@@ -118,14 +114,14 @@ def backward(
         delta = np.subtract(trace.output, Y, out=_take(workspace, ("delta", L), Y.shape))
         deltas: dict[int, np.ndarray] = {L: delta}
         for l in range(L - 1, start_layer - 1, -1):
-            above, W = spec.layer(l + 1), params.weights[l + 1]
-            if isinstance(above, Conv):
-                P, T = above.layout.patch_count, above.filters
-                delta = above.layout.scatter_add(delta.reshape(-1, P, T) @ W.T)
-            else:
-                delta = np.matmul(delta, W.T,
-                                  out=_take(workspace, ("delta", l), (N, widths[l])))
-            delta *= spec.activation(l).derivative_at(
+            layout = spec.layer_layout(l + 1)
+            P, size = layout.patches.shape
+            # one 2-D GEMM: a dense layer's is D_{l+1} @ W^T itself
+            product = np.matmul(delta.reshape(N * P, widths[l + 1] // P),
+                                params.weights[l + 1].T,
+                                out=_take(workspace, ("delta", l), (N * P, size)))
+            delta = layout.scatter_add(product.reshape(N, P, size))
+            delta *= spec.activation(l).derivative(
                 trace.G[l], trace.F[l], out=_take(workspace, "scratch", delta.shape))
             deltas[l] = delta
 
@@ -133,12 +129,12 @@ def backward(
             spec, np.empty(count) if workspace is None else workspace.take("grad", (count,)),
             start_layer)
         for l in range(start_layer, L + 1):
-            if isinstance(spec.layer(l), Conv):
+            if spec.layer_layout(l)._whole_layer:  # the lifted matrix is W itself
+                np.matmul(trace.F[l - 1].T, deltas[l], out=grad_W[l])
+            else:
                 lifted = np.matmul(trace.F[l - 1].T, deltas[l], out=_take(
                     workspace, "lifted", (widths[l - 1], widths[l])))
                 grad_W[l][...] = lift_adjoint(spec, l, lifted)
-            else:  # the lifted matrix is W itself
-                np.matmul(trace.F[l - 1].T, deltas[l], out=grad_W[l])
             np.sum(deltas[l], axis=0, out=grad_b[l])
     return GradientSet(tuple(grad_W), tuple(grad_b),
                        tuple(deltas.get(l) for l in range(L + 1)))

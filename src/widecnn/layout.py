@@ -7,11 +7,16 @@ in some row, and no two rows read the same index set. Builders compute
 the rows by index arithmetic for the common cases (whole-layer, 1D/2D
 valid convolution windows, per-channel pooling windows); any other
 layout is built from a (P, l) array-like, such as nested index lists.
+
+A fully connected layer reads one patch, the whole layer in order
+(``full_layout``); ``extract`` and ``scatter_add`` of such a layout are
+views of the rows, and every other layout copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,18 +68,28 @@ class PatchLayout:
     def patch_size(self) -> int:
         return self.patches.shape[1]
 
+    @cached_property
+    def _whole_layer(self) -> bool:
+        """Whether the one patch reads the whole layer in order, so that a
+        patch of a row is the row itself."""
+        return (self.patches.shape == (1, self.width)
+                and bool((self.patches[0] == np.arange(self.width)).all()))
+
     def extract(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gather patches from feature rows.
 
         ``rows`` is (N, width); returns (N, P, l) with
         ``out[i, p, :] = rows[i, patches[p]]``, written into ``out`` when
-        given.
+        given. A whole-layer layout returns the view ``rows[:, None, :]``
+        and leaves ``out`` alone.
         """
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.width:
             raise StructuralError(
                 f"expected (N, {self.width}) feature rows, got {rows.shape}"
             )
+        if self._whole_layer:
+            return rows[:, None, :]
         # take, unlike rows[:, index], returns the (N, P, l) array
         # C-contiguous, so the convolution's reshape to (N*P, l) is a view.
         # The indices were checked against the width at construction, so
@@ -85,13 +100,16 @@ class PatchLayout:
     def scatter_add(self, patches: np.ndarray) -> np.ndarray:
         """Transpose of ``extract``: (N, P, l) patches to (N, width) rows,
         each neuron summing every patch entry that reads it. Windows
-        overlap, hence ``np.add.at``: a buffered ``+=`` drops repeats."""
+        overlap, hence ``np.add.at``: a buffered ``+=`` drops repeats. A
+        whole-layer layout returns the patches reshaped, a view."""
         patches = np.asarray(patches)
         if patches.ndim != 3 or patches.shape[1:] != self.patches.shape:
             raise StructuralError(
                 f"expected (N, {self.patch_count}, {self.patch_size}) patches, "
                 f"got {patches.shape}"
             )
+        if self._whole_layer:
+            return patches.reshape(patches.shape[0], self.width)
         out = np.zeros((patches.shape[0], self.width), dtype=patches.dtype)
         np.add.at(out, (slice(None), self.patches), patches)
         return out
@@ -136,8 +154,10 @@ def _check(arr: np.ndarray, width: int) -> None:
         )
 
 
+@lru_cache(maxsize=64)
 def full_layout(width: int) -> PatchLayout:
-    """Single patch covering the whole layer (the fully connected case)."""
+    """Single patch covering the whole layer in order (the fully connected
+    case); one shared layout per width."""
     return PatchLayout(width, np.arange(width)[None, :])
 
 

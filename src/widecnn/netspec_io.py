@@ -32,10 +32,10 @@ from .layout import PatchLayout
 from .network import Conv, FullyConnected, MaxPool, NetworkSpec, Output
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str):
+def _require_keys(obj: dict, required: set[str], where: str):
     keys = set(obj)
     missing = required - keys
-    unknown = keys - required - optional
+    unknown = keys - required
     if missing:
         raise FormatError(f"{where}: missing keys {sorted(missing)}")
     if unknown:
@@ -83,7 +83,7 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
 def spec_from_dict(doc: dict) -> NetworkSpec:
     if not isinstance(doc, dict):
         raise FormatError("network document must be an object")
-    _require_keys(doc, {"input_width", "layers"}, set(), "network")
+    _require_keys(doc, {"input_width", "layers"}, "network")
     width = _integer(doc["input_width"], "network: input_width")
     if not isinstance(doc["layers"], list) or not doc["layers"]:
         raise FormatError("layers must be a non-empty list")
@@ -95,20 +95,19 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
         kind = entry.get("kind")
         try:
             if kind == "conv":
-                _require_keys(entry, {"kind", "filters", "activation", "patches"},
-                              set(), where)
+                _require_keys(entry, {"kind", "filters", "activation", "patches"}, where)
                 layer = Conv(_layout(entry["patches"], width, where),
                              _integer(entry["filters"], f"{where}: filters"),
                              _activation(entry["activation"], where))
             elif kind == "fully_connected":
-                _require_keys(entry, {"kind", "width", "activation"}, set(), where)
+                _require_keys(entry, {"kind", "width", "activation"}, where)
                 layer = FullyConnected(_integer(entry["width"], f"{where}: width"),
                                        _activation(entry["activation"], where))
             elif kind == "max_pool":
-                _require_keys(entry, {"kind", "patches"}, set(), where)
+                _require_keys(entry, {"kind", "patches"}, where)
                 layer = MaxPool(_layout(entry["patches"], width, where))
             elif kind == "output":
-                _require_keys(entry, {"kind", "width"}, set(), where)
+                _require_keys(entry, {"kind", "width"}, where)
                 layer = Output(_integer(entry["width"], f"{where}: width"))
             else:
                 raise FormatError(f"{where}: unknown layer kind {kind!r}")

@@ -2,21 +2,15 @@
 forward pass.
 
 A network is an ordered stack of layers over an input of width ``d``.
-Convolutional layers apply ``T`` shared filters to the patches of the
-previous layer; the unit for (patch p, filter t) sits at position
-``h = p*T + t``. A fully connected layer is the single-patch special
-case. Max-pooling takes the per-patch maximum, as a running maximum over
-the layout's taps (``max_pool``). The output layer is fully connected
-with no nonlinearity.
-
-A convolution is computed by gathering its layout's patches
-(``patch_products``); backward propagates through the transpose of that
-gather, ``PatchLayout.scatter_add``, which equals ``D_k U_k^T``.
-``lift_weights`` builds the dense matrix ``U_k`` of the convolution for
-rank and SVD work only; ``lift_adjoint`` is its transpose as a linear map,
-which pulls full-matrix gradients back to filter space. All of them,
-and ``max_pool``, index with the layout's (P, l) array
-``PatchLayout.patches``.
+Every weighted layer is a convolution: ``T`` shared filters over the
+patches of the previous layer, with the unit for (patch p, filter t) at
+``h = p*T + t``. A fully connected layer is the one whose single patch is
+the whole previous layer (``full_layout``); the output layer is one with
+no nonlinearity. All of them go through one set of operations that take
+P, l and T from ``NetworkSpec.layer_layout``: ``patch_products`` (a
+gather, then one GEMM), ``lift_weights`` (the dense ``U_k``, for rank and
+SVD work only) and its adjoint ``lift_adjoint``. Max-pooling is a
+running maximum over the layout's taps (``max_pool``).
 
 The frozen containers copy a caller's arrays but share the arrays the
 library seals as it creates them, and read-only views of those. The
@@ -27,13 +21,13 @@ pre-activations is finite, so only an activation with an unbounded tail
 has its features summed.
 
 A ``Workspace`` holds one float64 buffer per role (a layer's G, F or
-delta, the flat gradient, one lifted gradient that every convolution's
-filter gradient passes through in turn, and one scratch for temporaries
-that die inside a call). ``forward`` and ``backward`` given the same
-workspace write into those buffers instead of allocating, so a training
-run faults its arrays in once instead of once per step. A trace or
-gradient set made with a workspace is overwritten by the next call that
-uses it.
+delta, the flat gradient, one lifted gradient that every gathering
+layout's filter gradient passes through in turn, and one scratch for
+temporaries that die inside a call). ``forward`` and ``backward`` given
+the same workspace write into those buffers instead of allocating, so a
+training run faults its arrays in once instead of once per step. A trace
+or gradient set made with a workspace is overwritten by the next call
+that uses it.
 """
 
 from __future__ import annotations
@@ -63,20 +57,17 @@ class Conv:
             raise StructuralError("filter count must be positive")
 
     def out_width(self, in_width: int) -> int:
-        self._check_in_width(in_width)
-        return self.layout.patch_count * self.filters
-
-    def _check_in_width(self, in_width):
         if self.layout.width != in_width:
             raise StructuralError(
                 f"layout indexes a layer of width {self.layout.width}, "
                 f"but the previous layer has width {in_width}"
             )
+        return self.layout.patch_count * self.filters
 
 
 @dataclass(frozen=True)
 class FullyConnected:
-    """Dense layer; equivalent to Conv with one whole-layer patch."""
+    """Dense layer: ``width`` filters over one whole-layer patch."""
 
     width: int
     activation: Activation
@@ -145,9 +136,7 @@ class NetworkSpec:
         for i, layer in enumerate(layers[:-1]):
             if isinstance(layer, Output):
                 raise StructuralError(f"Output layer at position {i + 1} is not last")
-        width = self.input_width
-        for layer in layers:
-            width = layer.out_width(width)  # raises on mismatch
+        self.widths  # chains the widths, raising on a mismatch
 
     @property
     def depth(self) -> int:
@@ -169,7 +158,8 @@ class NetworkSpec:
     def layer_layout(self, k: int) -> PatchLayout:
         """The patch layout layer ``k`` reads from layer ``k-1``.
 
-        Fully connected and output layers read one whole-layer patch.
+        Fully connected and output layers read one whole-layer patch,
+        the layout ``full_layout`` shares among all layers of a width.
         """
         layer = self.layer(k)
         if isinstance(layer, (Conv, MaxPool)):
@@ -183,11 +173,7 @@ class NetworkSpec:
 
     def activation(self, k: int) -> Activation | None:
         layer = self.layer(k)
-        if isinstance(layer, (Conv, FullyConnected)):
-            return layer.activation
-        if isinstance(layer, Output):
-            return Identity()
-        return None
+        return Identity() if isinstance(layer, Output) else getattr(layer, "activation", None)
 
     def is_pooling(self, k: int) -> bool:
         return isinstance(self.layer(k), MaxPool)
@@ -197,13 +183,11 @@ class NetworkSpec:
         return any(self.is_pooling(k) for k in range(first, last + 1))
 
     def filter_shape(self, k: int) -> tuple[int, int] | None:
-        """(rows, cols) of layer k's parameter matrix, or None for pooling."""
-        layer = self.layer(k)
-        if isinstance(layer, Conv):
-            return (layer.layout.patch_size, layer.filters)
-        if isinstance(layer, (FullyConnected, Output)):
-            return (self.widths[k - 1], self.widths[k])
-        return None
+        """(l, T) of layer k's filter matrix, or None for pooling."""
+        if self.is_pooling(k):
+            return None
+        layout = self.layer_layout(k)
+        return (layout.patch_size, self.widths[k] // layout.patch_count)
 
 
 @dataclass(frozen=True)
@@ -336,6 +320,11 @@ def _param_count(spec: NetworkSpec, first: int = 1) -> int:
                if (shape := spec.filter_shape(k)) is not None)
 
 
+def _require_output_last(spec: NetworkSpec) -> None:
+    if not isinstance(spec.layers[-1], Output):
+        raise StructuralError("loss-level operations require an Output last layer")
+
+
 def _check_params_finite(params: Params, up_to: int) -> None:
     """Raise StructuralError naming the first of layers 1..up_to whose
     filter matrix or bias holds a non-finite value."""
@@ -453,27 +442,30 @@ class Dataset:
         return self.Y.shape[1]
 
 
+def _lifting(spec: NetworkSpec, k: int):
+    """Layer k's layout, its filter shape (l, T), and the index pair that
+    places the filter matrix into the (width, P, T) view of U."""
+    shape = spec.filter_shape(k)
+    if shape is None:
+        raise UnsupportedLayerError(f"layer {k} is max-pool and has no weights")
+    layout = spec.layer_layout(k)
+    return layout, shape, (layout.patches, np.arange(layout.patch_count)[:, None])
+
+
 def lift_weights(spec: NetworkSpec, k: int, W: np.ndarray) -> np.ndarray:
     """Embed filter matrix W of layer k into the full weight matrix U.
 
     Column ``h = p*T + t`` of U carries filter t's entries at the index
     positions of patch p and zeros elsewhere, so that
     ``G_k = F_{k-1} @ U + b`` reproduces the per-patch definition. For a
-    fully connected layer U is W itself. The map is linear in W.
+    fully connected layer U equals W. The map is linear in W.
     """
-    layer = spec.layer(k)
-    if isinstance(layer, MaxPool):
-        raise UnsupportedLayerError(f"layer {k} is max-pool and has no weights")
-    shape = spec.filter_shape(k)
+    layout, shape, place = _lifting(spec, k)
     W = np.asarray(W, dtype=np.float64)
     if W.shape != shape:
         raise StructuralError(f"layer {k} weights {W.shape}, expected {shape}")
-    if isinstance(layer, (FullyConnected, Output)):
-        return W.copy()
-    idx = layer.layout.patches  # (P, l)
-    P, T = layer.layout.patch_count, layer.filters
-    U = np.zeros((spec.widths[k - 1], P * T))
-    U.reshape(-1, P, T)[idx, np.arange(P)[:, None]] = W
+    U = np.zeros((layout.width, spec.widths[k]))
+    U.reshape(layout.width, layout.patch_count, shape[1])[place] = W
     return U
 
 
@@ -483,19 +475,13 @@ def lift_adjoint(spec: NetworkSpec, k: int, V: np.ndarray) -> np.ndarray:
     over every (patch, filter) placement of each filter tap; this is the
     chain rule that pulls a full-matrix gradient back to filter space.
     """
-    layer = spec.layer(k)
-    if isinstance(layer, MaxPool):
-        raise UnsupportedLayerError(f"layer {k} is max-pool and has no weights")
+    layout, shape, place = _lifting(spec, k)
     V = np.asarray(V, dtype=np.float64)
-    expected = (spec.widths[k - 1], spec.widths[k])
+    expected = (layout.width, spec.widths[k])
     if V.shape != expected:
         raise StructuralError(f"layer {k} lifted matrix {V.shape}, expected {expected}")
-    if isinstance(layer, (FullyConnected, Output)):
-        return V.copy()
-    idx = layer.layout.patches
-    P, T = layer.layout.patch_count, layer.filters
     # summing the (l, T) blocks in patch order fixes the rounding of grad_W
-    return V.reshape(-1, P, T)[idx, np.arange(P)[:, None]].sum(axis=0)
+    return V.reshape(layout.width, layout.patch_count, shape[1])[place].sum(axis=0)
 
 
 class Workspace:
@@ -534,10 +520,11 @@ def patch_products(
     out: np.ndarray | None = None,
     gather: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: the
-    convolution's pre-activation before the bias, via the patch gather.
-    ``out`` (N*P*T entries) receives the products and ``gather`` the
-    patches; without them both are allocated, the gather first."""
+    """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: a weighted
+    layer's pre-activation before the bias, as the patch gather and one
+    (N*P, l) x (l, T) GEMM. ``out`` (N*P*T entries) receives the products
+    and ``gather`` the patches, which a whole-layer layout does not copy;
+    without them both are allocated, the gather first."""
     patches = layout.extract(F, out=gather)
     N, P, l = patches.shape
     G = np.matmul(patches.reshape(N * P, l), W,
@@ -601,7 +588,7 @@ def forward(
 ) -> ForwardTrace:
     """Evaluate layers 1..up_to (default: all) on a batch.
 
-    Convolutional layers are computed by ``patch_products``, which equals
+    Every weighted layer is computed by ``patch_products``, which equals
     the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
     floating-point rounding. Pure function: identical inputs give identical
     traces. With a ``workspace`` every G and F except the input is a view
@@ -630,27 +617,22 @@ def forward(
     F: list[np.ndarray] = [X]
     G: list[np.ndarray | None] = [None]
     for k in range(1, up_to + 1):
-        layer = spec.layer(k)
-        prev = F[k - 1]
+        prev, layout = F[k - 1], spec.layer_layout(k)
         shape = (N, spec.widths[k])
         sigma = spec.activation(k)
         # overflow surfaces as NumericOverflowError below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(layer, MaxPool):
-                Fk = max_pool(layer.layout, prev, _take(workspace, ("F", k), shape),
+            if spec.is_pooling(k):
+                Fk = max_pool(layout, prev, _take(workspace, ("F", k), shape),
                               _take(workspace, "scratch", shape))
                 Gk = None
             else:
-                W, b = params.weights[k], params.biases[k]
-                out = _take(workspace, ("G", k), shape)
-                if isinstance(layer, Conv):
-                    P, l = layer.layout.patches.shape
-                    Gk = patch_products(layer.layout, prev, W, out,
-                                        _take(workspace, "scratch", (N, P, l)))
-                    Gk = Gk.reshape(shape)
-                else:
-                    Gk = np.matmul(prev, W, out=out)
-                Gk += b  # the product is a new array or the workspace's
+                # a whole-layer gather is a view of prev and needs no buffer
+                gather = None if layout._whole_layer else _take(
+                    workspace, "scratch", (N, *layout.patches.shape))
+                Gk = patch_products(layout, prev, params.weights[k],
+                                    _take(workspace, ("G", k), shape), gather).reshape(shape)
+                Gk += params.biases[k]  # the product is a new array or the workspace's
                 Fk = Gk if isinstance(sigma, Identity) else sigma(
                     Gk, out=_take(workspace, ("F", k), shape),
                     scratch=_take(workspace, "scratch", shape))

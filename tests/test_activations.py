@@ -75,7 +75,7 @@ class TestSigmoidAgainstTwoPass:
         sigma' that evaluated the two-pass sigmoid at G again."""
         F = Sigmoid()(t)
         s = two_pass_sigmoid(t)
-        assert np.array_equal(bits(Sigmoid().derivative_at(t, F)),
+        assert np.array_equal(bits(Sigmoid().derivative(t, F)),
                               bits(s * (1.0 - s)))
 
     def test_nan_stays_nan(self):

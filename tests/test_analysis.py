@@ -245,6 +245,23 @@ class TestBlockedSingularValues:
         # the isfinite mask (A.size bytes) or one block's copy (2 MiB)
         assert peak <= A.nbytes // 4
 
+    def test_finiteness_is_proved_without_a_mask(self):
+        """A sum, not an A.size boolean mask, shows A finite, so above about
+        2 MiB of entries one QR block's copy is the largest allocation."""
+        A = np.random.default_rng(29).uniform(size=(32, 1 << 17))
+        estimate_rank(A[:, :1000])  # warm numpy's linalg module
+        tracemalloc.start()
+        try:
+            report = estimate_rank(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.estimated_rank == 32
+        assert peak < A.size  # the mask alone took A.size bytes
+        A[5, 70_000] = np.nan
+        with pytest.raises(StructuralError):
+            estimate_rank(A)
+
 
 def _sv(A):
     return np.linalg.svd(A, compute_uv=False)

@@ -61,6 +61,13 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert main(["width-audit"]) == 2  # --n is required
 
+    @pytest.mark.parametrize("command", sorted(ROWS))
+    def test_empty_config_path(self, command, capsys):
+        """``--config ""`` names no file; it is not the same as no config."""
+        required = ["--n", "4"] if command == "width-audit" else []
+        assert main([command, *required, "--config", ""]) == 2
+        assert "expected a non-empty path" in capsys.readouterr().err
+
 
 class TestFlagTable:
     def test_each_subcommand_takes_exactly_its_row(self):
