@@ -320,15 +320,15 @@ def _independence_impl(spec, X, wide_layer, rng):
         # certified N x N submatrix conditioning is within a factor 2 of
         # the best seen. Conditioning protects the Gram solves built on
         # these features; a small scale keeps the weight norms (and hence
-        # downstream gradient amplification) modest. Only the scores are
-        # kept: F_k is formed again, by the same expression, for the
+        # downstream gradient amplification) modest. Only the N x N
+        # submatrix F_k[gamma][:, :N] is formed for the score, entry by
+        # entry by the same operations; the whole F_k is formed for the
         # candidates that reach the rank check.
         candidates = []
         for alpha in ALPHA_SCHEDULE:
             b = bias.copy()
             b[:N] = alpha * flat_ip[gamma, np.arange(N)] + beta
-            F_k = np.asarray(sigma(-alpha * flat_ip + b))
-            sub = F_k[gamma][:, :N]
+            sub = np.asarray(sigma(-alpha * flat_ip[gamma, :N] + b[:N]))
             s_min = float(np.linalg.svd(sub, compute_uv=False)[-1])
             if s_min >= SIGMA_MIN_FLOOR:
                 candidates.append((s_min, alpha, b))

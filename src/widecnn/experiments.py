@@ -22,7 +22,7 @@ from .analysis import BoundReport, RankReport, estimate_rank, gradient_bounds
 from .architectures import desk_sweep_network, single_conv_network
 from .constructions import ConstructionParams
 from .data import load_idx, synthesize_dataset
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .layout import conv1d_layout
 from .network import (
     Conv,
@@ -98,12 +98,15 @@ def _write_rows(path, mode: str, tag: str, rows) -> None:
 
 
 def read_csv(path):
-    """Return (schema_tag, columns, rows) from a schema-tagged CSV file."""
+    """Return (schema_tag, columns, rows) from a schema-tagged CSV file;
+    FormatError for a file without a header row."""
     with open(path, newline="") as fh:
         first = fh.readline().strip()
         tag = first.removeprefix("# schema=") if first.startswith("# schema=") else None
         reader = csv.reader(fh)
-        columns = next(reader)
+        columns = next(reader, None)
+        if columns is None:
+            raise FormatError(f"{path}: no header row")
         rows = [row for row in reader]
     return tag, columns, rows
 

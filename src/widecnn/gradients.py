@@ -7,14 +7,17 @@ a convolution, so the step is one GEMM of the (N*P, T) rows of
 ``D_{l+1}`` with ``W^T`` and then the layout's patch scatter, without the
 dense ``U`` that ``lift_weights`` builds for rank and SVD work.
 ``sigma_l'`` comes from the stored features where that is exact (a
-sigmoid's ``F_l (1 - F_l)``). The lifted gradient ``F_{l-1}^T @ D_l`` is
-the filter gradient of a whole-layer layout; any other layout pulls it
-back to filter space by the adjoint of the lifting map. Bias gradients
-are the column sums of ``D_l``. Every filter and bias gradient is written
-into one flat vector, each layer's weights then its bias, layer by
-layer. Given a ``Workspace``, the products, the flat vector, the lifted
-products and sigma' go to its buffers. Overflow gives non-finite values,
-not warnings; the trainer turns them into ``TrainingDivergedError``.
+sigmoid's ``F_l (1 - F_l)``). The filter gradient is the chain rule
+through the lifting map: the sum over patches p of
+``patch_p(F_{l-1})^T @ D_l[:, p]``, one stacked GEMM of the layer's
+gathered patches with the deltas, summed in patch order as
+``lift_adjoint`` sums the blocks of ``F_{l-1}^T @ D_l``, which is never
+formed. Bias gradients are the column sums of ``D_l``. Every filter and
+bias gradient is written into one flat vector, each layer's weights then
+its bias, layer by layer. Given a ``Workspace``, the products, the flat
+vector, the gathered patches and sigma' go to its buffers. Overflow gives
+non-finite values, not warnings; the trainer turns them into
+``TrainingDivergedError``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .network import (
     _param_views,
     _require_output_last,
     _take,
-    lift_adjoint,
 )
 
 
@@ -53,26 +55,19 @@ class GradientSet:
     """Per-layer gradients, indexed by layer (None below the differentiated
     segment and at pooling).
 
-    ``grad_W[l]`` is with respect to the filter matrix (the adjoint
-    pull-back of the lifted gradient ``F_{l-1}^T D_l``), ``grad_b[l]``
-    with respect to the bias, and ``deltas[l]`` is the sensitivity matrix
-    D_l of the backward recursion.
+    ``grad_W[l]`` is with respect to the filter matrix, ``grad_b[l]`` with
+    respect to the bias, and ``deltas[l]`` is the sensitivity matrix D_l
+    of the backward recursion. ``flat`` is the whole gradient as one
+    vector, each differentiated layer's ``grad_W`` then its ``grad_b``,
+    layer by layer; ``backward`` writes every ``grad_W[l]`` and
+    ``grad_b[l]`` as a view of it. A set built from separate arrays has
+    none.
     """
 
     grad_W: tuple[np.ndarray | None, ...]
     grad_b: tuple[np.ndarray | None, ...]
     deltas: tuple[np.ndarray | None, ...]
-
-    @property
-    def flat(self) -> np.ndarray | None:
-        """The whole gradient as one vector, each differentiated layer's
-        ``grad_W`` then its ``grad_b``, layer by layer. ``backward`` writes
-        every ``grad_W[l]`` and ``grad_b[l]`` as a view of this vector, which
-        starts its buffer; a set built from separate arrays has none."""
-        parts = [a for pair in zip(self.grad_W, self.grad_b) for a in pair
-                 if a is not None]
-        base = parts[0].base
-        return None if base is None else base[:sum(a.size for a in parts)]
+    flat: np.ndarray | None = None
 
 
 def backward(
@@ -125,16 +120,17 @@ def backward(
                 trace.G[l], trace.F[l], out=_take(workspace, "scratch", delta.shape))
             deltas[l] = delta
 
-        grad_W, grad_b = _param_views(
-            spec, np.empty(count) if workspace is None else workspace.take("grad", (count,)),
-            start_layer)
+        flat = np.empty(count) if workspace is None else workspace.take("grad", (count,))
+        grad_W, grad_b = _param_views(spec, flat, start_layer)
         for l in range(start_layer, L + 1):
-            if spec.layer_layout(l)._whole_layer:  # the lifted matrix is W itself
-                np.matmul(trace.F[l - 1].T, deltas[l], out=grad_W[l])
-            else:
-                lifted = np.matmul(trace.F[l - 1].T, deltas[l], out=_take(
-                    workspace, "lifted", (widths[l - 1], widths[l])))
-                grad_W[l][...] = lift_adjoint(spec, l, lifted)
+            layout = spec.layer_layout(l)
+            P, size = layout.patches.shape
+            patches = layout.extract(trace.F[l - 1], out=_take(
+                workspace, "scratch", (N, P, size)))
+            # (P, l, N) @ (P, N, T): each patch's (l, T) block, summed in patch order
+            np.sum(np.matmul(patches.transpose(1, 2, 0),
+                             deltas[l].reshape(N, P, widths[l] // P).transpose(1, 0, 2)),
+                   axis=0, out=grad_W[l])
             np.sum(deltas[l], axis=0, out=grad_b[l])
     return GradientSet(tuple(grad_W), tuple(grad_b),
-                       tuple(deltas.get(l) for l in range(L + 1)))
+                       tuple(deltas.get(l) for l in range(L + 1)), flat)

@@ -21,13 +21,12 @@ pre-activations is finite, so only an activation with an unbounded tail
 has its features summed.
 
 A ``Workspace`` holds one float64 buffer per role (a layer's G, F or
-delta, the flat gradient, one lifted gradient that every gathering
-layout's filter gradient passes through in turn, and one scratch for
-temporaries that die inside a call). ``forward`` and ``backward`` given
-the same workspace write into those buffers instead of allocating, so a
-training run faults its arrays in once instead of once per step. A trace
-or gradient set made with a workspace is overwritten by the next call
-that uses it.
+delta, the flat gradient, and one scratch for temporaries that die
+inside a call, such as a layer's gathered patches). ``forward`` and
+``backward`` given the same workspace write into those buffers instead
+of allocating, so a training run faults its arrays in once instead of
+once per step. A trace or gradient set made with a workspace is
+overwritten by the next call that uses it.
 """
 
 from __future__ import annotations

@@ -1,24 +1,34 @@
 """The benchmark's own operations as tier-1 gates: every workload's small
 pass runs without a failed operation, and the full-size desk sweep
-reproduces its stored digests bit for bit. ``perfbench/workloads.py`` is
-imported by path and only read."""
+reproduces its stored digests bit for bit, under the default BLAS
+threading and under the benchmark's one thread. ``perfbench/workloads.py``
+is imported by path and only read."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import widecnn
+
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+def _load_workloads(path):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module.WORKLOADS
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load_workloads(WORKLOADS_PATH)
 
 
 def _checked_pass(workload, seed, small):
@@ -34,9 +44,38 @@ def test_small_pass_has_no_failed_operation(workloads, name):
     assert verdict.failed == 0
 
 
+def _digest_verdict(workloads, seed):
+    """[reference found, failed operations, digest mismatches] of a pass."""
+    state, verdict = _checked_pass(workloads["desk-train"], seed, small=False)
+    return [state["reference"] is not None, verdict.failed, verdict.digest_mismatches]
+
+
+# a child process whose BLAS pool has one thread, as the benchmark's has
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_benchmark_workloads import WORKLOADS_PATH, _digest_verdict, _load_workloads
+print(json.dumps(_digest_verdict(_load_workloads(WORKLOADS_PATH), int(sys.argv[2]))))
+"""
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_desk_sweep_matches_its_reference_digest(workloads, seed):
-    state, verdict = _checked_pass(workloads["desk-train"], seed, small=False)
-    assert state["reference"] is not None
-    assert verdict.failed == 0
-    assert verdict.digest_mismatches == 0
+    """Seed 0 runs in this process under the default threading; seed 1 in a
+    child pinned to one BLAS thread, as the benchmark runs, because the
+    bits of a GEMM can depend on the kernel OpenBLAS picks for a thread
+    count. The child imports the same widecnn sources as this process."""
+    if seed == 0:
+        verdict = _digest_verdict(workloads, seed)
+    else:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(widecnn.__file__).resolve().parent.parent)]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        child = subprocess.run(
+            [sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent), str(seed)],
+            env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        verdict = json.loads(child.stdout)
+    assert verdict == [True, 0, 0]

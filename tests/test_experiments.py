@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from widecnn import AdamConfig, ConfigError, LearningRateSchedule, forward
+from widecnn import AdamConfig, ConfigError, FormatError, LearningRateSchedule, forward
 from widecnn.experiments import (
     SCHEMAS,
     DatasetConfig,
@@ -168,6 +168,16 @@ class TestCsv:
         with pytest.raises(ConfigError, match="columns"):
             append_csv(path, "loss-curve.v1", [["1"]])
         assert read_csv(path)[2] == [["0", "1"]]
+
+    @pytest.mark.parametrize("text", ["", "# schema=loss-curve.v1\n"])
+    def test_file_without_a_header_row_is_a_format_error(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        for call in (lambda: read_csv(path),
+                     lambda: append_csv(path, "loss-curve.v1", [["0", "1.0"]])):
+            with pytest.raises(FormatError, match="r.csv: no header row"):
+                call()
+        assert path.read_text() == text
 
 
 class TestRankGenericity:

@@ -127,8 +127,8 @@ class TestWholeLayerShortcuts:
         assert not conv1d_layout(4, 3)._whole_layer
 
 
-# a one-patch layout that reads the layer out of order: it must gather,
-# scatter and pull the lifted gradient back like any convolution
+# a one-patch layout that reads the layer out of order: it must gather and
+# scatter like any convolution
 PERMUTED = PatchLayout(5, [[3, 0, 4, 1, 2]])
 
 

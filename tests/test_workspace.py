@@ -10,6 +10,7 @@ import pytest
 from widecnn import (
     Conv,
     FullyConnected,
+    GradientSet,
     MaxPool,
     NetworkSpec,
     Output,
@@ -90,12 +91,20 @@ def test_flat_gradient_is_the_parameter_vector_of_its_segment():
     params = Params.fan_in_gaussian(spec, rng)
     workspace = Workspace()
     trace = forward(spec, params, X, workspace=workspace)
+    grads = backward(spec, params, trace, Y)
     whole = backward(spec, params, trace, Y, workspace=workspace).flat.copy()
     upper = backward(spec, params, trace, Y, 2, workspace=workspace)
     assert upper.flat.tobytes() == whole[-upper.flat.size:].tobytes()
     assert upper.flat.size == sum(a.size for a in (*upper.grad_W, *upper.grad_b)
                                   if a is not None)
     assert finite_difference_gradient(spec, params, X, Y).flat is None
+    assert whole.tobytes() == np.concatenate(
+        [a.ravel() for pair in zip(grads.grad_W, grads.grad_b) for a in pair
+         if a is not None]).tobytes()
+    # separate arrays make no flat vector, even where one is a view
+    separate = GradientSet((None, np.arange(6.0).reshape(3, 2)),
+                           (None, np.array([10.0, 20.0])), (None, None))
+    assert separate.flat is None
 
 
 @pytest.mark.parametrize("net", sorted(NETS))
@@ -114,9 +123,9 @@ def test_calls_without_a_workspace_share_no_memory(net):
     assert not any(np.shares_memory(a, b) for a in first for b in second)
 
 
-def test_lifted_products_share_one_role():
-    """Each convolution's lifted gradient F_{l-1}^T D_l is a temporary in
-    one workspace role, however many conv layers there are."""
+def test_filter_gradients_take_no_lifted_role():
+    """Every filter gradient is formed from the layer's gathered patches,
+    which pass through the scratch role; no dense F_{l-1}^T D_l is kept."""
     spec, start = NETS["conv-conv"]
     rng = np.random.default_rng(10)
     X, Y = rng.standard_normal((5, 12)), rng.standard_normal((5, 3))
@@ -125,7 +134,7 @@ def test_lifted_products_share_one_role():
     backward(spec, params, forward(spec, params, X, workspace=workspace), Y, start,
              workspace=workspace)
     roles = {key if isinstance(key, str) else key[0] for key in workspace._buffers}
-    assert roles == {"G", "F", "delta", "grad", "lifted", "scratch"}
+    assert roles == {"G", "F", "delta", "grad", "scratch"}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
