@@ -100,9 +100,10 @@ class Sigmoid(Activation):
         # tail keeps its relative accuracy down to the subnormals.
         # The numerator max(e, t >= 0) is 1 where t >= 0, because e <= 1
         # there, and e below; unlike a select it takes no data-dependent
-        # branch. Every step writes in place, so at most two full-size
-        # arrays are alive at once: e in scratch and the result in out;
-        # out= keeps a 0-d input an array.
+        # branch. Every step writes in place, so besides the t >= 0 mask at
+        # most two arrays of t's size are alive at once: e in scratch and
+        # the result in out; out= keeps a 0-d input an array. forward
+        # passes row blocks of at most one ROW_TILE, so each is one tile.
         t = np.asarray(t, dtype=np.float64)
         e = np.abs(t, out=np.empty_like(t) if scratch is None else scratch)
         np.negative(e, out=e)

@@ -98,11 +98,16 @@ def _write_rows(path, mode: str, tag: str, rows) -> None:
 
 
 def read_csv(path):
-    """Return (schema_tag, columns, rows) from a schema-tagged CSV file;
-    FormatError for a file without a header row."""
+    """Return (schema_tag, columns, rows) from a CSV file; the tag is None
+    when the file has no ``# schema=`` line, and then its first line is the
+    header row. FormatError for a file without a header row."""
     with open(path, newline="") as fh:
         first = fh.readline().strip()
-        tag = first.removeprefix("# schema=") if first.startswith("# schema=") else None
+        if first.startswith("# schema="):
+            tag = first.removeprefix("# schema=")
+        else:
+            tag = None
+            fh.seek(0)
         reader = csv.reader(fh)
         columns = next(reader, None)
         if columns is None:

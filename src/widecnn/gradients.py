@@ -125,8 +125,9 @@ def backward(
         for l in range(start_layer, L + 1):
             layout = spec.layer_layout(l)
             P, size = layout.patches.shape
-            patches = layout.extract(trace.F[l - 1], out=_take(
-                workspace, "scratch", (N, P, size)))
+            # a whole-layer gather is a view of F_{l-1} and needs no buffer
+            patches = layout.extract(trace.F[l - 1], out=None if layout._whole_layer
+                                     else _take(workspace, "scratch", (N, P, size)))
             # (P, l, N) @ (P, N, T): each patch's (l, T) block, summed in patch order
             np.sum(np.matmul(patches.transpose(1, 2, 0),
                              deltas[l].reshape(N, P, widths[l] // P).transpose(1, 0, 2)),

@@ -12,6 +12,15 @@ gather, then one GEMM), ``lift_weights`` (the dense ``U_k``, for rank and
 SVD work only) and its adjoint ``lift_adjoint``. Max-pooling is a
 running maximum over the layout's taps (``max_pool``).
 
+The forward pass allocates little beyond the trace it returns: each of
+its temporaries (a block's gathered patches, the sigmoid's scratch, a
+pooling tap's columns) is at most one ``ROW_TILE`` of 2^18 float64
+entries, because the gather and GEMM, the bias add, the finiteness sum,
+the activation and the pooling run over row blocks that fit one tile.
+Every blocked operation but the GEMM gives the bits of one call over the
+whole batch; a batch of more rows than one tile holds may see BLAS round
+a block's GEMM differently, within the bound ``patch_products`` states.
+
 The frozen containers copy a caller's arrays but share the arrays the
 library seals as it creates them, and read-only views of those. The
 forward pass proves its features finite by their sums and scans the
@@ -40,6 +49,9 @@ import numpy as np
 from .activations import Activation, Identity
 from .errors import NumericOverflowError, StructuralError, UnsupportedLayerError
 from .layout import PatchLayout, full_layout
+
+# float64 entries (2 MiB) in the largest temporary of the forward pass
+ROW_TILE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -512,6 +524,12 @@ def _take(workspace: Workspace | None, key, shape: tuple[int, ...]) -> np.ndarra
     return None if workspace is None else workspace.take(key, shape)
 
 
+def _tile_rows(width: int) -> int:
+    """How many rows of ``width`` entries one ``ROW_TILE`` holds, at least
+    one."""
+    return max(1, ROW_TILE // width)
+
+
 def patch_products(
     layout: PatchLayout,
     F: np.ndarray,
@@ -521,14 +539,28 @@ def patch_products(
 ) -> np.ndarray:
     """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: a weighted
     layer's pre-activation before the bias, as the patch gather and one
-    (N*P, l) x (l, T) GEMM. ``out`` (N*P*T entries) receives the products
-    and ``gather`` the patches, which a whole-layer layout does not copy;
-    without them both are allocated, the gather first."""
-    patches = layout.extract(F, out=gather)
-    N, P, l = patches.shape
-    G = np.matmul(patches.reshape(N * P, l), W,
-                  out=None if out is None else out.reshape(N * P, W.shape[1]))
-    return G.reshape(N, P, W.shape[1])
+    (b*P, l) x (l, T) GEMM for each block of b = ``_tile_rows(P*l)`` rows
+    of the (N, layout.width) rows F, so a gathered block holds at most one
+    ``ROW_TILE``. A whole-layer layout gathers nothing: its one patch is a
+    row of F, and all N rows go in one GEMM. ``out`` (N*P*T entries)
+    receives the products and ``gather`` (min(N, b)*P*l entries) each
+    block's patches; without them both are allocated.
+
+    A batch of at most b rows is one gather and one GEMM. Above that, BLAS
+    may round a block's GEMM differently from the whole batch's: each
+    entry stays within 2*l*eps*(|patch| @ |W|) of it."""
+    N, (P, l), T = F.shape[0], layout.patches.shape, W.shape[1]
+    if layout._whole_layer:
+        G = np.matmul(F, W, out=None if out is None else out.reshape(N, T))
+        return G.reshape(N, 1, T)
+    G = np.empty((N, P, T)) if out is None else out.reshape(N, P, T)
+    rows = _tile_rows(P * l)
+    for start in range(0, N, rows):
+        block = F[start : start + rows]
+        patches = layout.extract(
+            block, out=None if gather is None else gather[: len(block)])
+        np.matmul(patches.reshape(-1, l), W, out=G[start : start + rows].reshape(-1, T))
+    return G
 
 
 def max_pool(
@@ -539,14 +571,24 @@ def max_pool(
 ) -> np.ndarray:
     """(N, P) per-patch maxima of the (N, layout.width) rows F: tap 0's
     column, then a running ``np.maximum`` with each later tap's column,
-    so no (N, P, l) gather is formed. NaN propagates. ``out`` receives
-    the maxima and ``scratch`` (N*P entries) each later tap's column;
-    without them both are allocated."""
+    so no (N, P, l) gather is formed. It runs over blocks of
+    b = ``_tile_rows(P)`` rows, so a tap's columns take at most one
+    ``ROW_TILE``. NaN propagates. ``out`` receives the maxima and
+    ``scratch`` (min(N, b)*P entries) each later tap's columns of a
+    block; without them both are allocated."""
+    N, P = F.shape[0], layout.patch_count
     taps = layout.patches.T  # (l, P)
-    # mode="clip" as in PatchLayout.extract: the layout's indices are valid
-    M = np.take(F, taps[0], axis=1, out=out, mode="clip")
-    for tap in taps[1:]:
-        np.maximum(M, np.take(F, tap, axis=1, out=scratch, mode="clip"), out=M)
+    M = np.empty((N, P)) if out is None else out
+    rows = _tile_rows(P)
+    scratch = np.empty((min(N, rows), P)) if scratch is None else scratch
+    for start in range(0, N, rows):
+        block, maxima = F[start : start + rows], M[start : start + rows]
+        tap_scratch = scratch[: len(block)]
+        # mode="clip" as in PatchLayout.extract: the layout's indices are valid
+        np.take(block, taps[0], axis=1, out=maxima, mode="clip")
+        for tap in taps[1:]:
+            np.maximum(maxima, np.take(block, tap, axis=1, out=tap_scratch, mode="clip"),
+                       out=maxima)
     return M
 
 
@@ -589,10 +631,12 @@ def forward(
 
     Every weighted layer is computed by ``patch_products``, which equals
     the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
-    floating-point rounding. Pure function: identical inputs give identical
-    traces. With a ``workspace`` every G and F except the input is a view
-    of its buffers, computed by the same operations in the same order, and
-    the next call with that workspace overwrites them.
+    floating-point rounding. The bias add, the finiteness sums and the
+    activation run over blocks of ``_tile_rows(n_k)`` rows, so each
+    temporary is at most one ``ROW_TILE``. Pure function: identical inputs
+    give identical traces. With a ``workspace`` every G and F except the
+    input is a view of its buffers, computed by the same operations in the
+    same order, and the next call with that workspace overwrites them.
 
     Raises StructuralError for a malformed or non-finite batch and for
     misshapen or non-finite parameters of layers 1..up_to, and
@@ -617,29 +661,42 @@ def forward(
     G: list[np.ndarray | None] = [None]
     for k in range(1, up_to + 1):
         prev, layout = F[k - 1], spec.layer_layout(k)
-        shape = (N, spec.widths[k])
+        width = spec.widths[k]
+        shape, rows = (N, width), _tile_rows(width)
+        if spec.is_pooling(k):
+            # the maxima of finite features are finite
+            F.append(_seal(max_pool(layout, prev, _take(workspace, ("F", k), shape),
+                                    _take(workspace, "scratch", (min(N, rows), width)))))
+            G.append(None)
+            continue
         sigma = spec.activation(k)
+        linear = isinstance(sigma, Identity)
+        check_F = not linear and _unbounded(sigma)
+        # a whole-layer gather is a view of prev and needs no buffer
+        gather = None if layout._whole_layer else _take(
+            workspace, "scratch", (min(N, _tile_rows(layout.patches.size)),
+                                   *layout.patches.shape))
+        G_finite = F_finite = True
         # overflow surfaces as NumericOverflowError below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if spec.is_pooling(k):
-                Fk = max_pool(layout, prev, _take(workspace, ("F", k), shape),
-                              _take(workspace, "scratch", shape))
-                Gk = None
-            else:
-                # a whole-layer gather is a view of prev and needs no buffer
-                gather = None if layout._whole_layer else _take(
-                    workspace, "scratch", (N, *layout.patches.shape))
-                Gk = patch_products(layout, prev, params.weights[k],
-                                    _take(workspace, ("G", k), shape), gather).reshape(shape)
-                Gk += params.biases[k]  # the product is a new array or the workspace's
-                Fk = Gk if isinstance(sigma, Identity) else sigma(
-                    Gk, out=_take(workspace, ("F", k), shape),
-                    scratch=_take(workspace, "scratch", shape))
-        if Gk is not None and not _all_finite(Gk):
+            Gk = patch_products(layout, prev, params.weights[k],
+                                _take(workspace, ("G", k), shape), gather).reshape(shape)
+            Fk = Gk if linear else _take(workspace, ("F", k), shape)
+            if Fk is None:
+                Fk = np.empty(shape)
+            scratch = None if linear else _take(workspace, "scratch", (min(N, rows), width))
+            for start in range(0, N, rows):
+                Gb = Gk[start : start + rows]
+                Gb += params.biases[k]  # the products are new or the workspace's
+                G_finite = G_finite and _all_finite(Gb)
+                if not linear:
+                    Fb = sigma(Gb, out=Fk[start : start + rows],
+                               scratch=None if scratch is None else scratch[: len(Gb)])
+                    F_finite = F_finite and (not check_F or _all_finite(Fb))
+        if not G_finite:
             _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")
-        if (Fk is not Gk and (sigma is None or _unbounded(sigma))
-                and not _all_finite(Fk)):
+        if not F_finite:
             _raise_non_finite(params, up_to, f"non-finite activation at layer {k}")
         F.append(_seal(Fk))
-        G.append(None if Gk is None else _seal(Gk))
+        G.append(_seal(Gk))
     return ForwardTrace(tuple(F), tuple(G))

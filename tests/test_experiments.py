@@ -179,6 +179,14 @@ class TestCsv:
                 call()
         assert path.read_text() == text
 
+    def test_file_without_a_schema_line_keeps_its_header_row(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("epoch,loss\n0,1.0\n1,0.5\n")
+        assert read_csv(path) == (None, ["epoch", "loss"], [["0", "1.0"], ["1", "0.5"]])
+        with pytest.raises(ConfigError, match=r"existing schema None/\['epoch', 'loss'\]"):
+            append_csv(path, "loss-curve.v1", [["2", "0.25"]])
+        assert path.read_text() == "epoch,loss\n0,1.0\n1,0.5\n"
+
 
 class TestRankGenericity:
     def test_sigmoid_smoke_fraction_one(self, tmp_path):

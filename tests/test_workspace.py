@@ -137,6 +137,21 @@ def test_filter_gradients_take_no_lifted_role():
     assert roles == {"G", "F", "delta", "grad", "scratch"}
 
 
+def test_whole_layer_gradients_take_no_gather_scratch():
+    """A dense layer's patches are a view of F_{l-1}, so backward on a
+    dense-first net leaves the scratch role at the size forward gave it:
+    N x 20 for the sigmoid, not the N x 784 of the input layer."""
+    spec = NetworkSpec(784, (FullyConnected(20, Sigmoid()), Output(3)))
+    rng = np.random.default_rng(4)
+    X, Y = rng.standard_normal((32, 784)), rng.standard_normal((32, 3))
+    params = Params.fan_in_gaussian(spec, rng)
+    workspace = Workspace()
+    trace = forward(spec, params, X, workspace=workspace)
+    assert workspace._buffers["scratch"].size == 32 * 20
+    backward(spec, params, trace, Y, workspace=workspace)
+    assert workspace._buffers["scratch"].size == 32 * 20
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor page-fault counts are Linux getrusage semantics")
 def test_training_faults_its_arrays_in_once():
