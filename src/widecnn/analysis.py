@@ -70,8 +70,9 @@ def _singular_values(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
         raise StructuralError(f"expected a non-empty matrix, got shape {A.shape}")
-    if not _all_finite(A):  # a sum, not an A.size boolean mask
-        raise StructuralError("matrix contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _all_finite(A):  # a sum, not an A.size boolean mask
+            raise StructuralError("matrix contains non-finite entries")
     tall = A.T if A.shape[0] < A.shape[1] else A
     short = tall.shape[1]
     try:
@@ -171,8 +172,11 @@ def _sandwich(
     lower = float(sv_f[-1]) * math.prod(f[0] * f[2] for f in factors)
     upper_factor = float(sv_f[0]) * math.prod(f[1] * f[3] for f in factors)
     residual = float(np.linalg.norm(grads.deltas[spec.depth]))  # ||F_L - Y||_F
-    # the gradient with respect to the lifted matrix U_{k+1}
-    grad_norm = float(np.linalg.norm(trace.F[wide_layer].T @ grads.deltas[wide_layer + 1]))
+    # the gradient with respect to the lifted matrix U_{k+1}; backward has
+    # formed it when layer k+1 is dense, whose U_{k+1} is W_{k+1}
+    grad_norm = float(np.linalg.norm(
+        grads.grad_W[wide_layer + 1] if spec.plan[wide_layer + 1].layout._whole_layer
+        else trace.F[wide_layer].T @ grads.deltas[wide_layer + 1]))
     return spectra, upper_factor, BoundReport(
         lower * residual, upper_factor * residual, grad_norm, residual, tuple(factors))
 

@@ -62,26 +62,8 @@ SCHEMAS = {
 
 def write_csv(path, tag: str, rows) -> None:
     """Write a report under ``SCHEMAS[tag]``: a ``# schema=`` line, the
-    header row, then the data rows."""
-    _write_rows(path, "w", tag, rows)
-
-
-def append_csv(path, tag: str, rows) -> None:
-    """Append rows, creating the tagged header if the file is new; refuses
-    to append under a mismatching schema or header."""
-    path = Path(path)
-    if not path.exists():
-        return write_csv(path, tag, rows)
-    existing_tag, existing_columns, _ = read_csv(path)
-    if (existing_tag, tuple(existing_columns)) != (tag, SCHEMAS.get(tag)):
-        raise ConfigError(f"{path}: existing schema {existing_tag!r}/"
-                          f"{existing_columns} does not match {tag!r}")
-    _write_rows(path, "a", tag, rows)
-
-
-def _write_rows(path, mode: str, tag: str, rows) -> None:
-    """Check every row against the columns of ``tag``, then write; a new
-    file (mode ``"w"``) starts with the schema line and the header row."""
+    header row, then the data rows. Every row is checked against the
+    columns of ``tag`` before the file is opened."""
     if tag not in SCHEMAS:
         raise ConfigError(f"unknown CSV schema {tag!r}; expected one of "
                           f"{sorted(SCHEMAS)}")
@@ -90,11 +72,9 @@ def _write_rows(path, mode: str, tag: str, rows) -> None:
     if any(len(row) != len(columns) for row in rows):
         raise ConfigError(f"{tag}: every row needs one value for each of its "
                           f"{len(columns)} columns")
-    with open(path, mode, newline="") as fh:
-        if mode == "w":
-            fh.write(f"# schema={tag}\n")
-            rows.insert(0, columns)
-        csv.writer(fh).writerows(rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema={tag}\n")
+        csv.writer(fh).writerows([columns, *rows])
 
 
 def read_csv(path):

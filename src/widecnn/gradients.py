@@ -32,7 +32,6 @@ from .network import (
     NetworkSpec,
     Params,
     Workspace,
-    _param_count,
     _param_views,
     _require_output_last,
     _take,
@@ -93,7 +92,7 @@ def backward(
         raise StructuralError(f"start layer {start_layer} outside [1, {L}]")
     if trace.last_layer != L:
         raise StructuralError("trace does not cover the full network")
-    if spec.has_pooling(start_layer, L):
+    if spec.has_pooling(start_layer):
         raise UnsupportedLayerError(
             "backpropagation through max-pooling is not supported"
         )
@@ -101,36 +100,35 @@ def backward(
     if trace.output.shape != Y.shape:
         raise StructuralError(f"output {trace.output.shape} vs targets {Y.shape}")
 
-    N, widths = Y.shape[0], spec.widths
-    count = _param_count(spec, start_layer)
+    N, plan = Y.shape[0], spec.plan
+    count = plan[L].stop - plan[start_layer].offset
     # a diverging run overflows here; the trainer reports it as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         # the output layer is linear
         delta = np.subtract(trace.output, Y, out=_take(workspace, ("delta", L), Y.shape))
         deltas: dict[int, np.ndarray] = {L: delta}
         for l in range(L - 1, start_layer - 1, -1):
-            layout = spec.layer_layout(l + 1)
-            P, size = layout.patches.shape
+            layout, (size, T) = plan[l + 1].layout, plan[l + 1].filter_shape
+            P = layout.patch_count
             # one 2-D GEMM: a dense layer's is D_{l+1} @ W^T itself
-            product = np.matmul(delta.reshape(N * P, widths[l + 1] // P),
-                                params.weights[l + 1].T,
+            product = np.matmul(delta.reshape(N * P, T), params.weights[l + 1].T,
                                 out=_take(workspace, ("delta", l), (N * P, size)))
             delta = layout.scatter_add(product.reshape(N, P, size))
-            delta *= spec.activation(l).derivative(
+            delta *= plan[l].activation.derivative(
                 trace.G[l], trace.F[l], out=_take(workspace, "scratch", delta.shape))
             deltas[l] = delta
 
         flat = np.empty(count) if workspace is None else workspace.take("grad", (count,))
         grad_W, grad_b = _param_views(spec, flat, start_layer)
         for l in range(start_layer, L + 1):
-            layout = spec.layer_layout(l)
-            P, size = layout.patches.shape
+            layout, (size, T) = plan[l].layout, plan[l].filter_shape
+            P = layout.patch_count
             # a whole-layer gather is a view of F_{l-1} and needs no buffer
             patches = layout.extract(trace.F[l - 1], out=None if layout._whole_layer
                                      else _take(workspace, "scratch", (N, P, size)))
             # (P, l, N) @ (P, N, T): each patch's (l, T) block, summed in patch order
             np.sum(np.matmul(patches.transpose(1, 2, 0),
-                             deltas[l].reshape(N, P, widths[l] // P).transpose(1, 0, 2)),
+                             deltas[l].reshape(N, P, T).transpose(1, 0, 2)),
                    axis=0, out=grad_W[l])
             np.sum(deltas[l], axis=0, out=grad_b[l])
     return GradientSet(tuple(grad_W), tuple(grad_b),

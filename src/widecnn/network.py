@@ -6,11 +6,12 @@ Every weighted layer is a convolution: ``T`` shared filters over the
 patches of the previous layer, with the unit for (patch p, filter t) at
 ``h = p*T + t``. A fully connected layer is the one whose single patch is
 the whole previous layer (``full_layout``); the output layer is one with
-no nonlinearity. All of them go through one set of operations that take
-P, l and T from ``NetworkSpec.layer_layout``: ``patch_products`` (a
-gather, then one GEMM), ``lift_weights`` (the dense ``U_k``, for rank and
-SVD work only) and its adjoint ``lift_adjoint``. Max-pooling is a
-running maximum over the layout's taps (``max_pool``).
+no nonlinearity. All of them go through one set of operations that read
+the layout, (l, T) and width of each layer from the spec's ``plan``, which
+the spec works out once when it is built: ``patch_products`` (a gather,
+then one GEMM), ``lift_weights`` (the dense ``U_k``, for rank and SVD work
+only) and its adjoint ``lift_adjoint``. Max-pooling is a running maximum
+over the layout's taps (``max_pool``).
 
 The forward pass allocates little beyond the trace it returns: each of
 its temporaries (a block's gathered patches, the sigmoid's scratch, a
@@ -41,8 +42,7 @@ overwritten by the next call that uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,19 +123,40 @@ class Output:
 Layer = Conv | FullyConnected | MaxPool | Output
 
 
+@dataclass(frozen=True, slots=True)
+class LayerPlan:
+    """One layer of a spec, worked out once: the ``layout`` it reads from
+    the layer below (``full_layout`` for dense and output layers), its
+    ``width`` n_k, its ``activation`` (``Identity`` for the output) and the
+    (l, T) ``filter_shape`` (both None for pooling), and the span
+    [``offset``, ``stop``) of its filter matrix then bias in the flat
+    parameter vector of layers 1..L, empty for pooling."""
+
+    layout: PatchLayout
+    width: int
+    activation: Activation | None
+    filter_shape: tuple[int, int] | None
+    offset: int
+    stop: int
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture: input width plus an ordered layer stack.
 
     Layer numbering is 1-based in every public operation; layer 0 is the
-    input. Width chaining is validated at construction. Networks used for
-    training or landscape analysis additionally need an ``Output`` last
-    layer (``backward`` checks it); headless stacks are fine for
-    feature-level work.
+    input. Construction validates the width chain in the one walk that
+    builds ``plan``, a ``LayerPlan`` per layer index-aligned to the layers
+    (entry 0 is None) that forward, backward and lifting read, and
+    ``widths`` (n_0, ..., n_L). Networks used for training or landscape
+    analysis additionally need an ``Output`` last layer (``backward``
+    checks it); headless stacks are fine for feature-level work.
     """
 
     input_width: int
     layers: tuple[Layer, ...]
+    plan: tuple[LayerPlan | None, ...] = field(init=False, repr=False, compare=False)
+    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_width < 1:
@@ -147,24 +168,34 @@ class NetworkSpec:
         for i, layer in enumerate(layers[:-1]):
             if isinstance(layer, Output):
                 raise StructuralError(f"Output layer at position {i + 1} is not last")
-        self.widths  # chains the widths, raising on a mismatch
+        plan, width, offset = [None], self.input_width, 0
+        for layer in layers:
+            layout = (layer.layout if isinstance(layer, (Conv, MaxPool))
+                      else full_layout(width))
+            width = layer.out_width(width)  # raises on a width mismatch
+            if isinstance(layer, MaxPool):
+                plan.append(LayerPlan(layout, width, None, None, offset, offset))
+                continue
+            shape = (layout.patch_size, width // layout.patch_count)
+            stop = offset + shape[0] * shape[1] + width
+            activation = Identity() if isinstance(layer, Output) else layer.activation
+            plan.append(LayerPlan(layout, width, activation, shape, offset, stop))
+            offset = stop
+        object.__setattr__(self, "plan", tuple(plan))
+        object.__setattr__(self, "widths", (self.input_width, *(p.width for p in plan[1:])))
 
     @property
     def depth(self) -> int:
         return len(self.layers)
 
-    @cached_property
-    def widths(self) -> tuple[int, ...]:
-        """(n_0, n_1, ..., n_L), computed once per spec."""
-        out = [self.input_width]
-        for layer in self.layers:
-            out.append(layer.out_width(out[-1]))
-        return tuple(out)
-
     def layer(self, k: int) -> Layer:
         if not 1 <= k <= self.depth:
             raise StructuralError(f"layer index {k} outside [1, {self.depth}]")
         return self.layers[k - 1]
+
+    def _planned(self, k: int) -> LayerPlan:
+        self.layer(k)  # the range check
+        return self.plan[k]
 
     def layer_layout(self, k: int) -> PatchLayout:
         """The patch layout layer ``k`` reads from layer ``k-1``.
@@ -172,10 +203,7 @@ class NetworkSpec:
         Fully connected and output layers read one whole-layer patch,
         the layout ``full_layout`` shares among all layers of a width.
         """
-        layer = self.layer(k)
-        if isinstance(layer, (Conv, MaxPool)):
-            return layer.layout
-        return full_layout(self.widths[k - 1])
+        return self._planned(k).layout
 
     @property
     def input_layout(self) -> PatchLayout:
@@ -183,22 +211,18 @@ class NetworkSpec:
         return self.layer_layout(1)
 
     def activation(self, k: int) -> Activation | None:
-        layer = self.layer(k)
-        return Identity() if isinstance(layer, Output) else getattr(layer, "activation", None)
+        return self._planned(k).activation
 
     def is_pooling(self, k: int) -> bool:
-        return isinstance(self.layer(k), MaxPool)
+        return self._planned(k).filter_shape is None
 
-    def has_pooling(self, first: int = 1, last: int | None = None) -> bool:
-        last = self.depth if last is None else last
-        return any(self.is_pooling(k) for k in range(first, last + 1))
+    def has_pooling(self, first: int = 1) -> bool:
+        """Whether any of layers first..L pools."""
+        return any(self.is_pooling(k) for k in range(first, self.depth + 1))
 
     def filter_shape(self, k: int) -> tuple[int, int] | None:
         """(l, T) of layer k's filter matrix, or None for pooling."""
-        if self.is_pooling(k):
-            return None
-        layout = self.layer_layout(k)
-        return (layout.patch_size, self.widths[k] // layout.patch_count)
+        return self._planned(k).filter_shape
 
 
 @dataclass(frozen=True)
@@ -254,10 +278,10 @@ class Params:
         draws of the Gaussian initializers."""
         up_to = spec.depth if up_to is None else up_to
         weights, biases = [None], [None]
-        for k in range(1, spec.depth + 1):
-            shape = spec.filter_shape(k) if k <= up_to else None
+        for k, layer in enumerate(spec.plan[1:], 1):
+            shape = layer.filter_shape if k <= up_to else None
             weights.append(None if shape is None else _seal(weight(shape)))
-            biases.append(None if shape is None else _seal(bias(spec.widths[k])))
+            biases.append(None if shape is None else _seal(bias(layer.width)))
         return cls(tuple(weights), tuple(biases))
 
     def with_layer(self, k: int, W: np.ndarray, b: np.ndarray) -> "Params":
@@ -308,27 +332,18 @@ def _param_views(spec: NetworkSpec, flat: np.ndarray, first: int = 1):
     """Per-layer (weights, biases) lists of views of the flat vector
     ``flat``, which holds layer first's filter matrix, then its bias, then
     layer first+1's, and so on up to the last layer: the order in which
-    the initializers draw. Entries below ``first`` and at pooling layers
-    are None."""
+    the initializers draw, and the plan's spans less layer first's offset.
+    Entries below ``first`` and at pooling layers are None."""
     weights = [None] * (spec.depth + 1)
     biases = [None] * (spec.depth + 1)
-    at = 0
-    for k in range(first, spec.depth + 1):
-        shape = spec.filter_shape(k)
-        if shape is None:
+    base = spec.plan[first].offset
+    for k, layer in enumerate(spec.plan[first:], first):
+        if layer.filter_shape is None:
             continue
-        size = shape[0] * shape[1]
-        weights[k] = flat[at : at + size].reshape(shape)
-        biases[k] = flat[at + size : at + size + spec.widths[k]]
-        at += size + spec.widths[k]
+        at, bias_at = layer.offset - base, layer.stop - base - layer.width
+        weights[k] = flat[at:bias_at].reshape(layer.filter_shape)
+        biases[k] = flat[bias_at : layer.stop - base]
     return weights, biases
-
-
-def _param_count(spec: NetworkSpec, first: int = 1) -> int:
-    """Length of the flat vector that ``_param_views`` splits."""
-    return sum(shape[0] * shape[1] + spec.widths[k]
-               for k in range(first, spec.depth + 1)
-               if (shape := spec.filter_shape(k)) is not None)
 
 
 def _require_output_last(spec: NetworkSpec) -> None:
@@ -352,8 +367,8 @@ def _check_param_shapes(spec: NetworkSpec, params: Params, up_to: int | None = N
         raise StructuralError(
             f"params cover {len(params.weights) - 1} layers, spec has {spec.depth}"
         )
-    for k in range(1, up_to + 1):
-        shape = spec.filter_shape(k)
+    for k, layer in enumerate(spec.plan[1 : up_to + 1], 1):
+        shape = layer.filter_shape
         W, b = params.weights[k], params.biases[k]
         if shape is None:
             if W is not None or b is not None:
@@ -363,10 +378,8 @@ def _check_param_shapes(spec: NetworkSpec, params: Params, up_to: int | None = N
             raise StructuralError(f"layer {k} is missing parameters")
         if W.shape != shape:
             raise StructuralError(f"layer {k} weights {W.shape}, expected {shape}")
-        if b.shape != (spec.widths[k],):
-            raise StructuralError(
-                f"layer {k} bias {b.shape}, expected ({spec.widths[k]},)"
-            )
+        if b.shape != (layer.width,):
+            raise StructuralError(f"layer {k} bias {b.shape}, expected ({layer.width},)")
 
 
 @dataclass(frozen=True)
@@ -453,14 +466,11 @@ class Dataset:
         return self.Y.shape[1]
 
 
-def _lifting(spec: NetworkSpec, k: int):
-    """Layer k's layout, its filter shape (l, T), and the index pair that
-    places the filter matrix into the (width, P, T) view of U."""
-    shape = spec.filter_shape(k)
-    if shape is None:
+def _lifting(spec: NetworkSpec, k: int) -> LayerPlan:
+    """Layer k's plan entry, which must be a weighted layer's."""
+    if spec.is_pooling(k):
         raise UnsupportedLayerError(f"layer {k} is max-pool and has no weights")
-    layout = spec.layer_layout(k)
-    return layout, shape, (layout.patches, np.arange(layout.patch_count)[:, None])
+    return spec.plan[k]
 
 
 def lift_weights(spec: NetworkSpec, k: int, W: np.ndarray) -> np.ndarray:
@@ -471,12 +481,14 @@ def lift_weights(spec: NetworkSpec, k: int, W: np.ndarray) -> np.ndarray:
     ``G_k = F_{k-1} @ U + b`` reproduces the per-patch definition. For a
     fully connected layer U equals W. The map is linear in W.
     """
-    layout, shape, place = _lifting(spec, k)
+    layer = _lifting(spec, k)
+    layout, shape = layer.layout, layer.filter_shape
     W = np.asarray(W, dtype=np.float64)
     if W.shape != shape:
         raise StructuralError(f"layer {k} weights {W.shape}, expected {shape}")
-    U = np.zeros((layout.width, spec.widths[k]))
-    U.reshape(layout.width, layout.patch_count, shape[1])[place] = W
+    U = np.zeros((layout.width, layer.width))
+    U.reshape(layout.width, layout.patch_count, shape[1])[
+        layout.patches, np.arange(layout.patch_count)[:, None]] = W
     return U
 
 
@@ -486,13 +498,15 @@ def lift_adjoint(spec: NetworkSpec, k: int, V: np.ndarray) -> np.ndarray:
     over every (patch, filter) placement of each filter tap; this is the
     chain rule that pulls a full-matrix gradient back to filter space.
     """
-    layout, shape, place = _lifting(spec, k)
+    layer = _lifting(spec, k)
+    layout = layer.layout
     V = np.asarray(V, dtype=np.float64)
-    expected = (layout.width, spec.widths[k])
+    expected = (layout.width, layer.width)
     if V.shape != expected:
         raise StructuralError(f"layer {k} lifted matrix {V.shape}, expected {expected}")
     # summing the (l, T) blocks in patch order fixes the rounding of grad_W
-    return V.reshape(layout.width, layout.patch_count, shape[1])[place].sum(axis=0)
+    return V.reshape(layout.width, layout.patch_count, layer.filter_shape[1])[
+        layout.patches, np.arange(layout.patch_count)[:, None]].sum(axis=0)
 
 
 class Workspace:
@@ -595,11 +609,10 @@ def max_pool(
 def _all_finite(A: np.ndarray) -> bool:
     """Whether every entry of A is finite. A finite sum proves it in one
     pass; a sum that is not finite, which finite entries can also give by
-    overflowing, is settled by the exact entrywise scan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(A.sum()):
-            return True
-    return bool(np.isfinite(A).all())
+    overflowing, is settled by the exact entrywise scan. The caller holds
+    an ``np.errstate`` that ignores the sum's overflow and invalid
+    warnings."""
+    return bool(np.isfinite(A.sum()) or np.isfinite(A).all())
 
 
 def _raise_non_finite(params: Params, up_to: int, message: str):
@@ -638,47 +651,48 @@ def forward(
     input is a view of its buffers, computed by the same operations in the
     same order, and the next call with that workspace overwrites them.
 
-    Raises StructuralError for a malformed or non-finite batch and for
-    misshapen or non-finite parameters of layers 1..up_to, and
-    NumericOverflowError naming the layer whose G or F leaves the finite
-    range when the parameters are finite.
+    Raises StructuralError for an ``up_to`` outside [0, L], a malformed or
+    non-finite batch and misshapen or non-finite parameters of layers
+    1..up_to, and NumericOverflowError naming the layer whose G or F
+    leaves the finite range when the parameters are finite.
     """
     up_to = spec.depth if up_to is None else up_to
+    if not 0 <= up_to <= spec.depth:
+        raise StructuralError(f"up_to {up_to} outside [0, {spec.depth}]")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_width:
         raise StructuralError(
             f"X must be (N, {spec.input_width}), got {X.shape}"
         )
-    if not _all_finite(X):
-        raise StructuralError("X contains non-finite values")
-    _check_param_shapes(spec, params, up_to)
-    N = X.shape[0]
-    if N == 0:
-        # no entry of G can show a non-finite parameter
-        _check_params_finite(params, up_to)
+    # overflow surfaces as NumericOverflowError below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _all_finite(X):
+            raise StructuralError("X contains non-finite values")
+        _check_param_shapes(spec, params, up_to)
+        N = X.shape[0]
+        if N == 0:
+            # no entry of G can show a non-finite parameter
+            _check_params_finite(params, up_to)
 
-    F: list[np.ndarray] = [X]
-    G: list[np.ndarray | None] = [None]
-    for k in range(1, up_to + 1):
-        prev, layout = F[k - 1], spec.layer_layout(k)
-        width = spec.widths[k]
-        shape, rows = (N, width), _tile_rows(width)
-        if spec.is_pooling(k):
-            # the maxima of finite features are finite
-            F.append(_seal(max_pool(layout, prev, _take(workspace, ("F", k), shape),
-                                    _take(workspace, "scratch", (min(N, rows), width)))))
-            G.append(None)
-            continue
-        sigma = spec.activation(k)
-        linear = isinstance(sigma, Identity)
-        check_F = not linear and _unbounded(sigma)
-        # a whole-layer gather is a view of prev and needs no buffer
-        gather = None if layout._whole_layer else _take(
-            workspace, "scratch", (min(N, _tile_rows(layout.patches.size)),
-                                   *layout.patches.shape))
-        G_finite = F_finite = True
-        # overflow surfaces as NumericOverflowError below, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        F: list[np.ndarray] = [X]
+        G: list[np.ndarray | None] = [None]
+        for k, layer in enumerate(spec.plan[1 : up_to + 1], 1):
+            prev, layout, width = F[k - 1], layer.layout, layer.width
+            shape, rows = (N, width), _tile_rows(width)
+            if layer.filter_shape is None:
+                # the maxima of finite features are finite
+                F.append(_seal(max_pool(layout, prev, _take(workspace, ("F", k), shape),
+                                        _take(workspace, "scratch", (min(N, rows), width)))))
+                G.append(None)
+                continue
+            sigma = layer.activation
+            linear = isinstance(sigma, Identity)
+            check_F = not linear and _unbounded(sigma)
+            # a whole-layer gather is a view of prev and needs no buffer
+            gather = None if layout._whole_layer else _take(
+                workspace, "scratch", (min(N, _tile_rows(layout.patches.size)),
+                                       *layout.patches.shape))
+            G_finite = F_finite = True
             Gk = patch_products(layout, prev, params.weights[k],
                                 _take(workspace, ("G", k), shape), gather).reshape(shape)
             Fk = Gk if linear else _take(workspace, ("F", k), shape)
@@ -693,10 +707,10 @@ def forward(
                     Fb = sigma(Gb, out=Fk[start : start + rows],
                                scratch=None if scratch is None else scratch[: len(Gb)])
                     F_finite = F_finite and (not check_F or _all_finite(Fb))
-        if not G_finite:
-            _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")
-        if not F_finite:
-            _raise_non_finite(params, up_to, f"non-finite activation at layer {k}")
-        F.append(_seal(Fk))
-        G.append(_seal(Gk))
+            if not G_finite:
+                _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")
+            if not F_finite:
+                _raise_non_finite(params, up_to, f"non-finite activation at layer {k}")
+            F.append(_seal(Fk))
+            G.append(_seal(Gk))
     return ForwardTrace(tuple(F), tuple(G))

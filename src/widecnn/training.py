@@ -34,7 +34,6 @@ from .network import (
     NetworkSpec,
     Params,
     Workspace,
-    _all_finite,
     _check_param_shapes,
     _check_params_finite,
     _param_views,
@@ -241,7 +240,7 @@ def train_adam(
             del trace
         except (NumericOverflowError, StructuralError) as exc:
             # params0 is finite, so non-finite parameters came from a step
-            if isinstance(exc, StructuralError) and _all_finite(p):
+            if isinstance(exc, StructuralError) and np.isfinite(p).all():
                 raise
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {exc}", epoch=epoch

@@ -355,6 +355,19 @@ class TestGradientBounds:
                                    backward(spec, params, trace, Y, 2).grad_W[2],
                                    rtol=1e-12, atol=1e-14)
 
+    def test_dense_layer_above_the_wide_layer(self):
+        """A dense U_{k+1} is W_{k+1}, so grad_norm, which reads backward's
+        filter gradient there, is the norm of the lifted F_k^T D_{k+1}."""
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            spec, k, X, Y, params = random_landscape_case(rng)
+            trace = forward(spec, params, X)
+            report = gradient_bounds(spec, params, trace, Y, k)
+            deltas = lifted_backward(spec, params, trace, Y, start_layer=k + 1).deltas
+            np.testing.assert_allclose(report.grad_norm,
+                                       np.linalg.norm(trace.F[k].T @ deltas[k + 1]),
+                                       rtol=1e-12)
+
 
 class TestMembership:
     def test_constructed_point_is_inside(self):

@@ -14,7 +14,7 @@ import pytest
 from widecnn import FullyConnected, NetworkSpec, ReLU, Sigmoid
 from widecnn.architectures import mnist_conv_pool_network, single_conv_network
 from widecnn.cli import build_parser, main
-from widecnn.experiments import read_csv
+from widecnn.experiments import SCHEMAS, read_csv
 from widecnn.netspec_io import save_netspec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -130,6 +130,18 @@ class TestRuns:
                      "--seed", "5", "--out", str(out)]) == 0
         tag, columns, rows = read_csv(out)
         assert [row[columns.index("seed")] for row in rows] == ["5", "6", "7"]
+
+    def test_table2_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_subset": 16, "epochs": 2, "filter_counts": [2]}))
+        out = tmp_path / "sweep.csv"
+        assert main(["table2-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert tuple(header.split(",")) == SCHEMAS["table2.v1"]
+        assert len(rows) == 1
+        tag, columns, written = read_csv(out)
+        assert (tag, tuple(columns)) == ("table2.v1", SCHEMAS["table2.v1"])
+        assert [",".join(row) for row in written] == rows
 
     def test_construct_independent(self, capsys):
         assert main(["construct-independent", "--n", "6", "--seed", "1"]) == 0

@@ -10,7 +10,6 @@ from widecnn.experiments import (
     SCHEMAS,
     DatasetConfig,
     ExperimentConfig,
-    append_csv,
     config_from_dict,
     load_config,
     named_activation,
@@ -144,19 +143,6 @@ class TestCsv:
         assert columns == ["epoch", "loss"]
         assert got == rows
 
-    def test_append_preserves_schema(self, tmp_path):
-        path = tmp_path / "r.csv"
-        write_csv(path, "loss-curve.v1", [["0", "1"]])
-        append_csv(path, "loss-curve.v1", [["1", "2"]])
-        _, _, rows = read_csv(path)
-        assert rows == [["0", "1"], ["1", "2"]]
-
-    def test_append_rejects_schema_mismatch(self, tmp_path):
-        path = tmp_path / "r.csv"
-        write_csv(path, "loss-curve.v1", [["0", "1"]])
-        with pytest.raises(ConfigError):
-            append_csv(path, "grad-bounds.v1", [["0", "1", "2", "3", "4", "5"]])
-
     def test_unknown_tag_and_wrong_row_length_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         with pytest.raises(ConfigError, match="schema"):
@@ -165,27 +151,19 @@ class TestCsv:
             write_csv(path, "loss-curve.v1", [["0", "1", "2"]])
         assert not path.exists()
         write_csv(path, "loss-curve.v1", [["0", "1"]])
-        with pytest.raises(ConfigError, match="columns"):
-            append_csv(path, "loss-curve.v1", [["1"]])
         assert read_csv(path)[2] == [["0", "1"]]
 
     @pytest.mark.parametrize("text", ["", "# schema=loss-curve.v1\n"])
     def test_file_without_a_header_row_is_a_format_error(self, tmp_path, text):
         path = tmp_path / "r.csv"
         path.write_text(text)
-        for call in (lambda: read_csv(path),
-                     lambda: append_csv(path, "loss-curve.v1", [["0", "1.0"]])):
-            with pytest.raises(FormatError, match="r.csv: no header row"):
-                call()
-        assert path.read_text() == text
+        with pytest.raises(FormatError, match="r.csv: no header row"):
+            read_csv(path)
 
     def test_file_without_a_schema_line_keeps_its_header_row(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("epoch,loss\n0,1.0\n1,0.5\n")
         assert read_csv(path) == (None, ["epoch", "loss"], [["0", "1.0"], ["1", "0.5"]])
-        with pytest.raises(ConfigError, match=r"existing schema None/\['epoch', 'loss'\]"):
-            append_csv(path, "loss-curve.v1", [["2", "0.25"]])
-        assert path.read_text() == "epoch,loss\n0,1.0\n1,0.5\n"
 
 
 class TestRankGenericity:
@@ -281,6 +259,19 @@ class TestRandomLandscapeCase:
             spec, k, X, Y, params = random_landscape_case(rng, residual_floor=0.1)
             out = forward(spec, params, X).output
             assert np.linalg.norm(out - Y) >= 0.1
+
+    def test_a_floor_above_the_residual_inflates_only_the_targets(self):
+        floor = 1e3  # above any drawn residual, so every draw takes the inflate step
+        for seed in range(5):
+            spec, k, X, Y, params = random_landscape_case(np.random.default_rng(seed),
+                                                          residual_floor=floor)
+            spec0, k0, X0, Y0, params0 = random_landscape_case(np.random.default_rng(seed))
+            out = forward(spec, params, X).output
+            assert np.linalg.norm(out - Y0) < floor <= np.linalg.norm(out - Y)
+            assert (spec, k) == (spec0, k0)
+            np.testing.assert_array_equal(X, X0)
+            for a, b in zip(params.weights + params.biases, params0.weights + params0.biases):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestGradBoundsRunner:

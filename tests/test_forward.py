@@ -1,5 +1,6 @@
 """Forward pass: per-patch semantics, pooling, purity, and overflow."""
 
+import re
 import warnings
 
 import numpy as np
@@ -321,6 +322,69 @@ class TestFiniteErrorSplit:
         X = np.full((4, 6), 1e308)  # every entry finite, the sum is not
         trace = forward(self.SPEC, self.params(), X)
         assert np.all(np.isfinite(trace.output))
+
+
+class TestTypedErrors:
+    """Malformed batches and parameter sets end in a StructuralError that
+    says what is wrong."""
+
+    SPEC = NetworkSpec(6, (Conv(conv1d_layout(6, 3, 1), 2, Sigmoid()),
+                           MaxPool(conv1d_layout(8, 2, 2)), Output(2)))
+
+    def params(self):
+        return Params.gaussian(self.SPEC, np.random.default_rng(41))
+
+    def raises(self, match, params=None, X=None):
+        X = np.zeros((3, 6)) if X is None else X
+        with pytest.raises(StructuralError, match=match):
+            forward(self.SPEC, self.params() if params is None else params, X)
+
+    def test_wrong_layer_count(self):
+        params = self.params()
+        short = Params(params.weights[:-1], params.biases[:-1])
+        self.raises(r"^params cover 2 layers, spec has 3$", short)
+
+    def test_missing_parameters(self):
+        params = self.params()
+        weights = list(params.weights)
+        weights[3] = None
+        self.raises(r"^layer 3 is missing parameters$", Params(tuple(weights), params.biases))
+
+    def test_parameters_on_a_max_pool_layer(self):
+        params = self.params()
+        biases = list(params.biases)
+        biases[2] = np.zeros(4)
+        self.raises(r"^layer 2 is max-pool but has parameters$",
+                    Params(params.weights, tuple(biases)))
+
+    def test_wrong_weight_shape(self):
+        params = self.params().with_layer(1, np.zeros((2, 3)), np.zeros(8))
+        self.raises(r"^layer 1 weights \(2, 3\), expected \(3, 2\)$", params)
+
+    def test_wrong_bias_shape(self):
+        params = self.params()
+        params = params.with_layer(3, params.weights[3], np.zeros(3))
+        self.raises(r"^layer 3 bias \(3,\), expected \(2,\)$", params)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (6,), (2, 6, 1)])
+    def test_misshapen_batch(self, shape):
+        self.raises(rf"^X must be \(N, 6\), got {re.escape(str(shape))}$",
+                    X=np.zeros(shape))
+
+    @pytest.mark.parametrize("up_to", [-1, 4])
+    def test_up_to_outside_the_layers(self, up_to):
+        with pytest.raises(StructuralError, match=rf"^up_to {up_to} outside \[0, 3\]$"):
+            forward(self.SPEC, self.params(), np.zeros((3, 6)), up_to=up_to)
+
+    def test_up_to_zero_is_the_input_alone(self):
+        trace = forward(self.SPEC, self.params(), np.ones((3, 6)), up_to=0)
+        assert trace.last_layer == 0 and trace.G == (None,)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch(self, value):
+        X = np.zeros((3, 6))
+        X[1, 4] = value
+        self.raises(r"^X contains non-finite values$", X=X)
 
 
 class TestFreezing:

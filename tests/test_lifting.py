@@ -71,8 +71,12 @@ class TestGoldenExample:
 class TestErrors:
     def test_shape_mismatch(self):
         spec = conv_spec(conv1d_layout(5, 3, 1), 2)
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError,
+                           match=r"^layer 1 weights \(2, 2\), expected \(3, 2\)$"):
             lift_weights(spec, 1, np.zeros((2, 2)))
+        with pytest.raises(StructuralError,
+                           match=r"^layer 1 lifted matrix \(5, 5\), expected \(5, 6\)$"):
+            lift_adjoint(spec, 1, np.zeros((5, 5)))
 
     def test_max_pool_layer_unsupported(self):
         spec = NetworkSpec(4, (MaxPool(conv1d_layout(4, 2, 2)),))
