@@ -4,9 +4,12 @@ Numerical rank counts the singular values above
 ``0.5 * sqrt(m + n + 1) * sigma_max * eps`` (working-precision machine
 epsilon). Singular values come from one LAPACK SVD for a matrix of at
 most ``RANK_TILE`` entries. A larger matrix, such as the short-fat
-feature matrix of a wide layer, is first reduced to the R factors of
-cache-sized row blocks of its tall orientation (a sequential TSQR), so
-that the SVD reads it about once instead of once per Householder
+feature matrix of a wide layer, is read in cache-sized row blocks of its
+tall orientation. Its R factor comes from CholeskyQR2, two Gram passes of
+GEMMs, when a guard from that algorithm's roundoff analysis vouches for
+it, which it does only for a well-conditioned matrix of full rank, and
+otherwise from the blocks' Householder R factors (a sequential TSQR), so
+that the SVD reads the matrix about once instead of once per Householder
 reflector. The gradient bounds sandwich the Frobenius norm of the
 full-matrix gradient at the layer after a wide layer between products of
 extreme singular values, extreme activation derivatives, and the
@@ -47,23 +50,103 @@ class RankReport:
         return self.estimated_rank == min(self.rows, self.cols)
 
 
-# Entries above which a matrix's singular values are taken from the R
-# factors of row blocks of about this many entries (2 MiB of float64, which
-# stays in cache while LAPACK's unblocked reflectors sweep it). Above the
-# largest matrix the desk sweep, rank genericity and the constructions
-# rank, 256 x 896, so their singular values are LAPACK's own bits.
+# Entries above which a matrix's singular values are taken from row blocks
+# of its tall orientation of about this many entries (2 MiB of float64,
+# which stays in cache while BLAS or LAPACK's unblocked reflectors sweep
+# it). Above the largest matrix the desk sweep, rank genericity and the
+# constructions rank, 256 x 896, so their singular values are LAPACK's own
+# bits.
 RANK_TILE = 1 << 18
+
+
+def _column_blocks(short_fat: np.ndarray, width: int, buffer: np.ndarray | None):
+    """The blocks of ``width`` columns of a short-fat matrix, left to right:
+    views when ``buffer`` is None, otherwise copies into ``buffer``."""
+    for start in range(0, short_fat.shape[1], width):
+        view = short_fat[:, start:start + width]
+        if buffer is None:
+            yield view
+        else:
+            copy = buffer[:, :view.shape[1]]
+            np.copyto(copy, view)
+            yield copy
+
+
+def _gram_cholesky(G: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a Gram matrix, or None when the Gram is
+    not finite or not numerically positive definite."""
+    if not np.isfinite(G).all():
+        return None
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cholesky_qr2(short_fat: np.ndarray, width: int) -> np.ndarray | None:
+    """Singular values of a finite short-fat n x m matrix S by CholeskyQR2
+    over its blocks of ``width`` columns (the row blocks B of the tall
+    orientation Sᵀ), or None when the guard cannot vouch for them.
+
+    G₁ = Σ BᵀB = L₁L₁ᵀ. The guard: G₁ is finite and positive definite
+    under Cholesky, ‖G₁‖ = σ_max(L₁)² is at least the smallest normal
+    number, and κ̂ = σ_max(L₁)/σ_min(L₁) satisfies
+    16·κ̂·√(u·(m·n + n(n+1))) ≤ 1 with u = eps/2. That is the sufficient
+    condition 8·κ(Sᵀ)·√(u·(m·n + n(n+1))) ≤ 1 of Yamamoto, Nakatsukasa,
+    Yanagisawa and Fukaya (2015, "Roundoff error analysis of the
+    CholeskyQR2 algorithm", ETNA 44) with a factor 2 that covers κ̂
+    reading low: the Gram's rounding, and its underflow once ‖G₁‖ is
+    normal, move σ_min(L₁)² by at most about u·(m·n + n(n+1))·‖G₁‖. Then
+    Q_b = B·L₁⁻ᵀ, G₂ = Σ Q_bᵀQ_b = L₂L₂ᵀ, and S's singular values are
+    those of R = R₂R₁ = (L₁L₂)ᵀ. L₁⁻¹ is applied as an explicit inverse,
+    one GEMM a block; its rounding bounds the error by a small multiple
+    of n·u·κ̂·σ_max rather than the u·σ_max of a triangular solve. The
+    Grams ignore overflow, which leaves them non-finite.
+    """
+    n, m = short_fat.shape
+    # BLAS reads a block in place when its rows are contiguous; any other
+    # layout is copied into one reused buffer, so that the arithmetic, and
+    # so the bits, do not depend on the input's layout
+    step = short_fat.itemsize
+    buffer = (None if short_fat.strides[1] == step and short_fat.strides[0] >= step * m
+              else np.empty((n, min(width, m))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.zeros((n, n))
+        for block in _column_blocks(short_fat, width, buffer):
+            G += block @ block.T
+    L1 = _gram_cholesky(G)
+    if L1 is None:
+        return None
+    sv = np.linalg.svd(L1, compute_uv=False)
+    u = np.finfo(np.float64).eps / 2
+    if not (sv[0] >= math.sqrt(np.finfo(np.float64).tiny)
+            and 16 * sv[0] * math.sqrt(u * (m * n + n * (n + 1))) <= sv[-1]):
+        return None
+    inverse = np.linalg.inv(L1)
+    Q = np.empty((n, min(width, m)))  # Q_bᵀ, one block at a time
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.zeros((n, n))
+        for block in _column_blocks(short_fat, width, buffer):
+            Qb = np.matmul(inverse, block, out=Q[:, :block.shape[1]])
+            G += Qb @ Qb.T
+    L2 = _gram_cholesky(G)
+    if L2 is None:
+        return None
+    return np.linalg.svd(L1 @ L2, compute_uv=False)
 
 
 def _singular_values(A: np.ndarray) -> np.ndarray:
     """Singular values of a non-empty finite matrix, largest first.
 
     A matrix of at most ``RANK_TILE`` entries goes to one
-    ``np.linalg.svd``. Above the tile, row blocks of the tall orientation
-    are replaced by their R factors until the stack fits in one block,
-    and the stack's singular values, which are A's, are returned. A block
-    must hold at least twice the short side for a round to shrink the
-    stack, so a matrix too square for that goes to the direct call. A
+    ``np.linalg.svd``. Above the tile, if a block of ``RANK_TILE // short``
+    rows of the tall orientation holds at least twice the short side, the
+    values come from ``_cholesky_qr2`` over those row blocks when its guard
+    vouches for them, which it does only for a well-conditioned matrix of
+    full rank. Otherwise the blocks are replaced by their Householder R
+    factors until the stack fits in one block (a sequential TSQR), and the
+    stack's singular values, which are A's, are returned. A matrix too
+    square for a block to halve the stack goes to the direct call. A
     malformed, empty or non-finite matrix raises StructuralError and a
     LAPACK failure NumericError.
     """
@@ -78,6 +161,9 @@ def _singular_values(A: np.ndarray) -> np.ndarray:
     try:
         if A.size > RANK_TILE and 2 * short * short <= RANK_TILE:
             block = RANK_TILE // short  # at least 2 * short rows
+            sv = _cholesky_qr2(tall.T, block)
+            if sv is not None:
+                return sv
             while tall.shape[0] > block:
                 tall = np.vstack([np.linalg.qr(tall[i:i + block], mode="r")
                                   for i in range(0, tall.shape[0], block)])
@@ -102,8 +188,11 @@ def estimate_rank(A: np.ndarray) -> RankReport:
     of A.
 
     The singular values are LAPACK's for a matrix of at most
-    ``RANK_TILE`` entries and come from a blocked QR reduction above it
-    (see ``_singular_values``). A malformed, empty or non-finite matrix
+    ``RANK_TILE`` entries. Above it they come from a blocked reduction to
+    an R factor (see ``_singular_values``): CholeskyQR2 where its guard
+    holds (``_cholesky_qr2`` states the guard and the error bound), else
+    Householder blocks, which are the only path that can report a
+    deficient rank. A malformed, empty or non-finite matrix
     raises StructuralError; a convergence failure raises NumericError
     rather than being reported as rank 0.
     """

@@ -128,14 +128,17 @@ class LayerPlan:
     """One layer of a spec, worked out once: the ``layout`` it reads from
     the layer below (``full_layout`` for dense and output layers), its
     ``width`` n_k, its ``activation`` (``Identity`` for the output) and the
-    (l, T) ``filter_shape`` (both None for pooling), and the span
-    [``offset``, ``stop``) of its filter matrix then bias in the flat
-    parameter vector of layers 1..L, empty for pooling."""
+    (l, T) ``filter_shape`` (both None for pooling), whether finite
+    pre-activations can give it non-finite features (``unbounded``: an
+    activation other than ``Identity`` with a tail that has no finite
+    limit), and the span [``offset``, ``stop``) of its filter matrix then
+    bias in the flat parameter vector of layers 1..L, empty for pooling."""
 
     layout: PatchLayout
     width: int
     activation: Activation | None
     filter_shape: tuple[int, int] | None
+    unbounded: bool
     offset: int
     stop: int
 
@@ -174,12 +177,15 @@ class NetworkSpec:
                       else full_layout(width))
             width = layer.out_width(width)  # raises on a width mismatch
             if isinstance(layer, MaxPool):
-                plan.append(LayerPlan(layout, width, None, None, offset, offset))
+                plan.append(LayerPlan(layout, width, None, None, False, offset, offset))
                 continue
             shape = (layout.patch_size, width // layout.patch_count)
             stop = offset + shape[0] * shape[1] + width
             activation = Identity() if isinstance(layer, Output) else layer.activation
-            plan.append(LayerPlan(layout, width, activation, shape, offset, stop))
+            profile = activation.profile()
+            unbounded = (not isinstance(activation, Identity)
+                         and (profile.limit_neg is None or profile.limit_pos is None))
+            plan.append(LayerPlan(layout, width, activation, shape, unbounded, offset, stop))
             offset = stop
         object.__setattr__(self, "plan", tuple(plan))
         object.__setattr__(self, "widths", (self.input_width, *(p.width for p in plan[1:])))
@@ -625,13 +631,6 @@ def _raise_non_finite(params: Params, up_to: int, message: str):
     raise NumericOverflowError(message)
 
 
-def _unbounded(sigma: Activation) -> bool:
-    """Whether sigma has a tail without a finite limit, so that finite
-    pre-activations can give non-finite features."""
-    profile = sigma.profile()
-    return profile.limit_neg is None or profile.limit_pos is None
-
-
 def forward(
     spec: NetworkSpec,
     params: Params,
@@ -687,7 +686,6 @@ def forward(
                 continue
             sigma = layer.activation
             linear = isinstance(sigma, Identity)
-            check_F = not linear and _unbounded(sigma)
             # a whole-layer gather is a view of prev and needs no buffer
             gather = None if layout._whole_layer else _take(
                 workspace, "scratch", (min(N, _tile_rows(layout.patches.size)),
@@ -706,7 +704,7 @@ def forward(
                 if not linear:
                     Fb = sigma(Gb, out=Fk[start : start + rows],
                                scratch=None if scratch is None else scratch[: len(Gb)])
-                    F_finite = F_finite and (not check_F or _all_finite(Fb))
+                    F_finite = F_finite and (not layer.unbounded or _all_finite(Fb))
             if not G_finite:
                 _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")
             if not F_finite:

@@ -10,6 +10,7 @@ from widecnn import (
     ConstructionParams,
     FullyConnected,
     NetworkSpec,
+    NumericError,
     Output,
     Params,
     Sigmoid,
@@ -98,8 +99,9 @@ def _direct_report(A):
 
 
 class _Counting:
-    """A numpy function that counts its calls: qr tells the blocked path
-    from the direct one, svd counts decompositions."""
+    """A numpy function that counts its calls: qr tells the Householder
+    blocks from the direct call, cholesky tells CholeskyQR2 from both, svd
+    counts decompositions."""
 
     def __init__(self, fn):
         self.calls = 0
@@ -118,6 +120,13 @@ def qr_calls(monkeypatch):
 
 
 @pytest.fixture
+def cholesky_calls(monkeypatch):
+    counter = _Counting(np.linalg.cholesky)
+    monkeypatch.setattr(np.linalg, "cholesky", counter)
+    return counter
+
+
+@pytest.fixture
 def svd_calls(monkeypatch):
     counter = _Counting(np.linalg.svd)
     monkeypatch.setattr(np.linalg, "svd", counter)
@@ -131,12 +140,35 @@ def _assert_close_to_lapack(A):
     assert np.all(np.abs(sv - expected) <= SIGMA_TOL * expected[0])
 
 
+def _with_spectrum(rng, long, spectrum):
+    """A long x len(spectrum) matrix with exactly these singular values."""
+    U, _ = np.linalg.qr(rng.standard_normal((long, len(spectrum))))
+    V, _ = np.linalg.qr(rng.standard_normal((len(spectrum), len(spectrum))))
+    return (U * spectrum) @ V.T
+
+
+def _guard_kappa(long, short):
+    """The largest estimated condition number CholeskyQR2's guard takes."""
+    u = np.finfo(np.float64).eps / 2
+    return 1 / (16 * np.sqrt(u * (long * short + short * (short + 1))))
+
+
+def _householder_values(monkeypatch, A):
+    """The singular values with CholeskyQR2 turned off: the Householder
+    blocks alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_cholesky_qr2", lambda short_fat, width: None)
+        return analysis._singular_values(A)
+
+
 class TestBlockedSingularValues:
-    """Above ``RANK_TILE`` entries the singular values come from stacked R
-    factors of row blocks; the tile is patched small here, as
+    """Above ``RANK_TILE`` entries the singular values come from row blocks
+    of the tall orientation: by CholeskyQR2 where its guard holds, else
+    from stacked Householder R factors. The tile is patched small here, as
     ``TestTiledDistinctPatches`` patches ``DISTINCT_TILE``."""
 
-    def test_planted_ranks_in_both_orientations(self, monkeypatch, qr_calls):
+    def test_planted_ranks_in_both_orientations(self, monkeypatch, qr_calls,
+                                                cholesky_calls):
         rng = np.random.default_rng(20)
         for _ in range(150):
             short = int(rng.integers(1, 7))
@@ -146,9 +178,11 @@ class TestBlockedSingularValues:
             tall = planted_rank_matrix(rng, long, short, r)
             monkeypatch.setattr(analysis, "RANK_TILE", tile)
             for A in (tall, np.ascontiguousarray(tall.T)):
-                before = qr_calls.calls
+                before, cholesky_before = qr_calls.calls, cholesky_calls.calls
                 report = estimate_rank(A)
-                assert qr_calls.calls > before
+                assert cholesky_calls.calls > cholesky_before
+                # the guard takes every full-rank draw and no deficient one
+                assert (qr_calls.calls == before) == (r == short)
                 assert report.estimated_rank == r == elimination_rank(tall)
                 assert (report.rows, report.cols) == A.shape
                 _assert_close_to_lapack(A)
@@ -181,7 +215,9 @@ class TestBlockedSingularValues:
 
     def test_blocks_of_exactly_twice_the_short_side(self, monkeypatch, qr_calls):
         monkeypatch.setattr(analysis, "RANK_TILE", 32)  # short 4, block 8
-        A = np.random.default_rng(23).standard_normal((4, 1001))
+        # kappa 1e7, past the guard's 9.4e4 at this shape: Householder blocks
+        A = _with_spectrum(np.random.default_rng(23), 1001, [1.0, 0.5, 1e-3, 1e-7]).T
+        qr_calls.calls = 0  # building A took two
         assert estimate_rank(A).estimated_rank == 4
         assert qr_calls.calls > 1001 // 8
         _assert_close_to_lapack(A)
@@ -221,11 +257,11 @@ class TestBlockedSingularValues:
         assert estimate_rank(A) == _direct_report(A)
         assert qr_calls.calls == 0
 
-    def test_short_fat_matrix_at_the_real_tile(self, qr_calls):
+    def test_short_fat_matrix_at_the_real_tile(self, qr_calls, cholesky_calls):
         A = np.random.default_rng(27).standard_normal((16, 20_000))
         assert A.size > analysis.RANK_TILE
         report = estimate_rank(A)
-        assert qr_calls.calls > 0
+        assert (qr_calls.calls, cholesky_calls.calls) == (0, 2)  # CholeskyQR2
         assert report.estimated_rank == 16
         _assert_close_to_lapack(A)
         direct = _direct_report(A)
@@ -261,6 +297,135 @@ class TestBlockedSingularValues:
         A[5, 70_000] = np.nan
         with pytest.raises(StructuralError):
             estimate_rank(A)
+
+
+class TestCholeskyQR2:
+    """The first path above the tile, and both sides of its guard. Each
+    input's path is pinned by counting QR and Cholesky calls: CholeskyQR2
+    makes two Choleskys and no QR, and an input it refuses gets the
+    Householder blocks' bits exactly."""
+
+    def test_close_to_lapack_in_every_layout(self, monkeypatch, qr_calls, cholesky_calls):
+        monkeypatch.setattr(analysis, "RANK_TILE", 60)  # short 5, block 12
+        base = np.random.default_rng(30).standard_normal((5, 2002))
+        sealed = base[:, :1000].copy()  # a last block of 1000 % 12 = 4 rows
+        sealed.setflags(write=False)
+        for A in (base, base.T, np.ascontiguousarray(base.T), base[:, ::2],
+                  base[::-1, 1::3].T, sealed, sealed.T):
+            report = estimate_rank(A)
+            assert (qr_calls.calls, cholesky_calls.calls) == (0, 2)
+            assert report.estimated_rank == 5 == elimination_rank(A)
+            _assert_close_to_lapack(A)
+            # a view and a copy into the block buffer give the same bits
+            np.testing.assert_array_equal(analysis._singular_values(A),
+                                          analysis._singular_values(A.copy(order="F")))
+            qr_calls.calls = cholesky_calls.calls = 0
+
+    @pytest.mark.parametrize("factor, cholesky_path", [(0.95, True), (1.05, False)])
+    def test_either_side_of_the_guard(self, monkeypatch, qr_calls, cholesky_calls,
+                                      factor, cholesky_path):
+        monkeypatch.setattr(analysis, "RANK_TILE", 64)  # short 4, block 16
+        kappa = factor * _guard_kappa(1000, 4)
+        A = _with_spectrum(np.random.default_rng(31), 1000, [1.0, 0.3, 0.01, 1 / kappa])
+        for B in (A, A.T):
+            qr_calls.calls = cholesky_calls.calls = 0
+            assert estimate_rank(B).estimated_rank == 4
+            if cholesky_path:
+                assert (qr_calls.calls, cholesky_calls.calls) == (0, 2)
+            else:
+                assert qr_calls.calls > 0 and cholesky_calls.calls == 1
+                np.testing.assert_array_equal(analysis._singular_values(B),
+                                              _householder_values(monkeypatch, B))
+            _assert_close_to_lapack(B)
+
+    def test_planted_deficient_rank_takes_the_householder_blocks(
+            self, monkeypatch, qr_calls):
+        monkeypatch.setattr(analysis, "RANK_TILE", 64)
+        rng = np.random.default_rng(32)
+        for r in (0, 1, 3):
+            A = planted_rank_matrix(rng, 4, 900, r)
+            qr_calls.calls = 0
+            assert estimate_rank(A).estimated_rank == r == elimination_rank(A)
+            assert qr_calls.calls > 0
+            np.testing.assert_array_equal(analysis._singular_values(A),
+                                          _householder_values(monkeypatch, A))
+
+    @pytest.mark.parametrize("scale, choleskys", [
+        pytest.param(1e160, 0, id="gram-overflows"),
+        pytest.param(1e-160, 1, id="gram-subnormal"),
+        pytest.param(1e-170, 1, id="gram-underflows-to-zero"),
+    ])
+    def test_extreme_scales_keep_their_precision(self, monkeypatch, qr_calls,
+                                                 cholesky_calls, scale, choleskys):
+        # a Gram that overflows is not finite, a zero one fails Cholesky, and
+        # a subnormal one is below the guard's smallest normal norm
+        monkeypatch.setattr(analysis, "RANK_TILE", 60)
+        rng = np.random.default_rng(33)
+        for A in (scale * rng.standard_normal((5, 1000)),
+                  scale * rng.standard_normal((1, 1000))):
+            qr_calls.calls = cholesky_calls.calls = 0
+            report = estimate_rank(A)
+            assert qr_calls.calls > 0 and cholesky_calls.calls == choleskys
+            assert report.estimated_rank == A.shape[0]
+            _assert_close_to_lapack(A)
+            np.testing.assert_array_equal(analysis._singular_values(A),
+                                          _householder_values(monkeypatch, A))
+
+    def test_deficient_rank_at_subnormal_gram_scales(self, monkeypatch, qr_calls):
+        """A Gram of subnormal entries has lost the digits that show a
+        deficient rank: without the guard's smallest-normal bound, some of
+        these rank-4 draws read as rank 5."""
+        monkeypatch.setattr(analysis, "RANK_TILE", 60)
+        rng = np.random.default_rng(37)
+        for scale in 10 * (1e-160, 1e-161):
+            A = scale * planted_rank_matrix(rng, 5, 1000, 4)
+            qr_calls.calls = 0
+            assert estimate_rank(A).estimated_rank == 4
+            assert qr_calls.calls > 0
+
+    def test_cholesky_failure_falls_back_silently(self, monkeypatch, qr_calls):
+        monkeypatch.setattr(analysis, "RANK_TILE", 60)
+        A = np.random.default_rng(34).standard_normal((5, 1000))
+        expected = _householder_values(monkeypatch, A)
+
+        def failing(G):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        np.testing.assert_array_equal(analysis._singular_values(A), expected)
+        assert qr_calls.calls > 0
+
+    def test_final_svd_failure_is_a_numeric_error(self, monkeypatch, qr_calls):
+        monkeypatch.setattr(analysis, "RANK_TILE", 60)
+        A = np.random.default_rng(35).standard_normal((5, 1000))
+        svd = np.linalg.svd
+        calls = []
+
+        def failing_second(M, **kwargs):  # the guard's SVD of L1, then R's
+            calls.append(M.shape)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(M, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_second)
+        with pytest.raises(NumericError, match="SVD failed to converge"):
+            estimate_rank(A)
+        assert calls == [(5, 5), (5, 5)] and qr_calls.calls == 0
+
+    def test_copied_blocks_hold_one_block_and_one_q_buffer(self, qr_calls):
+        """A tall C-contiguous matrix has no contiguous rows in the short-fat
+        orientation, so each block is copied into one reused buffer."""
+        A = np.random.default_rng(36).uniform(size=(67_600, 32))
+        estimate_rank(A[:1000])  # warm numpy's linalg module
+        tracemalloc.start()
+        try:
+            report = estimate_rank(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.estimated_rank == 32 and qr_calls.calls == 0
+        block_bytes = analysis.RANK_TILE * 8
+        assert 2 * block_bytes <= peak <= 2 * block_bytes + 64 * 1024
 
 
 def _sv(A):

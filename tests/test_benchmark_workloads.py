@@ -1,7 +1,8 @@
 """The benchmark's own operations as tier-1 gates: every workload's small
-pass runs without a failed operation, and the full-size desk sweep
+pass runs without a failed operation, the full-size desk sweep
 reproduces its stored digests bit for bit, under the default BLAS
-threading and under the benchmark's one thread. ``perfbench/workloads.py``
+threading and under the benchmark's one thread, and reference-forward's
+wide feature matrix is ranked by the path the benchmark times. ``perfbench/workloads.py``
 is imported by path and only read."""
 
 import importlib.util
@@ -11,9 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import widecnn
+from widecnn import analysis
+
+from test_analysis import _direct_report
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -79,3 +84,24 @@ def test_desk_sweep_matches_its_reference_digest(workloads, seed):
         assert child.returncode == 0, child.stderr
         verdict = json.loads(child.stdout)
     assert verdict == [True, 0, 0]
+
+
+def test_reference_forward_ranks_f1_by_cholesky_qr2(workloads, monkeypatch):
+    """The reference net's F_1 (32 x 67 600) on the benchmark's own inputs
+    passes CholeskyQR2's guard, so a benchmark that silently fell back to
+    the Householder blocks fails here; its F_3 (32 x 2880) stays within one
+    tile and keeps the direct LAPACK report."""
+    state = workloads["reference-forward"].setup(0)
+    X = state["batches"][0]
+    trace = widecnn.forward(state["spec"], state["params"], X)
+    assert trace.F[1].shape == (32, 67_600) and trace.F[1].size > analysis.RANK_TILE
+    qr, calls = np.linalg.qr, []
+
+    def counted_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    assert widecnn.estimate_rank(trace.F[1]).estimated_rank == len(X) == 32
+    assert calls == []
+    assert widecnn.estimate_rank(trace.F[3]) == _direct_report(trace.F[3])

@@ -1,5 +1,5 @@
 """The layer plan a NetworkSpec builds once: each layer's layout, width,
-filter shape, activation and flat-parameter span agree with the same facts
+filter shape, activation, unbounded flag and flat-parameter span agree with the same facts
 worked out from the layer stack alone, and the spans split the flat vector
 that training builds back into the arrays it was built from."""
 
@@ -31,8 +31,9 @@ SPECS = {
 
 
 def derived(spec):
-    """[(layout, width, filter shape, activation)] of layers 1..L, chained
-    from the layer stack without the plan."""
+    """[(layout, width, filter shape, activation, unbounded)] of layers
+    1..L, chained from the layer stack without the plan; a layer is
+    unbounded when a tail of its nonlinearity has no finite limit."""
     rows, width = [], spec.input_width
     for layer in spec.layers:
         layout = layer.layout if isinstance(layer, (Conv, MaxPool)) else full_layout(width)
@@ -41,7 +42,10 @@ def derived(spec):
                  else (layout.patch_size, width // layout.patch_count))
         activation = (Identity() if isinstance(layer, Output)
                       else getattr(layer, "activation", None))
-        rows.append((layout, width, shape, activation))
+        profile = None if activation is None else activation.profile()
+        unbounded = (profile is not None and not isinstance(activation, Identity)
+                     and None in (profile.limit_neg, profile.limit_pos))
+        rows.append((layout, width, shape, activation, unbounded))
     return rows
 
 
@@ -50,9 +54,9 @@ def test_plan_matches_the_layer_stack(name):
     for spec in SPECS[name]():
         rows = derived(spec)
         assert spec.plan[0] is None and len(spec.plan) == spec.depth + 1
-        assert spec.widths == (spec.input_width, *(width for _, width, _, _ in rows))
+        assert spec.widths == (spec.input_width, *(row[1] for row in rows))
         stop = 0
-        for k, (layout, width, shape, activation) in enumerate(rows, 1):
+        for k, (layout, width, shape, activation, unbounded) in enumerate(rows, 1):
             entry = spec.plan[k]
             assert spec.layer_layout(k) is entry.layout
             assert entry.layout == layout and entry.width == width
@@ -61,6 +65,7 @@ def test_plan_matches_the_layer_stack(name):
             assert spec.filter_shape(k) == entry.filter_shape == shape
             assert spec.activation(k) == entry.activation == activation
             assert spec.is_pooling(k) == (shape is None)
+            assert entry.unbounded is unbounded
             size = 0 if shape is None else shape[0] * shape[1] + width
             assert (entry.offset, entry.stop) == (stop, stop + size)
             stop += size
