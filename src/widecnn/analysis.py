@@ -199,6 +199,12 @@ def estimate_rank(A: np.ndarray) -> RankReport:
     return _rank_report(np.shape(A), _singular_values(A))
 
 
+def _lifted_full_rank(spec: NetworkSpec, k: int, W: np.ndarray) -> bool:
+    """Whether ``lift_weights(spec, k, W)``, the n_{k-1} x n_k matrix U_k,
+    has full rank min(n_{k-1}, n_k) as ``estimate_rank`` ranks it."""
+    return estimate_rank(lift_weights(spec, k, W)).full_rank
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Sandwich bounds on the gradient norm at the layer after the wide
@@ -261,10 +267,10 @@ def _sandwich(
     lower = float(sv_f[-1]) * math.prod(f[0] * f[2] for f in factors)
     upper_factor = float(sv_f[0]) * math.prod(f[1] * f[3] for f in factors)
     residual = float(np.linalg.norm(grads.deltas[spec.depth]))  # ||F_L - Y||_F
-    # the gradient with respect to the lifted matrix U_{k+1}; backward has
-    # formed it when layer k+1 is dense, whose U_{k+1} is W_{k+1}
+    # the gradient with respect to the lifted matrix U_{k+1}; with one patch
+    # U_{k+1} is a row permutation of W_{k+1}, whose gradient backward formed
     grad_norm = float(np.linalg.norm(
-        grads.grad_W[wide_layer + 1] if spec.plan[wide_layer + 1].layout._whole_layer
+        grads.grad_W[wide_layer + 1] if spec.plan[wide_layer + 1].layout.patch_count == 1
         else trace.F[wide_layer].T @ grads.deltas[wide_layer + 1]))
     return spectra, upper_factor, BoundReport(
         lower * residual, upper_factor * residual, grad_norm, residual, tuple(factors))

@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis
 from .errors import AssumptionError, StructuralError, WidthError
 from .layout import PatchLayout
-from .network import Conv, FullyConnected, MaxPool, NetworkSpec, Output, lift_weights
+from .network import Conv, FullyConnected, MaxPool, NetworkSpec, Output
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,8 @@ def check_conv_structure(
     if isinstance(layer, MaxPool):
         raise StructuralError(f"layer {k} is max-pool; nothing to lift")
     rng = np.random.default_rng(seed)
-    full_target = min(spec.widths[k - 1], spec.widths[k])
-    hits = 0
-    for _ in range(trials):
-        W = rng.standard_normal(spec.filter_shape(k))
-        report = analysis.estimate_rank(lift_weights(spec, k, W))
-        hits += report.estimated_rank == full_target
+    hits = sum(analysis._lifted_full_rank(spec, k, rng.standard_normal(spec.filter_shape(k)))
+               for _ in range(trials))
     return ConvStructureReport(hits > 0, hits / trials)
 
 

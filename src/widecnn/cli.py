@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import experiments
-from .analysis import estimate_rank, s_k_membership, width_audit
+from .analysis import _lifted_full_rank, estimate_rank, s_k_membership, width_audit
 from .assumptions import (
     check_conv_structure,
     check_distinct_patches,
@@ -39,7 +39,7 @@ from .constructions import (
 from .errors import ConfigError, FormatError, WideCnnError
 from .gradients import loss
 from .netspec_io import load_netspec
-from .network import NetworkSpec, Output, Params, forward, lift_weights
+from .network import NetworkSpec, Output, Params, forward
 from .training import train_adam
 
 
@@ -120,8 +120,7 @@ def cmd_rank_genericity(args) -> int:
           f"{result.fraction_full:.2f}")
     # the claim needs analytic activations up to a layer at least N wide;
     # for any other network the fraction is reported without one
-    spec, k = experiments.rank_genericity_network(cfg)
-    acts = [spec.activation(l) for l in range(1, k + 1)]
+    acts = [result.spec.activation(l) for l in range(1, result.layer + 1)]
     claim = width >= N and all(a is not None and a.profile().analytic for a in acts)
     return 1 if claim and result.fraction_full < 0.99 else 0
 
@@ -144,11 +143,8 @@ def cmd_construct_independent(args) -> int:
     rank = estimate_rank(F)
     print(f"rank(F_{k}) = {rank.estimated_rank} of N={args.n} "
           f"(sigma_min {rank.sigma_min:.3e}, alpha {report.alpha:g})")
-    lifted_ok = all(
-        estimate_rank(lift_weights(spec, l, report.params.weights[l])).full_rank
-        for l in range(1, k + 1)
-        if report.params.weights[l] is not None
-    )
+    lifted_ok = all(_lifted_full_rank(spec, l, report.params.weights[l])
+                    for l in range(1, k + 1) if report.params.weights[l] is not None)
     print(f"lifted matrices full rank: {lifted_ok}")
     return 0 if rank.estimated_rank == args.n and lifted_ok else 1
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Activation, Identity, Sigmoid, Softplus
-from .analysis import estimate_rank, s_k_membership
+from .analysis import _lifted_full_rank, estimate_rank, s_k_membership
 from .assumptions import (
     check_distinct_patches,
     ensure_hidden_activations,
@@ -49,7 +49,6 @@ from .network import (
     Output,
     Params,
     forward,
-    lift_weights,
     max_pool,
     patch_products,
 )
@@ -136,10 +135,6 @@ def _collisions_within_columns(ip: np.ndarray) -> bool:
     if cols.shape[0] < 2:
         return False
     return float(np.diff(cols, axis=0).min()) <= COLLISION_RTOL * scale
-
-
-def _lifted_full_rank(spec: NetworkSpec, k: int, Q: np.ndarray) -> bool:
-    return estimate_rank(lift_weights(spec, k, Q)).full_rank
 
 
 def _conv_or_fc(spec: NetworkSpec, k: int) -> None:

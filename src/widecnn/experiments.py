@@ -249,9 +249,14 @@ def named_activation(name: str) -> Activation:
 
 @dataclass(frozen=True)
 class RankGenericityResult:
+    """The rank of F_``layer`` of ``spec``, the network that ran, for each
+    seed, and the fraction of the seeds at which it is N."""
+
     reports: tuple[RankReport, ...]
     seeds: tuple[int, ...]
     fraction_full: float
+    spec: NetworkSpec
+    layer: int
 
     def csv_rows(self):
         return [
@@ -262,29 +267,24 @@ class RankGenericityResult:
         ]
 
 
-def rank_genericity_network(cfg: ExperimentConfig) -> tuple[NetworkSpec, int]:
-    """Network used for the genericity experiment: the configured netspec,
-    or a single conv layer just wide enough that n_1 >= N."""
-    if cfg.network is not None:
-        from .netspec_io import load_netspec
-
-        return load_netspec(cfg.network), cfg.wide_layer
-    d, n = cfg.dataset.d, cfg.dataset.n
-    kernel = min(9, d)
-    windows = d - kernel + 1
-    filters = -(-2 * n // windows)  # width 2N leaves slack above the bound
-    spec = single_conv_network(d, kernel, filters,
-                               activation=named_activation(cfg.activation))
-    return spec, 1
-
-
 def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
-    """Estimate rank(F_k) under Gaussian parameters for each seed.
+    """Estimate rank(F_k) under Gaussian parameters for each seed, on the
+    configured netspec's wide layer, or else on a single conv layer just
+    wide enough that n_1 >= N.
 
     With analytic activations and n_k >= N the full-rank fraction should
     be 1.0; for ReLU the fraction is reported without any claim.
     """
-    spec, k = rank_genericity_network(cfg)
+    if cfg.network is not None:
+        from .netspec_io import load_netspec
+
+        spec, k = load_netspec(cfg.network), cfg.wide_layer
+    else:
+        d, n = cfg.dataset.d, cfg.dataset.n
+        kernel = min(9, d)
+        filters = -(-2 * n // (d - kernel + 1))  # width 2N leaves slack above the bound
+        act = named_activation(cfg.activation)
+        spec, k = single_conv_network(d, kernel, filters, activation=act), 1
     dataset = cfg.dataset.load()
     reports = []
     for seed in cfg.seeds:
@@ -292,9 +292,8 @@ def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
         params = Params.gaussian(spec, rng, up_to=k)
         reports.append(estimate_rank(forward(spec, params, dataset.X, up_to=k).F[k]))
     hits = sum(rep.estimated_rank == dataset.sample_count for rep in reports)
-    result = RankGenericityResult(
-        tuple(reports), tuple(cfg.seeds), hits / len(cfg.seeds)
-    )
+    result = RankGenericityResult(tuple(reports), tuple(cfg.seeds),
+                                  hits / len(cfg.seeds), spec, k)
     if cfg.out:
         write_csv(cfg.out, "rank-genericity.v1", result.csv_rows())
     return result
@@ -557,7 +556,7 @@ def independence_demo(
     kernel = min(4, d)
     windows = d - kernel + 1
     filters = -(-n_samples // windows) + 1
+    # X before the spec, which draws nothing: a too large n fails on X
+    X = np.random.default_rng(seed).standard_normal((n_samples, d))
     spec = single_conv_network(d, kernel, filters, activation=activation)
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n_samples, d))
     return spec, X, ConstructionParams(seed=seed)

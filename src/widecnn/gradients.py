@@ -12,11 +12,13 @@ through the lifting map: the sum over patches p of
 ``patch_p(F_{l-1})^T @ D_l[:, p]``, one stacked GEMM of the layer's
 gathered patches with the deltas, summed in patch order as
 ``lift_adjoint`` sums the blocks of ``F_{l-1}^T @ D_l``, which is never
-formed. Bias gradients are the column sums of ``D_l``. Every filter and
-bias gradient is written into one flat vector, each layer's weights then
-its bias, layer by layer. Given a ``Workspace``, the products, the flat
-vector, the gathered patches and sigma' go to its buffers. Overflow gives
-non-finite values, not warnings; the trainer turns them into
+formed. Bias gradients are the column sums of ``D_l``. ``backward``
+reads each layer's plan entry once, in one walk from the output down.
+Every filter and bias gradient is written into one flat vector, each
+layer's weights then its bias, layer by layer. Given a ``Workspace``,
+the products, the flat vector, the gathered patches (as
+``network._gather`` sizes them) and sigma' go to its buffers. Overflow
+gives non-finite values, not warnings; the trainer turns them into
 ``TrainingDivergedError``.
 """
 
@@ -32,6 +34,7 @@ from .network import (
     NetworkSpec,
     Params,
     Workspace,
+    _gather,
     _param_views,
     _require_output_last,
     _take,
@@ -78,7 +81,9 @@ def backward(
     *,
     workspace: Workspace | None = None,
 ) -> GradientSet:
-    """Exact gradients of the squared loss for layers ``start_layer..L``.
+    """Exact gradients of the squared loss for layers ``start_layer..L``,
+    in one walk from layer L down to ``start_layer``: each layer's filter
+    and bias gradients from its delta, then the delta of the layer below.
 
     The trace must come from ``forward`` on the same (spec, params). Every
     layer in the differentiated segment must have weights, not pool;
@@ -102,34 +107,29 @@ def backward(
 
     N, plan = Y.shape[0], spec.plan
     count = plan[L].stop - plan[start_layer].offset
+    flat = np.empty(count) if workspace is None else workspace.take("grad", (count,))
+    grad_W, grad_b = _param_views(spec, flat, start_layer)
+    deltas: list[np.ndarray | None] = [None] * (L + 1)
     # a diverging run overflows here; the trainer reports it as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         # the output layer is linear
         delta = np.subtract(trace.output, Y, out=_take(workspace, ("delta", L), Y.shape))
-        deltas: dict[int, np.ndarray] = {L: delta}
-        for l in range(L - 1, start_layer - 1, -1):
-            layout, (size, T) = plan[l + 1].layout, plan[l + 1].filter_shape
-            P = layout.patch_count
-            # one 2-D GEMM: a dense layer's is D_{l+1} @ W^T itself
-            product = np.matmul(delta.reshape(N * P, T), params.weights[l + 1].T,
-                                out=_take(workspace, ("delta", l), (N * P, size)))
-            delta = layout.scatter_add(product.reshape(N, P, size))
-            delta *= plan[l].activation.derivative(
-                trace.G[l], trace.F[l], out=_take(workspace, "scratch", delta.shape))
+        for l in range(L, start_layer - 1, -1):
             deltas[l] = delta
-
-        flat = np.empty(count) if workspace is None else workspace.take("grad", (count,))
-        grad_W, grad_b = _param_views(spec, flat, start_layer)
-        for l in range(start_layer, L + 1):
             layout, (size, T) = plan[l].layout, plan[l].filter_shape
             P = layout.patch_count
-            # a whole-layer gather is a view of F_{l-1} and needs no buffer
-            patches = layout.extract(trace.F[l - 1], out=None if layout._whole_layer
-                                     else _take(workspace, "scratch", (N, P, size)))
+            patches = layout.extract(trace.F[l - 1], out=_gather(layout, N, workspace))
             # (P, l, N) @ (P, N, T): each patch's (l, T) block, summed in patch order
             np.sum(np.matmul(patches.transpose(1, 2, 0),
-                             deltas[l].reshape(N, P, T).transpose(1, 0, 2)),
+                             delta.reshape(N, P, T).transpose(1, 0, 2)),
                    axis=0, out=grad_W[l])
-            np.sum(deltas[l], axis=0, out=grad_b[l])
-    return GradientSet(tuple(grad_W), tuple(grad_b),
-                       tuple(deltas.get(l) for l in range(L + 1)), flat)
+            np.sum(delta, axis=0, out=grad_b[l])
+            if l == start_layer:
+                break
+            # one 2-D GEMM: a dense layer's is D_l @ W^T itself
+            product = np.matmul(delta.reshape(N * P, T), params.weights[l].T,
+                                out=_take(workspace, ("delta", l - 1), (N * P, size)))
+            delta = layout.scatter_add(product.reshape(N, P, size))
+            delta *= plan[l - 1].activation.derivative(
+                trace.G[l - 1], trace.F[l - 1], out=_take(workspace, "scratch", delta.shape))
+    return GradientSet(tuple(grad_W), tuple(grad_b), tuple(deltas), flat)

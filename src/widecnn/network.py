@@ -32,11 +32,12 @@ has its features summed.
 
 A ``Workspace`` holds one float64 buffer per role (a layer's G, F or
 delta, the flat gradient, and one scratch for temporaries that die
-inside a call, such as a layer's gathered patches). ``forward`` and
-``backward`` given the same workspace write into those buffers instead
-of allocating, so a training run faults its arrays in once instead of
-once per step. A trace or gradient set made with a workspace is
-overwritten by the next call that uses it.
+inside a call, such as a layer's gathered patches, whose shape, or that
+a whole-layer layout needs none, ``_gather`` alone decides). ``forward``
+and ``backward`` given the same workspace write into those buffers
+instead of allocating, so a training run faults its arrays in once
+instead of once per step. A trace or gradient set made with a workspace
+is overwritten by the next call that uses it.
 """
 
 from __future__ import annotations
@@ -550,12 +551,20 @@ def _tile_rows(width: int) -> int:
     return max(1, ROW_TILE // width)
 
 
+def _gather(layout: PatchLayout, rows: int, workspace: Workspace | None) -> np.ndarray | None:
+    """Where ``layout.extract`` of ``rows`` rows writes: the scratch as
+    (rows, P, l), or None to allocate. A whole-layer layout needs none:
+    its one patch of a row is a view of the row."""
+    return None if layout._whole_layer else _take(
+        workspace, "scratch", (rows, *layout.patches.shape))
+
+
 def patch_products(
     layout: PatchLayout,
     F: np.ndarray,
     W: np.ndarray,
     out: np.ndarray | None = None,
-    gather: np.ndarray | None = None,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: a weighted
     layer's pre-activation before the bias, as the patch gather and one
@@ -563,8 +572,8 @@ def patch_products(
     of the (N, layout.width) rows F, so a gathered block holds at most one
     ``ROW_TILE``. A whole-layer layout gathers nothing: its one patch is a
     row of F, and all N rows go in one GEMM. ``out`` (N*P*T entries)
-    receives the products and ``gather`` (min(N, b)*P*l entries) each
-    block's patches; without them both are allocated.
+    receives the products and the ``workspace``'s scratch, as ``_gather``
+    sizes it, each block's patches; without them both are allocated.
 
     A batch of at most b rows is one gather and one GEMM. Above that, BLAS
     may round a block's GEMM differently from the whole batch's: each
@@ -575,6 +584,7 @@ def patch_products(
         return G.reshape(N, 1, T)
     G = np.empty((N, P, T)) if out is None else out.reshape(N, P, T)
     rows = _tile_rows(P * l)
+    gather = _gather(layout, min(N, rows), workspace)
     for start in range(0, N, rows):
         block = F[start : start + rows]
         patches = layout.extract(
@@ -643,12 +653,13 @@ def forward(
 
     Every weighted layer is computed by ``patch_products``, which equals
     the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
-    floating-point rounding. The bias add, the finiteness sums and the
-    activation run over blocks of ``_tile_rows(n_k)`` rows, so each
-    temporary is at most one ``ROW_TILE``. Pure function: identical inputs
-    give identical traces. With a ``workspace`` every G and F except the
-    input is a view of its buffers, computed by the same operations in the
-    same order, and the next call with that workspace overwrites them.
+    floating-point rounding and is handed the workspace for its gather.
+    The bias add, the finiteness sums and the activation run over blocks
+    of ``_tile_rows(n_k)`` rows, so each temporary is at most one
+    ``ROW_TILE``. Pure function: identical inputs give identical traces.
+    With a ``workspace`` every G and F except the input is a view of its
+    buffers, computed by the same operations in the same order, and the
+    next call with that workspace overwrites them.
 
     Raises StructuralError for an ``up_to`` outside [0, L], a malformed or
     non-finite batch and misshapen or non-finite parameters of layers
@@ -686,13 +697,9 @@ def forward(
                 continue
             sigma = layer.activation
             linear = isinstance(sigma, Identity)
-            # a whole-layer gather is a view of prev and needs no buffer
-            gather = None if layout._whole_layer else _take(
-                workspace, "scratch", (min(N, _tile_rows(layout.patches.size)),
-                                       *layout.patches.shape))
             G_finite = F_finite = True
             Gk = patch_products(layout, prev, params.weights[k],
-                                _take(workspace, ("G", k), shape), gather).reshape(shape)
+                                _take(workspace, ("G", k), shape), workspace).reshape(shape)
             Fk = Gk if linear else _take(workspace, ("F", k), shape)
             if Fk is None:
                 Fk = np.empty(shape)

@@ -703,6 +703,10 @@ class TestWidthAudit:
         assert mnist_conv_pool_network(first_filters=89).widths[1] == 60164
         assert mnist_conv_pool_network(first_filters=10).widths[1] == 6760
 
+    def test_no_hidden_layer(self):
+        audit = width_audit(NetworkSpec(4, (Output(2),)), 8)
+        assert audit == analysis.WidthAudit(0, None, False, None)
+
     def test_single_layer_short_of_n(self):
         spec = NetworkSpec(4, (FullyConnected(7, Sigmoid()), Output(2)))
         audit = width_audit(spec, 8)

@@ -1,6 +1,7 @@
 """CLI exit codes and end-to-end subcommand behaviour."""
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -11,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from widecnn import FullyConnected, NetworkSpec, ReLU, Sigmoid
+from widecnn import FullyConnected, NetworkSpec, ReLU, Sigmoid, cli, netspec_io
 from widecnn.architectures import mnist_conv_pool_network, single_conv_network
 from widecnn.cli import build_parser, main
 from widecnn.experiments import SCHEMAS, read_csv
-from widecnn.netspec_io import save_netspec
+from widecnn.netspec_io import load_netspec, save_netspec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -261,6 +262,10 @@ class TestUsageErrorsExit2:
         path.write_text(json.dumps(doc))
         assert _usage_error(["width-audit", "--spec", str(path), "--n", "4"], capsys)
 
+    def test_train_without_a_spec(self, capsys):
+        assert main(["train"]) == 2
+        assert capsys.readouterr().err == "error: train requires --spec\n"
+
 
 class TestRankGenericityVerdict:
     @pytest.fixture
@@ -294,21 +299,50 @@ class TestRankGenericityVerdict:
             assert main(argv) == expected, name
         assert capsys.readouterr().out.count("(N=16): 0.00") == 2
 
+    def test_the_netspec_is_loaded_once(self, config, tmp_path, capsys, monkeypatch):
+        spec_path = tmp_path / "net.netspec"
+        save_netspec(single_conv_network(16, 9, 4), spec_path)  # n_1 = 32
+        loads = []
 
-def test_out_of_memory_is_one_error_line():
-    """Under a 512 MiB address-space limit, set in the child only, the
-    construction's first layout cannot be allocated."""
+        def counted(path):
+            loads.append(path)
+            return load_netspec(path)
+
+        monkeypatch.setattr(netspec_io, "load_netspec", counted)
+        monkeypatch.setattr(cli, "load_netspec", counted)
+        assert main(["rank-genericity", "--config", config(), "--spec", str(spec_path)]) == 0
+        assert loads == [str(spec_path)]
+        assert "(N=16): 1.00" in capsys.readouterr().out
+
+
+@functools.cache
+def _construct_under_the_memory_limit():
+    """``construct-independent --n 100000000`` in a child under a 512 MiB
+    address-space limit, set in the child only; run once for both tests."""
     limit = 512 * 2**20
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
                       env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "widecnn.cli", "construct-independent", "--n", "100000000"],
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_out_of_memory_is_one_error_line():
+    """The construction's first array cannot be allocated."""
+    done = _construct_under_the_memory_limit()
     assert done.returncode == 1
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory"), done.stderr
+
+
+def test_the_input_fails_before_the_layout_is_built():
+    """The (N, d) input is drawn before the 25 M x 4 index array of the
+    conv layout, so the one error line names the input's shape."""
+    lines = _construct_under_the_memory_limit().stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+    assert "shape (100000000, 25000000)" in lines[0], lines

@@ -113,6 +113,11 @@ class TestSynthesize:
         noisy = synthesize_dataset(4, 3, 2, seed=7, perturb_sigma=1e-5)
         assert not np.array_equal(clean.X, noisy.X)
 
+    @pytest.mark.parametrize("N, d, m", [(0, 5, 2), (4, 0, 2), (4, 5, 0), (-1, 5, 2)])
+    def test_sizes_below_one_are_rejected(self, N, d, m):
+        with pytest.raises(StructuralError, match="^N, d, and m must be positive$"):
+            synthesize_dataset(N, d, m)
+
     def test_singleton(self):
         dataset = synthesize_dataset(1, 5, 2, seed=8)
         assert dataset.sample_count == 1

@@ -87,6 +87,22 @@ class TestBuilders:
         with pytest.raises(StructuralError):
             conv1d_layout(7, 2, 3)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: conv1d_layout(5, 0), "^kernel and stride must be positive$"),
+        (lambda: conv1d_layout(5, 2, 0), "^kernel and stride must be positive$"),
+        (lambda: conv1d_layout(3, 4), "^kernel 4 exceeds layer width 3$"),
+        (lambda: conv2d_layout(0, 4, 2, 2), "^grid, kernel and stride sizes must be positive$"),
+        (lambda: conv2d_multichannel_layout(4, 4, 0, 2, 2),
+         "^grid, kernel and stride sizes must be positive$"),
+        (lambda: pool2d_multichannel_layout(4, 4, 1, 2, 2, 2, 0),
+         "^grid, kernel and stride sizes must be positive$"),
+        (lambda: conv2d_layout(3, 5, 4, 2), "^kernel exceeds grid size$"),
+        (lambda: conv2d_layout(5, 3, 2, 4), "^kernel exceeds grid size$"),
+    ])
+    def test_malformed_sizes_rejected(self, build, message):
+        with pytest.raises(StructuralError, match=message):
+            build()
+
     def test_conv2d_positions_row_major(self):
         layout = conv2d_layout(3, 3, 2, 2, 1, 1)
         assert layout.patch_count == 4

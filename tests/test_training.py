@@ -159,6 +159,14 @@ class TestDivergence:
         with pytest.raises(StructuralError, match="layer 2 "):
             train_adam(self.CONV_CONV, params0, dataset, TrainConfig(epochs=1))
 
+    def test_targets_of_another_width_are_a_structural_error(self):
+        """backward's shape error is raised as it is: the parameters are
+        finite, so training did not diverge."""
+        dataset, params0 = self.diverging_case()
+        wide = Dataset(dataset.X, np.zeros((16, 3)))
+        with pytest.raises(StructuralError, match=r"^output \(16, 2\) vs targets \(16, 3\)$"):
+            train_adam(self.CONV_CONV, params0, wide, TrainConfig(epochs=1))
+
 
 class TestEarlyStop:
     def test_stops_once_training_errors_vanish(self):
