@@ -9,8 +9,8 @@ positive integer. Exit codes: 0 on success; 1 when a run finishes but an
 assertion or acceptance condition fails, or a run fails (any other
 ``WideCnnError``, an ``OSError``, or running out of memory); 2 on usage
 errors, that is an unknown or malformed flag, config, netspec or IDX
-file (``ConfigError``, ``FormatError``). Every error is one ``error:``
-line on stderr.
+file, or a dataset that does not fit the netspec (``ConfigError``,
+``FormatError``). Every error is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -67,15 +67,15 @@ def _load(args) -> experiments.ExperimentConfig:
     return replace(cfg, **fields)
 
 
-def _require_spec(cfg, command: str):
+def _require_spec(cfg, command: str) -> None:
     if cfg.network is None:
         raise ConfigError(f"{command} requires --spec")
-    return load_netspec(cfg.network)
 
 
 def cmd_width_audit(args) -> int:
     cfg = _load(args)
-    spec = _require_spec(cfg, "width-audit")
+    _require_spec(cfg, "width-audit")
+    spec = load_netspec(cfg.network)
     audit = width_audit(spec, args.n)
     print(f"widths: {spec.widths}")
     print(f"max hidden width M = {audit.max_width} at layer {audit.arg_layer}")
@@ -86,8 +86,8 @@ def cmd_width_audit(args) -> int:
 
 def cmd_check_assumptions(args) -> int:
     cfg = _load(args)
-    spec = _require_spec(cfg, "check-assumptions")
-    dataset = cfg.dataset.load()
+    _require_spec(cfg, "check-assumptions")
+    spec, dataset = experiments.netspec_and_dataset(cfg)
     ok = True
 
     report = check_distinct_patches(dataset.X, spec.input_layout)
@@ -196,8 +196,8 @@ def cmd_table2_sweep(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load(args)
-    spec = _require_spec(cfg, "train")
-    dataset = cfg.dataset.load()
+    _require_spec(cfg, "train")
+    spec, dataset = experiments.netspec_and_dataset(cfg)
     rng = np.random.default_rng(cfg.seeds[0])
     params0 = Params.fan_in_gaussian(spec, rng)
     result = train_adam(spec, params0, dataset, cfg.train_config(cfg.seeds[0]))

@@ -227,6 +227,19 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
+def netspec_and_dataset(cfg: ExperimentConfig) -> tuple[NetworkSpec, Dataset]:
+    """The config's netspec and dataset. A dataset whose rows are not as
+    wide as the netspec's input is a ConfigError."""
+    from .netspec_io import load_netspec
+
+    spec, dataset = load_netspec(cfg.network), cfg.dataset.load()
+    if dataset.input_width != spec.input_width:
+        raise ConfigError(
+            f"the dataset has width {dataset.input_width}, but netspec "
+            f"{cfg.network} takes inputs of width {spec.input_width}")
+    return spec, dataset
+
+
 def named_activation(name: str) -> Activation:
     """``sigmoid``, ``relu``, ``softplus`` (alpha 10) or ``softplus(<alpha>)``."""
     if name == "sigmoid":
@@ -276,16 +289,14 @@ def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
     be 1.0; for ReLU the fraction is reported without any claim.
     """
     if cfg.network is not None:
-        from .netspec_io import load_netspec
-
-        spec, k = load_netspec(cfg.network), cfg.wide_layer
+        (spec, dataset), k = netspec_and_dataset(cfg), cfg.wide_layer
     else:
         d, n = cfg.dataset.d, cfg.dataset.n
         kernel = min(9, d)
         filters = -(-2 * n // (d - kernel + 1))  # width 2N leaves slack above the bound
         act = named_activation(cfg.activation)
         spec, k = single_conv_network(d, kernel, filters, activation=act), 1
-    dataset = cfg.dataset.load()
+        dataset = cfg.dataset.load()
     reports = []
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)

@@ -10,14 +10,15 @@ no nonlinearity. All of them go through one set of operations that read
 the layout, (l, T) and width of each layer from the spec's ``plan``, which
 the spec works out once when it is built: ``patch_products`` (a gather,
 then one GEMM), ``lift_weights`` (the dense ``U_k``, for rank and SVD work
-only) and its adjoint ``lift_adjoint``. Max-pooling is a running maximum
-over the layout's taps (``max_pool``).
+only) and its adjoint ``lift_adjoint``. Max-pooling (``max_pool``) is a
+running maximum over the taps of the same gathered patches: one tiled
+walk, ``_patch_blocks``, gathers a layer's patches for both.
 
 The forward pass allocates little beyond the trace it returns: each of
-its temporaries (a block's gathered patches, the sigmoid's scratch, a
-pooling tap's columns) is at most one ``ROW_TILE`` of 2^18 float64
-entries, because the gather and GEMM, the bias add, the finiteness sum,
-the activation and the pooling run over row blocks that fit one tile.
+its temporaries (a block's gathered patches, the sigmoid's scratch) is at
+most one ``ROW_TILE`` of 2^18 float64 entries, because the gather and
+GEMM or tap maximum, the bias add, the finiteness sum and the activation
+run over row blocks that fit one tile.
 Every blocked operation but the GEMM gives the bits of one call over the
 whole batch; a batch of more rows than one tile holds may see BLAS round
 a block's GEMM differently, within the bound ``patch_products`` states.
@@ -452,13 +453,16 @@ class Dataset:
             if not estimate_rank(Z).full_rank:
                 raise StructuralError("class embedding Z must have full rank")
             if self.labels is not None:
-                for i, c in enumerate(self.labels):
-                    if not 0 <= c < m:
+                codes = np.array(self.labels)
+                outside = (codes < 0) | (codes >= m)
+                inside = np.where(outside, 0, codes).astype(np.intp)
+                bad = outside | (Y != Z[inside]).any(axis=1)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    c = self.labels[i]
+                    if outside[i]:
                         raise StructuralError(f"label {c} outside [0, {m})")
-                    if not np.array_equal(Y[i], Z[c]):
-                        raise StructuralError(
-                            f"row {i} of Y does not equal embedding row {c}"
-                        )
+                    raise StructuralError(f"row {i} of Y does not equal embedding row {c}")
 
     @property
     def sample_count(self) -> int:
@@ -559,6 +563,21 @@ def _gather(layout: PatchLayout, rows: int, workspace: Workspace | None) -> np.n
         workspace, "scratch", (rows, *layout.patches.shape))
 
 
+def _patch_blocks(layout: PatchLayout, F: np.ndarray, workspace: Workspace | None):
+    """Walk the (N, layout.width) rows F in blocks of b = ``_tile_rows(P*l)``
+    rows, yielding each block's row slice and its (rows, P, l) patches,
+    gathered by ``layout.extract`` into the ``workspace``'s scratch as
+    ``_gather`` sizes it (allocated without one), so a gathered block holds
+    at most one ``ROW_TILE``. A whole-layer layout's patches are views."""
+    N, (P, l) = F.shape[0], layout.patches.shape
+    rows = _tile_rows(P * l)
+    gather = _gather(layout, min(N, rows), workspace)
+    for start in range(0, N, rows):
+        block = F[start : start + rows]
+        yield slice(start, start + rows), layout.extract(
+            block, out=None if gather is None else gather[: len(block)])
+
+
 def patch_products(
     layout: PatchLayout,
     F: np.ndarray,
@@ -567,29 +586,22 @@ def patch_products(
     workspace: Workspace | None = None,
 ) -> np.ndarray:
     """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: a weighted
-    layer's pre-activation before the bias, as the patch gather and one
-    (b*P, l) x (l, T) GEMM for each block of b = ``_tile_rows(P*l)`` rows
-    of the (N, layout.width) rows F, so a gathered block holds at most one
-    ``ROW_TILE``. A whole-layer layout gathers nothing: its one patch is a
-    row of F, and all N rows go in one GEMM. ``out`` (N*P*T entries)
-    receives the products and the ``workspace``'s scratch, as ``_gather``
-    sizes it, each block's patches; without them both are allocated.
+    layer's pre-activation before the bias, as one (b*P, l) x (l, T) GEMM
+    for each block that ``_patch_blocks`` gathers with the ``workspace``.
+    A whole-layer layout gathers nothing: its one patch is a row of F, and
+    all N rows go in one GEMM. ``out`` (N*P*T entries) receives the
+    products; without it they are allocated.
 
-    A batch of at most b rows is one gather and one GEMM. Above that, BLAS
-    may round a block's GEMM differently from the whole batch's: each
-    entry stays within 2*l*eps*(|patch| @ |W|) of it."""
+    A batch of one block is one gather and one GEMM. Above that, BLAS may
+    round a block's GEMM differently from the whole batch's: each entry
+    stays within 2*l*eps*(|patch| @ |W|) of it."""
     N, (P, l), T = F.shape[0], layout.patches.shape, W.shape[1]
     if layout._whole_layer:
         G = np.matmul(F, W, out=None if out is None else out.reshape(N, T))
         return G.reshape(N, 1, T)
     G = np.empty((N, P, T)) if out is None else out.reshape(N, P, T)
-    rows = _tile_rows(P * l)
-    gather = _gather(layout, min(N, rows), workspace)
-    for start in range(0, N, rows):
-        block = F[start : start + rows]
-        patches = layout.extract(
-            block, out=None if gather is None else gather[: len(block)])
-        np.matmul(patches.reshape(-1, l), W, out=G[start : start + rows].reshape(-1, T))
+    for rows, patches in _patch_blocks(layout, F, workspace):
+        np.matmul(patches.reshape(-1, l), W, out=G[rows].reshape(-1, T))
     return G
 
 
@@ -597,28 +609,19 @@ def max_pool(
     layout: PatchLayout,
     F: np.ndarray,
     out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """(N, P) per-patch maxima of the (N, layout.width) rows F: tap 0's
-    column, then a running ``np.maximum`` with each later tap's column,
-    so no (N, P, l) gather is formed. It runs over blocks of
-    b = ``_tile_rows(P)`` rows, so a tap's columns take at most one
-    ``ROW_TILE``. NaN propagates. ``out`` receives the maxima and
-    ``scratch`` (min(N, b)*P entries) each later tap's columns of a
-    block; without them both are allocated."""
-    N, P = F.shape[0], layout.patch_count
-    taps = layout.patches.T  # (l, P)
-    M = np.empty((N, P)) if out is None else out
-    rows = _tile_rows(P)
-    scratch = np.empty((min(N, rows), P)) if scratch is None else scratch
-    for start in range(0, N, rows):
-        block, maxima = F[start : start + rows], M[start : start + rows]
-        tap_scratch = scratch[: len(block)]
-        # mode="clip" as in PatchLayout.extract: the layout's indices are valid
-        np.take(block, taps[0], axis=1, out=maxima, mode="clip")
-        for tap in taps[1:]:
-            np.maximum(maxima, np.take(block, tap, axis=1, out=tap_scratch, mode="clip"),
-                       out=maxima)
+    """(N, P) per-patch maxima of the (N, layout.width) rows F: for each
+    block that ``_patch_blocks`` gathers with the ``workspace``, tap 0,
+    then a running ``np.maximum`` with taps 1..l-1 in order. NaN
+    propagates. ``out`` receives the maxima; without it they are
+    allocated."""
+    M = np.empty((F.shape[0], layout.patch_count)) if out is None else out
+    for rows, patches in _patch_blocks(layout, F, workspace):
+        maxima = M[rows]
+        maxima[...] = patches[:, :, 0]
+        for tap in range(1, layout.patch_size):
+            np.maximum(maxima, patches[:, :, tap], out=maxima)
     return M
 
 
@@ -653,7 +656,8 @@ def forward(
 
     Every weighted layer is computed by ``patch_products``, which equals
     the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
-    floating-point rounding and is handed the workspace for its gather.
+    floating-point rounding, and every pooling layer by ``max_pool``; both
+    are handed the workspace for their gather.
     The bias add, the finiteness sums and the activation run over blocks
     of ``_tile_rows(n_k)`` rows, so each temporary is at most one
     ``ROW_TILE``. Pure function: identical inputs give identical traces.
@@ -692,7 +696,7 @@ def forward(
             if layer.filter_shape is None:
                 # the maxima of finite features are finite
                 F.append(_seal(max_pool(layout, prev, _take(workspace, ("F", k), shape),
-                                        _take(workspace, "scratch", (min(N, rows), width)))))
+                                        workspace)))
                 G.append(None)
                 continue
             sigma = layer.activation

@@ -78,6 +78,12 @@ class TestEstimateRank:
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         assert estimate_rank(Q @ A).estimated_rank == base
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,)])
+    def test_rejects_empty_and_non_matrices(self, shape):
+        with pytest.raises(StructuralError) as caught:
+            estimate_rank(np.zeros(shape))
+        assert str(caught.value) == f"expected a non-empty matrix, got shape {shape}"
+
     def test_rejects_non_finite(self):
         with pytest.raises(StructuralError):
             estimate_rank(np.array([[np.inf, 1.0]]))

@@ -13,7 +13,11 @@ from pathlib import Path
 import pytest
 
 from widecnn import FullyConnected, NetworkSpec, ReLU, Sigmoid, cli, netspec_io
-from widecnn.architectures import mnist_conv_pool_network, single_conv_network
+from widecnn.architectures import (
+    desk_sweep_network,
+    mnist_conv_pool_network,
+    single_conv_network,
+)
 from widecnn.cli import build_parser, main
 from widecnn.experiments import SCHEMAS, read_csv
 from widecnn.netspec_io import load_netspec, save_netspec
@@ -346,3 +350,15 @@ def test_the_input_fails_before_the_layout_is_built():
     lines = _construct_under_the_memory_limit().stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
     assert "shape (100000000, 25000000)" in lines[0], lines
+
+
+@pytest.mark.parametrize("command", ["check-assumptions", "train", "rank-genericity"])
+def test_a_dataset_that_does_not_fit_the_netspec_is_a_usage_error(command, tmp_path, capsys):
+    """The default dataset has width 16; a netspec that takes 64 inputs is
+    refused before any work, naming both widths and the netspec."""
+    spec_path = tmp_path / "desk.netspec"
+    save_netspec(desk_sweep_network(64, 4, 10), spec_path)
+    assert main([command, "--spec", str(spec_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the dataset has width 16, but netspec {spec_path} takes inputs "
+        f"of width 64\n")

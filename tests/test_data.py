@@ -130,6 +130,27 @@ class TestDatasetEmbedding:
         with pytest.raises(StructuralError, match="full rank"):
             Dataset(X=np.eye(2), Y=Z, labels=(0, 1), Z=Z)
 
+    @pytest.mark.parametrize("X,Y,labels,Z,message", [
+        (np.zeros(2), np.eye(2), None, None, "X and Y must be matrices"),
+        (np.zeros((3, 2)), np.eye(2), None, None, "X has 3 rows but Y has 2"),
+        (np.zeros((2, 2)), np.eye(2), (0,), None, "one label per sample required"),
+        (np.zeros((2, 2)), np.eye(2), None, np.eye(3), "Z must be (2, 2), got (3, 3)"),
+        (np.zeros((3, 2)), np.eye(2)[[0, 1, 0]], (0, 1, 1), np.eye(2),
+         "row 2 of Y does not equal embedding row 1"),
+        (np.zeros((3, 2)), np.eye(2)[[0, 1, 0]], (0, -1, 1), np.eye(2),
+         "label -1 outside [0, 2)"),
+        # a bad target in an earlier row than a bad label is the error
+        (np.zeros((3, 2)), np.eye(2)[[0, 0, 1]], (0, 1, 5), np.eye(2),
+         "row 1 of Y does not equal embedding row 1"),
+        (np.zeros((2, 2)), np.eye(2), (0, 10**30), np.eye(2),
+         f"label {10**30} outside [0, 2)"),
+    ], ids=["not-matrices", "row-counts", "label-count", "embedding-shape",
+            "target", "label", "target-before-label", "huge-label"])
+    def test_malformed_dataset(self, X, Y, labels, Z, message):
+        with pytest.raises(StructuralError) as caught:
+            Dataset(X=X, Y=Y, labels=labels, Z=Z)
+        assert str(caught.value) == message
+
     def test_non_identity_embedding_accepted(self):
         Z = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert Dataset(X=np.eye(2), Y=Z[[1, 0]], labels=(1, 0), Z=Z).class_count == 2

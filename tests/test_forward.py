@@ -176,9 +176,10 @@ class TestMaxPoolRunningMaximum:
             shape = (n, layout.patch_count)
             expected = _bits(gather_max_pool(layout, F))
             assert _bits(max_pool(layout, F)) == expected
-            out, scratch = workspace.take("F", shape), workspace.take("scratch", shape)
+            out = workspace.take("F", shape)
+            scratch = workspace.take("scratch", (n, *layout.patches.shape))
             out[...] = scratch[...] = np.nan  # stale contents must not leak
-            result = max_pool(layout, F, out, scratch)
+            result = max_pool(layout, F, out, workspace)
             assert result is out
             assert _bits(result) == expected
 
@@ -454,6 +455,22 @@ class TestSpecValidation:
 
         with pytest.raises(StructuralError):
             NetworkSpec(4, (Conv(conv1d_layout(5, 3, 1), 2, Sigmoid()),))
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Conv(conv1d_layout(4, 2), 0, Sigmoid()), "filter count must be positive"),
+        (lambda: NetworkSpec(4, (MaxPool(conv1d_layout(5, 2)),)),
+         "pool layout indexes width 5, previous layer has width 4"),
+        (lambda: Output(0), "output width must be positive"),
+        (lambda: NetworkSpec(0, (Output(2),)), "input width must be positive"),
+        (lambda: NetworkSpec(4, ()), "network needs at least one layer"),
+        (lambda: NetworkSpec(4, (Output(2),)).layer(2), "layer index 2 outside [1, 1]"),
+        (lambda: Params((None, None), (None,)), "weights and biases must have equal length"),
+    ], ids=["filters", "pool-width", "output-width", "input-width", "no-layers",
+            "layer-index", "params-length"])
+    def test_malformed_structure(self, build, message):
+        with pytest.raises(StructuralError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 

@@ -132,6 +132,14 @@ class TestBackward:
         assert grads.grad_W[1] is None
         assert grads.grad_W[spec.depth] is not None
 
+    def test_start_layer_outside_the_layers(self):
+        spec, params, X, Y = random_smooth_net(np.random.default_rng(4))
+        trace, L = forward(spec, params, X), spec.depth
+        for start in (0, L + 1):
+            with pytest.raises(StructuralError) as caught:
+                backward(spec, params, trace, Y, start_layer=start)
+            assert str(caught.value) == f"start layer {start} outside [1, {L}]"
+
     def test_headless_network_rejected(self):
         spec = NetworkSpec(3, (FullyConnected(2, Sigmoid()),))
         params = Params.zeros(spec)

@@ -55,8 +55,10 @@ class TestInvariants:
         (5, ((0, 1), (1, 2)),
          "patches do not cover the layer; first uncovered neurons: [3, 4]"),
         (3, (), "layout needs at least one patch"),
+        (0, ((0,),), "layout width must be positive"),
+        (3, (0, 1, 2), "patches must be flat index lists"),
     ], ids=["ragged", "repeat", "above", "negative", "duplicate", "uncovered",
-            "empty"])
+            "empty", "zero-width", "flat"])
     def test_single_fault_message(self, width, patches, message):
         with pytest.raises(StructuralError) as caught:
             PatchLayout(width, patches)
@@ -75,6 +77,7 @@ class TestInvariants:
         assert a == b and hash(a) == hash(b)
         assert a != PatchLayout(3, ((1, 2), (0, 1)))
         assert a != PatchLayout(4, ((0, 1), (1, 2), (3, 0)))
+        assert a.__eq__(a.patches) is NotImplemented and a != a.patches.tolist()
 
 
 class TestBuilders:

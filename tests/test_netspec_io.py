@@ -81,6 +81,18 @@ class TestValidation:
         with pytest.raises(FormatError, match="JSON"):
             load_netspec(path)
 
+    def test_document_must_be_an_object(self):
+        with pytest.raises(FormatError) as caught:
+            spec_from_dict([{"kind": "output", "width": 2}])
+        assert str(caught.value) == "network document must be an object"
+
+    def test_spec_level_error_names_the_network(self):
+        doc = {"input_width": 4, "layers": [{"kind": "output", "width": 2},
+                                            {"kind": "output", "width": 2}]}
+        with pytest.raises(FormatError) as caught:
+            spec_from_dict(doc)
+        assert str(caught.value) == "network: Output layer at position 1 is not last"
+
     def test_missing_keys(self):
         with pytest.raises(FormatError, match="missing"):
             spec_from_dict({"input_width": 4})
