@@ -1,11 +1,13 @@
 """Scalar activation functions and their structural profiles.
 
 Each activation knows its derivative, its inverse (when one exists), the
-interval on which it is injective, and a :class:`ActivationProfile`
-summarizing the growth behaviour that the landscape results rely on:
-either both tails converge to finite limits whose product is zero, or the
-function is exponentially bounded on the negative axis and linearly
-bounded on the positive axis.
+interval on which it is injective, the constructions' bias offset
+``construction_bias`` and target interval ``comfortable_range`` (sigmoid
+and softplus only), and a :class:`ActivationProfile` summarizing the
+growth behaviour that the landscape results rely on: either both tails
+converge to finite limits whose product is zero, or the function is
+exponentially bounded on the negative axis and linearly bounded on the
+positive axis.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class Activation:
     """
 
     name: str = "abstract"
+    # Bias offset of the constructions: its activation value is nonzero and
+    # lies inside the injectivity interval.
+    construction_bias = 1.0
 
     def __call__(self, t, out=None, scratch=None):
         raise NotImplementedError
@@ -74,6 +79,12 @@ class Activation:
     def bijective_interval(self) -> tuple[float, float]:
         """Open interval on which the function is injective."""
         raise NotImplementedError
+
+    @property
+    def comfortable_range(self) -> tuple[float, float]:
+        """Sub-interval of the image on which the inverse is
+        well-conditioned; the zero-loss construction draws targets here."""
+        raise RangeError(f"{self!r} has no range of values to invert")
 
     def profile(self) -> ActivationProfile:
         raise NotImplementedError
@@ -93,6 +104,7 @@ class Activation:
 
 class Sigmoid(Activation):
     name = "sigmoid"
+    construction_bias = 0.0  # sigmoid(0) = 1/2
 
     def __call__(self, t, out=None, scratch=None):
         # 1/(1+exp(-t)) for t >= 0 and exp(t)/(1+exp(t)) below, in one pass:
@@ -128,6 +140,10 @@ class Sigmoid(Activation):
     @property
     def bijective_interval(self) -> tuple[float, float]:
         return (-INF, INF)
+
+    @property
+    def comfortable_range(self) -> tuple[float, float]:
+        return (0.2, 0.8)
 
     def profile(self) -> ActivationProfile:
         return ActivationProfile(
@@ -207,6 +223,10 @@ class Softplus(Activation):
     @property
     def bijective_interval(self) -> tuple[float, float]:
         return (-INF, INF)
+
+    @property
+    def comfortable_range(self) -> tuple[float, float]:
+        return (0.5, 1.5)
 
     def profile(self) -> ActivationProfile:
         return ActivationProfile(

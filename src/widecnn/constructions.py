@@ -17,6 +17,16 @@ Four builders, each turning an existence proof into an algorithm:
 * ``zero_loss_construction``: exact global minimizers of the squared
   loss for class-structured targets, by collapsing classes right after
   the wide layer and solving the remaining layers in closed form.
+
+Transport and the wide-layer step draw filters through one loop,
+``_filter_draws``: up to RESAMPLE_BUDGET Gaussian draws, each kept only if
+its inner products pass the builder's collision test and its lifting has
+full rank; each builder then runs its own scale search on the kept draws.
+Below the last hidden layer the zero-loss construction takes one template
+step: a class template of m rows (full row rank in sigma's image for
+k = L-2, distinct entries in sigma's comfortable range for k <= L-3)
+routes each class through its row, and layer k+1 solves for sigma^{-1} of
+the routed rows. The activation supplies the bias offset and the range.
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation, Identity, Sigmoid, Softplus
 from .analysis import _lifted_full_rank, estimate_rank, s_k_membership
 from .assumptions import (
     check_distinct_patches,
@@ -36,7 +45,6 @@ from .errors import (
     AssumptionError,
     ConstructionFailedError,
     IllConditionedError,
-    RangeError,
     StructuralError,
     WidthError,
 )
@@ -44,7 +52,6 @@ from .gradients import loss
 from .network import (
     Dataset,
     FullyConnected,
-    MaxPool,
     NetworkSpec,
     Output,
     Params,
@@ -72,26 +79,6 @@ class ConstructionParams:
     and the target matrices of the zero-loss construction."""
 
     seed: int = 0
-
-
-def default_beta(activation: Activation) -> float:
-    """Bias offset with a nonzero activation value, inside an injectivity
-    interval: 0 for sigmoid (image 1/2), 1 for the others."""
-    if isinstance(activation, Sigmoid):
-        return 0.0
-    return 1.0
-
-
-def comfortable_range(activation: Activation) -> tuple[float, float]:
-    """Sub-interval of the activation's image on which its inverse is
-    well-conditioned; synthesis targets are drawn from here."""
-    if isinstance(activation, Sigmoid):
-        return (0.2, 0.8)
-    if isinstance(activation, Softplus):
-        return (0.5, 1.5)
-    if isinstance(activation, Identity):
-        return (-1.0, 1.0)
-    raise RangeError(f"{activation!r} has no range of values to invert")
 
 
 def _min_cross_sample_gap(F: np.ndarray) -> float:
@@ -135,6 +122,19 @@ def _collisions_within_columns(ip: np.ndarray) -> bool:
     if cols.shape[0] < 2:
         return False
     return float(np.diff(cols, axis=0).min()) <= COLLISION_RTOL * scale
+
+
+def _filter_draws(spec, k, F_prev, rng, collides):
+    """Draw up to RESAMPLE_BUDGET unit-column filter matrices Q for layer
+    k. Yield ``(Q, ip)``, ip being Q's inner products with the patches of
+    F_prev, for each draw with ``collides(ip)`` false and a full-rank
+    lifting, tested in that order."""
+    layout = spec.layer_layout(k)
+    for _ in range(RESAMPLE_BUDGET):
+        Q = _sample_filters(rng, spec.filter_shape(k))
+        ip = patch_products(layout, F_prev, Q)
+        if not collides(ip) and _lifted_full_rank(spec, k, Q):
+            yield Q, ip
 
 
 def _conv_or_fc(spec: NetworkSpec, k: int) -> None:
@@ -183,9 +183,8 @@ def _transport_impl(spec, X, up_to_layer, rng):
     params = Params.empty(spec)
     F_prev = X
     for k in range(1, up_to_layer + 1):
-        layer = spec.layer(k)
-        if isinstance(layer, MaxPool):
-            F_prev = max_pool(layer.layout, F_prev)
+        if spec.is_pooling(k):
+            F_prev = max_pool(spec.layer_layout(k), F_prev)
             continue
         W, b, F_prev = _transport_layer(spec, k, F_prev, rng)
         params = params.with_layer(k, W, b)
@@ -193,17 +192,10 @@ def _transport_impl(spec, X, up_to_layer, rng):
 
 
 def _transport_layer(spec, k, F_prev, rng):
-    layout = spec.layer_layout(k)
     sigma = spec.activation(k)
-    beta = default_beta(sigma)
+    beta = sigma.construction_bias
     lo, hi = sigma.bijective_interval
-    for _ in range(RESAMPLE_BUDGET):
-        Q = _sample_filters(rng, spec.filter_shape(k))
-        ip = patch_products(layout, F_prev, Q)
-        if _collisions_across_samples(ip):
-            continue
-        if not _lifted_full_rank(spec, k, Q):
-            continue
+    for Q, ip in _filter_draws(spec, k, F_prev, rng, _collisions_across_samples):
         alpha = 1.0
         for _ in range(TRANSPORT_SHRINK_STEPS):
             G = alpha * ip.reshape(ip.shape[0], -1) + beta
@@ -297,17 +289,9 @@ def _independence_impl(spec, X, wide_layer, rng):
         _ensure_distinct_input_patches(spec, X)
         params, F_prev = Params.empty(spec), X
 
-    layout = spec.layer_layout(k)
     sigma = spec.activation(k)
-    beta = default_beta(sigma)
-
-    for _ in range(RESAMPLE_BUDGET):
-        Q = _sample_filters(rng, spec.filter_shape(k))
-        ip = patch_products(layout, F_prev, Q)
-        if _collisions_within_columns(ip):
-            continue
-        if not _lifted_full_rank(spec, k, Q):
-            continue
+    beta = sigma.construction_bias
+    for Q, ip in _filter_draws(spec, k, F_prev, rng, _collisions_within_columns):
         gamma = build_selection_permutation(ip, N)
         flat_ip = ip.reshape(N, -1)
         bias = np.full(spec.widths[k], beta)
@@ -330,7 +314,7 @@ def _independence_impl(spec, X, wide_layer, rng):
         if candidates:
             cutoff = 0.5 * max(c[0] for c in candidates)
             viable = [c for c in candidates if c[0] >= cutoff]
-            for s_min, alpha, b in sorted(viable, key=lambda c: c[1]):
+            for s_min, alpha, b in viable:  # ALPHA_SCHEDULE order: smallest first
                 F_k = np.asarray(sigma(-alpha * flat_ip + b))
                 if estimate_rank(F_k).estimated_rank != N:
                     continue
@@ -409,16 +393,8 @@ def _distinct_entry_matrix(
     return rng.permutation(values).reshape(rows, cols)
 
 
-def _class_rows(template: np.ndarray, labels) -> np.ndarray:
-    return template[np.asarray(labels, dtype=np.intp)]
-
-
-def _full_row_rank_image(
-    rng: np.random.Generator,
-    sigma: Activation,
-    rows: int,
-    cols: int,
-) -> np.ndarray:
+def _full_row_rank_image(rng: np.random.Generator, sigma, rows: int,
+                         cols: int) -> np.ndarray:
     """Full-row-rank matrix with entries in the image of ``sigma``."""
     for _ in range(RESAMPLE_BUDGET):
         A = np.asarray(sigma(rng.standard_normal((rows, cols))))
@@ -464,35 +440,29 @@ def zero_loss_construction(
     params = report.params
     F_k = forward(spec, params, X, up_to=k).F[k]
 
-    if k == L - 1:
-        W_L = _solve_gram(F_k, Y)
-        params = params.with_layer(L, W_L, np.zeros(m))
-    elif k == L - 2:
-        sigma = spec.activation(L - 1)
-        A = _full_row_rank_image(rng, sigma, m, spec.widths[L - 1])
-        D = _class_rows(A, dataset.labels)
-        W_hidden = _solve_gram(F_k, sigma.inverse(D))
-        params = params.with_layer(L - 1, W_hidden, np.zeros(spec.widths[L - 1]))
-        W_L = _solve_gram(A, dataset.Z)
-        params = params.with_layer(L, W_L, np.zeros(m))
-    else:
-        sigma = spec.activation(k + 1)
-        E = _distinct_entry_matrix(rng, m, spec.widths[k + 1],
-                                   comfortable_range(sigma))
-        D = _class_rows(E, dataset.labels)
-        W_next = _solve_gram(F_k, sigma.inverse(D))
-        params = params.with_layer(k + 1, W_next, np.zeros(spec.widths[k + 1]))
-
-        sub_spec = NetworkSpec(spec.widths[k + 1], spec.layers[k + 1 : L - 1])
-        sub_cfg = ConstructionParams(seed=int(rng.integers(2**63)))
-        sub_params = independence_construction(sub_spec, E, sub_spec.depth, sub_cfg)
-        for j in range(1, sub_spec.depth + 1):
-            params = params.with_layer(
-                k + 1 + j, sub_params.weights[j], sub_params.biases[j]
-            )
-        A = forward(sub_spec, sub_params, E).F[sub_spec.depth]
-        W_L = _solve_gram(A, dataset.Z)
-        params = params.with_layer(L, W_L, np.zeros(m))
+    # A @ W_L = Z at the output: F_k and Y when k is the last hidden layer
+    A, Z = F_k, Y
+    if k < L - 1:
+        # Class template: row c is layer k+1's feature row for class c.
+        sigma, width = spec.activation(k + 1), spec.widths[k + 1]
+        if k == L - 2:
+            template = _full_row_rank_image(rng, sigma, m, width)
+        else:
+            template = _distinct_entry_matrix(rng, m, width, sigma.comfortable_range)
+        W_next = _solve_gram(F_k, sigma.inverse(template[list(dataset.labels)]))
+        params = params.with_layer(k + 1, W_next, np.zeros(width))
+        A, Z = template, dataset.Z
+        if k < L - 2:
+            sub_spec = NetworkSpec(width, spec.layers[k + 1 : L - 1])
+            sub_cfg = ConstructionParams(seed=int(rng.integers(2**63)))
+            sub_params = independence_construction(sub_spec, template,
+                                                   sub_spec.depth, sub_cfg)
+            for j in range(1, sub_spec.depth + 1):
+                params = params.with_layer(
+                    k + 1 + j, sub_params.weights[j], sub_params.biases[j]
+                )
+            A = forward(sub_spec, sub_params, template).F[sub_spec.depth]
+    params = params.with_layer(L, _solve_gram(A, Z), np.zeros(m))
 
     trace = forward(spec, params, X)
     final_loss = loss(trace, Y)

@@ -291,12 +291,12 @@ def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
     if cfg.network is not None:
         (spec, dataset), k = netspec_and_dataset(cfg), cfg.wide_layer
     else:
-        d, n = cfg.dataset.d, cfg.dataset.n
+        dataset = cfg.dataset.load()
+        d, n = dataset.input_width, dataset.sample_count
         kernel = min(9, d)
         filters = -(-2 * n // (d - kernel + 1))  # width 2N leaves slack above the bound
         act = named_activation(cfg.activation)
         spec, k = single_conv_network(d, kernel, filters, activation=act), 1
-        dataset = cfg.dataset.load()
     reports = []
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)

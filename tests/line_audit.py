@@ -19,7 +19,8 @@ enclosing function's qualified name and the statement's stripped first
 line rather than a line number, so edits elsewhere keep it valid. The
 audit exits 1 when a line that never ran is not on the list, or when an
 entry matches no such line: a line that a test now reaches leaves the
-list, so the list can only shrink.
+list, so the list can only shrink. ``tests/test_line_audit_allow.py``
+checks in tier-1 that every entry still names a statement line.
 """
 
 from __future__ import annotations
@@ -69,6 +70,16 @@ def enclosing_functions(path: Path) -> dict[int, str]:
     return names
 
 
+def statement_keys(path: Path) -> dict[int, tuple[str, str, str]]:
+    """Statement line -> its allow-list key: the path relative to the
+    root, the enclosing function and the stripped source line."""
+    source = path.read_text().splitlines()
+    functions = enclosing_functions(path)
+    return {line: (str(path.relative_to(ROOT)), functions.get(line, "<module>"),
+                   source[line - 1].strip())
+            for line in sorted(statement_lines(path))}
+
+
 def read_allowed(path: Path) -> Counter:
     """(path, function, statement) keys of the allow list, each counted as
     often as it is listed; blank lines and ``#`` comments are skipped."""
@@ -115,15 +126,14 @@ def main(argv: list[str]) -> int:
 
     allowed, missed, unexplained = read_allowed(ALLOW), Counter(), 0
     for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text().splitlines()
-        functions = enclosing_functions(path)
-        for line in sorted(statement_lines(path) - ran.get(str(path), set())):
-            text = source[line - 1].strip()
-            key = (str(path.relative_to(ROOT)), functions.get(line, "<module>"), text)
+        executed = ran.get(str(path), set())
+        for line, key in statement_keys(path).items():
+            if line in executed:
+                continue
             missed[key] += 1
             listed = missed[key] <= allowed[key]
             unexplained += not listed
-            print(f"{key[0]}:{line}: {text}{'' if listed else '  [not on the allow list]'}")
+            print(f"{key[0]}:{line}: {key[2]}{'' if listed else '  [not on the allow list]'}")
     stale = allowed - missed
     for key, count in sorted(stale.items()):
         print(f"{SEP.join(key)}: listed {count} more time(s) than it is missed; "

@@ -112,6 +112,28 @@ class TestInverses:
         with pytest.raises(RangeError):
             ReLU().inverse(np.array([1.0]))
 
+    def test_softplus_inverse_domain(self):
+        with pytest.raises(RangeError, match="^softplus inverse requires positive values$"):
+            Softplus(2.0).inverse(np.array([1.0, 0.0]))
+
+
+class TestConstructionConstants:
+    """The bias offset and the target range the constructions read."""
+
+    def test_bias_offset(self):
+        assert Sigmoid().construction_bias == 0.0
+        assert all(act.construction_bias == 1.0
+                   for act in (ReLU(), Softplus(2.0), Identity()))
+
+    def test_comfortable_ranges(self):
+        assert Sigmoid().comfortable_range == (0.2, 0.8)
+        assert Softplus(4.0).comfortable_range == (0.5, 1.5)
+
+    @pytest.mark.parametrize("act", [ReLU(), Identity()])
+    def test_no_range_without_a_hidden_layer_inverse(self, act):
+        with pytest.raises(RangeError, match=f"^{act!r} has no range of values to invert$"):
+            act.comfortable_range
+
 
 class TestProfiles:
     """The two growth alternatives: finite tails with zero product, or an
@@ -165,6 +187,11 @@ class TestSerialization:
     @pytest.mark.parametrize("act", ALL)
     def test_roundtrip(self, act):
         assert activation_from_dict(act.to_dict()) == act
+
+    def test_softplus_hash_and_repr(self):
+        assert hash(Softplus(2)) == hash(Softplus(2.0))
+        assert len({Softplus(2), Softplus(2.0), Softplus(3.0), Sigmoid()}) == 3
+        assert repr(Softplus(2.5)) == "softplus(alpha=2.5)"
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,10 @@ class TestPerturb:
         noise = perturb_dataset(X, sigma=1e-4, seed=0)
         assert abs(noise.var() - 1e-4) < 2e-5
 
+    def test_negative_variance_rejected(self):
+        with pytest.raises(StructuralError, match="^noise variance must be nonnegative$"):
+            perturb_dataset(np.zeros((2, 3)), -1e-3, seed=0)
+
 
 class TestConvStructure:
     def test_strided_example_layout_always_full_rank(self):
@@ -209,6 +213,16 @@ class TestConvStructure:
         spec = NetworkSpec(4, (FullyConnected(6, Sigmoid()),))
         report = check_conv_structure(spec, 1, trials=50, seed=1)
         assert report.full_rank_fraction == 1.0
+
+    def test_zero_trials_rejected(self):
+        spec = NetworkSpec(4, (FullyConnected(6, Sigmoid()),))
+        with pytest.raises(StructuralError, match="^at least one trial required$"):
+            check_conv_structure(spec, 1, trials=0)
+
+    def test_max_pool_layer_rejected(self):
+        spec = NetworkSpec(4, (MaxPool(conv1d_layout(4, 2, 2)),))
+        with pytest.raises(StructuralError, match="^layer 1 is max-pool; nothing to lift$"):
+            check_conv_structure(spec, 1)
 
 
 class TestArchitectureChecks:
@@ -224,6 +238,18 @@ class TestArchitectureChecks:
 
     def test_valid_architecture_passes(self):
         ensure_wide_pyramid_assumptions(self.wide_spec(), 1, 6)
+
+    def test_headless_network_rejected(self):
+        spec = NetworkSpec(4, (FullyConnected(8, Sigmoid()), FullyConnected(4, Sigmoid())))
+        with pytest.raises(AssumptionError,
+                           match="^last layer must be a fully connected Output$"):
+            ensure_wide_pyramid_assumptions(spec, 1, 4)
+
+    @pytest.mark.parametrize("wide_layer", [0, 3])
+    def test_wide_layer_outside_the_hidden_layers(self, wide_layer):
+        with pytest.raises(StructuralError,
+                           match=rf"^wide layer {wide_layer} outside \[1, 2\]$"):
+            ensure_wide_pyramid_assumptions(self.wide_spec(), wide_layer, 4)
 
     def test_narrow_wide_layer_rejected(self):
         with pytest.raises(WidthError):

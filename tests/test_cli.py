@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from widecnn import FullyConnected, NetworkSpec, ReLU, Sigmoid, cli, netspec_io
+from widecnn import FullyConnected, Identity, NetworkSpec, ReLU, Sigmoid, cli, netspec_io
 from widecnn.architectures import (
     desk_sweep_network,
     mnist_conv_pool_network,
@@ -136,6 +136,28 @@ class TestRuns:
         tag, columns, rows = read_csv(out)
         assert [row[columns.index("seed")] for row in rows] == ["5", "6", "7"]
 
+    def test_rank_genericity_on_idx_images(self, tmp_path, capsys):
+        """Without a netspec the conv layer is sized from the loaded
+        dataset: 20 images of 28 x 28 pixels, not the synthetic defaults."""
+        import numpy as np
+        from idx_files import write_idx_images, write_idx_labels
+
+        rng = np.random.default_rng(0)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(images, rng.integers(0, 256, (20, 28, 28)))
+        write_idx_labels(labels, np.arange(20) % 10)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"source": "idx", "images": str(images), "labels": str(labels)},
+            "seeds": [0, 1],
+        }))
+        out = tmp_path / "rank.csv"
+        assert main(["rank-genericity", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "full-rank fraction over 2 seeds (N=20): 1.00\n"
+        tag, columns, rows = read_csv(out)
+        assert [[row[columns.index(c)] for c in ("rows", "cols", "estimated_rank")]
+                for row in rows] == [["20", "776", "20"]] * 2
+
     def test_table2_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_subset": 16, "epochs": 2, "filter_counts": [2]}))
@@ -182,6 +204,20 @@ class TestRuns:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    def test_check_assumptions_identity_hidden_layer(self, tmp_path, capsys):
+        spec_path = tmp_path / "linear.netspec"
+        save_netspec(single_conv_network(16, 9, 16, activation=Identity()), spec_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"source": "synthetic", "n": 8, "d": 16, "m": 2, "seed": 0},
+        }))
+        code = main(["check-assumptions", "--spec", str(spec_path),
+                     "--config", str(cfg)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert out[-1] == ("hidden activation growth conditions: FAIL (activation "
+                           "identity at hidden layer 1 meets neither growth alternative)")
 
     def test_train_smoke(self, tmp_path, capsys):
         # a trainable net needs an Output layer; extend the conv base

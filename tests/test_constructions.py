@@ -1,6 +1,8 @@
 """Constructive weight synthesis: transport, independence, interpolation,
 and exact zero loss."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,8 @@ from widecnn import (
     independence_construction_report,
     lift_weights,
     loss,
+    s_k_membership,
+    synthesize_dataset,
     transport_construction,
     zero_loss_construction,
 )
@@ -107,6 +111,18 @@ class TestTransport:
             U = lift_weights(spec, l, params.weights[l])
             assert estimate_rank(U).full_rank
 
+    @pytest.mark.parametrize("layer", [0, 2])
+    def test_target_layer_outside_the_network(self, layer):
+        spec = NetworkSpec(4, (FullyConnected(6, Sigmoid()),))
+        with pytest.raises(StructuralError, match=rf"^target layer {layer} outside \[1, 1\]$"):
+            transport_construction(spec, np.eye(2, 4), layer)
+
+    def test_pooling_first_layer_rejected(self):
+        spec = NetworkSpec(4, (MaxPool(conv1d_layout(4, 2, 2)), FullyConnected(3, Sigmoid())))
+        with pytest.raises(StructuralError,
+                           match="^layer 1 must be convolutional or fully connected$"):
+            transport_construction(spec, np.eye(2, 4), 2)
+
 
 class TestSelectionPermutation:
     def test_is_a_permutation_and_orders_inner_products(self):
@@ -120,6 +136,11 @@ class TestSelectionPermutation:
             later = gamma[j + 1 :]
             if later.size:
                 assert flat[gamma[j], j] < flat[later, j].min()
+
+    def test_layer_narrower_than_the_samples_rejected(self):
+        with pytest.raises(StructuralError,
+                           match="^wide layer narrower than the sample count$"):
+            build_selection_permutation(np.zeros((4, 1, 3)), 4)
 
 
 class TestIndependence:
@@ -244,6 +265,10 @@ class TestExpressivity:
         with pytest.raises(StructuralError):
             expressivity_fit(spec, np.zeros((4, 6)), np.zeros(4))
 
+    def test_one_target_per_sample(self):
+        with pytest.raises(StructuralError, match="^one target per sample required$"):
+            expressivity_fit(self.scalar_net(), np.zeros((4, 6)), np.zeros(5))
+
 
 class TestZeroLoss:
     @pytest.mark.parametrize("case", [1, 2, 3])
@@ -305,11 +330,24 @@ class TestZeroLoss:
         with pytest.raises(StructuralError):
             zero_loss_construction(spec, stripped, k, ConstructionParams(seed=39))
 
+    def test_output_width_must_match_the_targets(self):
+        spec, dataset, k = zero_loss_demo_case(1, seed=39)
+        spec = NetworkSpec(spec.input_width, spec.layers[:-1] + (Output(3),))
+        with pytest.raises(StructuralError,
+                           match="^output width 3 does not match 2 target columns$"):
+            zero_loss_construction(spec, dataset, k)
+
+    def test_layer_above_the_wide_layer_must_be_dense(self):
+        spec = NetworkSpec(10, (FullyConnected(12, Sigmoid()),
+                                Conv(conv1d_layout(12, 3, 3), 1, Sigmoid()), Output(2)))
+        dataset = synthesize_dataset(8, 10, 2, seed=5)
+        with pytest.raises(AssumptionError, match="^layer 2 must be fully connected "
+                                                  "for the zero-loss construction$"):
+            zero_loss_construction(spec, dataset, 1)
+
     def test_softplus_hidden_activations(self):
         """The class-collapse route applies the softplus inverse, which
         must stay stable on its whole target interval."""
-        from widecnn import synthesize_dataset
-
         spec = NetworkSpec(
             10,
             (
@@ -322,6 +360,20 @@ class TestZeroLoss:
         params = zero_loss_construction(spec, dataset, 1, ConstructionParams(seed=5))
         value = loss(forward(spec, params, dataset.X), dataset.Y)
         assert value <= 1e-16 * (1.0 + float(np.sum(dataset.Y**2)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_softplus_layers_in_every_regime(self, case, seed):
+        """Regime 3 draws its class template from the softplus comfortable
+        range; regime 2 routes classes through softplus images."""
+        spec, dataset, k = zero_loss_demo_case(case, seed=seed)
+        spec = NetworkSpec(spec.input_width, tuple(
+            layer if isinstance(layer, Output) else replace(layer, activation=Softplus(4.0))
+            for layer in spec.layers))
+        params = zero_loss_construction(spec, dataset, k, ConstructionParams(seed=seed))
+        trace = forward(spec, params, dataset.X)
+        assert loss(trace, dataset.Y) <= 1e-16 * (1.0 + float(np.sum(dataset.Y**2)))
+        assert s_k_membership(spec, params, trace, k).in_good_set
 
 
 class TestPoolingBelowWideLayer:

@@ -1,5 +1,6 @@
 """Experiment configs, CSV reporting, and the runners at smoke scale."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,12 @@ class TestConfig:
         assert cfg.schedule.initial == 0.01
         assert cfg.adam.beta2 == 0.95
         assert cfg.filter_counts == (2, 3)
+
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"epochs": 5,}')
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not valid JSON: "):
+            load_config(path)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
