@@ -11,16 +11,36 @@ layout is built from a (P, l) array-like, such as nested index lists.
 A fully connected layer reads one patch, the whole layer in order
 (``full_layout``); ``extract`` and ``scatter_add`` of such a layout are
 views of the rows, and every other layout copies.
+
+A layout whose indices are an offset plus strides over a row-major index
+of its patches and taps, as every builder's are, is a window grid
+(``window_grid``): ``window_view`` reads its patches from the rows as a
+strided view, without a copy. The layout finds this from ``patches``
+alone, so a layout loaded from index lists qualifies as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import StructuralError
+
+
+class WindowGrid(NamedTuple):
+    """Patch p, tap t of a layout reads neuron ``offset + sum(i[a] *
+    strides[a])``, where i is p unravelled row-major over
+    ``patch_shape`` followed by t unravelled row-major over
+    ``tap_shape``."""
+
+    offset: int
+    patch_shape: tuple[int, ...]
+    tap_shape: tuple[int, ...]
+    strides: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -75,6 +95,46 @@ class PatchLayout:
         return (self.patches.shape == (1, self.width)
                 and bool((self.patches[0] == np.arange(self.width)).all()))
 
+    @cached_property
+    def window_grid(self) -> WindowGrid | None:
+        """The layout's ``WindowGrid``, or None when its indices are no
+        such grid. The grid is read off the first column and the first
+        row of ``patches``, and holds only if its strided view of
+        ``np.arange(width)`` equals ``patches`` exactly."""
+        patch_dims, tap_dims = _runs(self.patches[:, 0]), _runs(self.patches[0])
+        if patch_dims is None or tap_dims is None:
+            return None
+        offset, dims = int(self.patches[0, 0]), patch_dims + tap_dims
+        reach = [(extent - 1) * stride for extent, stride in dims]
+        grid = WindowGrid(offset, tuple(e for e, _ in patch_dims),
+                          tuple(e for e, _ in tap_dims), tuple(s for _, s in dims))
+        # the bounds first: the view of a grid that leaves the layer would
+        # read memory outside the array
+        if (offset + sum(min(r, 0) for r in reach) < 0
+                or offset + sum(max(r, 0) for r in reach) >= self.width
+                or not np.array_equal(_view(np.arange(self.width)[None], grid)
+                                      .reshape(self.patches.shape), self.patches)):
+            return None
+        return grid
+
+    def window_view(self, rows: np.ndarray) -> np.ndarray:
+        """The patches of a ``window_grid`` layout as a read-only strided
+        view of the (N, width) ``rows``, shaped (N, *patch_shape,
+        *tap_shape): ``extract(rows)`` without its copy, up to that
+        reshape. A layout without a grid raises StructuralError."""
+        grid = self.window_grid
+        if grid is None:
+            raise StructuralError("layout is not a window grid; gather it with extract")
+        return _view(self._rows(rows), grid)
+
+    def _rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.width:
+            raise StructuralError(
+                f"expected (N, {self.width}) feature rows, got {rows.shape}"
+            )
+        return rows
+
     def extract(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gather patches from feature rows.
 
@@ -83,11 +143,7 @@ class PatchLayout:
         given. A whole-layer layout returns the view ``rows[:, None, :]``
         and leaves ``out`` alone.
         """
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != self.width:
-            raise StructuralError(
-                f"expected (N, {self.width}) feature rows, got {rows.shape}"
-            )
+        rows = self._rows(rows)
         if self._whole_layer:
             return rows[:, None, :]
         # take, unlike rows[:, index], returns the (N, P, l) array
@@ -98,10 +154,13 @@ class PatchLayout:
         return np.take(rows, self.patches, axis=1, out=out, mode="clip")
 
     def scatter_add(self, patches: np.ndarray) -> np.ndarray:
-        """Transpose of ``extract``: (N, P, l) patches to (N, width) rows,
-        each neuron summing every patch entry that reads it. Windows
-        overlap, hence ``np.add.at``: a buffered ``+=`` drops repeats. A
-        whole-layer layout returns the patches reshaped, a view."""
+        """Transpose of ``extract``: (N, P, l) patches to (N, width) float64
+        rows, each neuron summing every patch entry that reads it. Windows
+        overlap, so a buffered ``+=`` would drop repeats; ``np.bincount``
+        over the flat indices ``i*width + patches[p, t]`` adds each
+        neuron's entries in (i, p, t) order, starting from 0.0, the sums
+        ``np.add.at`` gives. A whole-layer layout returns the patches
+        reshaped, a view."""
         patches = np.asarray(patches)
         if patches.ndim != 3 or patches.shape[1:] != self.patches.shape:
             raise StructuralError(
@@ -110,9 +169,40 @@ class PatchLayout:
             )
         if self._whole_layer:
             return patches.reshape(patches.shape[0], self.width)
-        out = np.zeros((patches.shape[0], self.width), dtype=patches.dtype)
-        np.add.at(out, (slice(None), self.patches), patches)
-        return out
+        N = patches.shape[0]
+        # one intp per patch entry: the index array is the size of patches
+        index = np.add(np.arange(0, N * self.width, self.width)[:, None, None], self.patches)
+        sums = np.bincount(index.reshape(-1), weights=patches.reshape(-1),
+                           minlength=N * self.width)
+        # bincount counts in integers when there is nothing to add (N = 0)
+        return sums.astype(np.float64, copy=False).reshape(N, self.width)
+
+
+def _runs(indices: np.ndarray) -> list[tuple[int, int]] | None:
+    """(extent, stride) per axis, outermost first, of the one row-major
+    grid that ``indices`` can be: the innermost axis is the run of the
+    first step, and the outer axes are those of every run-th entry. None
+    when a run does not divide the length. Whether the grid gives
+    ``indices`` is the caller's check."""
+    dims = []
+    while len(indices) > 1:
+        steps = np.diff(indices)
+        breaks = np.flatnonzero(steps != steps[0])
+        run = int(breaks[0]) + 1 if breaks.size else len(indices)
+        if len(indices) % run:
+            return None
+        dims.append((run, int(steps[0])))
+        indices = indices[::run]
+    return dims[::-1]
+
+
+def _view(rows: np.ndarray, grid: WindowGrid) -> np.ndarray:
+    """Read-only (N, *patch_shape, *tap_shape) view of (N, width) rows
+    whose grid indices were checked to lie in [0, width)."""
+    step = rows.strides[1]
+    return as_strided(rows[:, grid.offset:],
+                      (rows.shape[0], *grid.patch_shape, *grid.tap_shape),
+                      (rows.strides[0], *(s * step for s in grid.strides)), writeable=False)
 
 
 def _check(arr: np.ndarray, width: int) -> None:

@@ -11,8 +11,11 @@ the layout, (l, T) and width of each layer from the spec's ``plan``, which
 the spec works out once when it is built: ``patch_products`` (a gather,
 then one GEMM), ``lift_weights`` (the dense ``U_k``, for rank and SVD work
 only) and its adjoint ``lift_adjoint``. Max-pooling (``max_pool``) is a
-running maximum over the taps of the same gathered patches: one tiled
-walk, ``_patch_blocks``, gathers a layer's patches for both.
+running maximum over the taps of the same patches. A pooling layout that
+is a window grid, as every builder's is, is read through the strided
+``window_view`` of the rows, with no gather; any other layout's patches
+are gathered by the one tiled walk, ``_patch_blocks``, that
+``patch_products`` also uses.
 
 The forward pass allocates little beyond the trace it returns: each of
 its temporaries (a block's gathered patches, the sigmoid's scratch) is at
@@ -611,12 +614,24 @@ def max_pool(
     out: np.ndarray | None = None,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """(N, P) per-patch maxima of the (N, layout.width) rows F: for each
-    block that ``_patch_blocks`` gathers with the ``workspace``, tap 0,
-    then a running ``np.maximum`` with taps 1..l-1 in order. NaN
-    propagates. ``out`` receives the maxima; without it they are
-    allocated."""
+    """(N, P) per-patch maxima of the (N, layout.width) rows F: tap 0,
+    then a running ``np.maximum`` with taps 1..l-1 in order, so NaN
+    propagates. A ``window_grid`` layout reads its taps from the strided
+    ``window_view`` of F, with no gather and no scratch; any other layout
+    takes them from each block that ``_patch_blocks`` gathers with the
+    ``workspace``. Both do the same operations on the same values, so
+    they give the same bits, NaN and signed zeros included. ``out``
+    receives the maxima; without it they are allocated."""
     M = np.empty((F.shape[0], layout.patch_count)) if out is None else out
+    grid = layout.window_grid
+    if grid is not None:
+        windows = layout.window_view(F)
+        maxima = M.reshape((F.shape[0], *grid.patch_shape), copy=False)
+        taps = np.ndindex(grid.tap_shape)
+        maxima[...] = windows[(..., *next(taps))]
+        for tap in taps:
+            np.maximum(maxima, windows[(..., *tap)], out=maxima)
+        return M
     for rows, patches in _patch_blocks(layout, F, workspace):
         maxima = M[rows]
         maxima[...] = patches[:, :, 0]

@@ -7,10 +7,11 @@ lifted matrices instead of the patch scatter, the sigmoid as two
 masked passes instead of one, patch distinctness by a scan over
 sample pairs instead of tiles of later samples, and max-pooling as a
 reduce over the whole patch gather instead of a running maximum over
-taps; Adam is a loop over per-layer arrays instead of one in-place step
-over flat vectors; the gradient is a central difference of the loss
-instead of backpropagation; patch layouts are nested index loops instead
-of index arithmetic.
+taps; the patch scatter-add is ``np.add.at`` instead of a ``bincount``
+over flat indices; Adam is a loop over per-layer arrays instead of one
+in-place step over flat vectors; the gradient is a central difference of
+the loss instead of backpropagation; patch layouts are nested index
+loops instead of index arithmetic.
 """
 
 import numpy as np
@@ -103,6 +104,14 @@ def gather_max_pool(layout, F):
     """Per-patch maxima as one length-l ``np.max`` reduce over the
     (N, P, l) patch gather."""
     return np.max(layout.extract(F), axis=2)
+
+
+def add_at_scatter(layout, patches):
+    """``layout.scatter_add`` by ``np.add.at``: each patch entry is added
+    onto the neuron it reads, in (i, p, t) order, starting from 0.0."""
+    out = np.zeros((patches.shape[0], layout.width))
+    np.add.at(out, (slice(None), layout.patches), patches)
+    return out
 
 
 def loop_conv1d_patches(width, kernel, stride):

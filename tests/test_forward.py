@@ -1,6 +1,7 @@
 """Forward pass: per-patch semantics, pooling, purity, and overflow."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -187,6 +188,47 @@ class TestMaxPoolRunningMaximum:
         layout = POOL_LAYOUTS["2d-6x6x5"]
         F = _special_rows(np.random.default_rng(4), 7, 2 * layout.width)[:, ::2]
         assert _bits(max_pool(layout, F)) == _bits(gather_max_pool(layout, F))
+
+    @pytest.mark.parametrize("name", ["1d-18-2-2", "1d-40-8-4", "2d-26x26x3", "2d-6x6x5",
+                                      "1d-18-4-2", "2d-5x5x3-s1"])
+    def test_window_view_matches_the_gather_path(self, name):
+        """The strided view gives the bits of the gather path, which the
+        same patches take with their first two rows swapped (no window
+        grid then), and of the gather reduce: on zero rows, on rows that
+        are not contiguous, and on overlapping windows (the last two)."""
+        layout = {**POOL_LAYOUTS, "1d-18-4-2": conv1d_layout(18, 4, 2),
+                  "2d-5x5x3-s1": pool2d_multichannel_layout(5, 5, 3, 2, 2, 1, 1)}[name]
+        order = [1, 0, *range(2, layout.patch_count)]
+        swapped = PatchLayout(layout.width, layout.patches[order])
+        assert layout.window_grid is not None and swapped.window_grid is None
+        rng = np.random.default_rng(len(name))
+        for F in (_special_rows(rng, 0, layout.width), _special_rows(rng, 6, layout.width),
+                  _special_rows(rng, 5, 3 * layout.width)[:, 1::3]):
+            ours = max_pool(layout, F)
+            assert _bits(ours[:, order]) == _bits(max_pool(swapped, F))
+            assert _bits(ours) == _bits(gather_max_pool(layout, F))
+
+    def test_window_view_allocates_only_the_maxima(self):
+        """On the reference net's first pooling layer the view path takes
+        no scratch: it allocates the (N, P) maxima, or nothing when it
+        writes into a workspace, beyond the one buffer of
+        ``np.getbufsize()`` entries that a ufunc over strided operands
+        may take and the view's small Python objects (4 KiB)."""
+        layout = pool2d_multichannel_layout(26, 26, 100, 2, 2, 2, 2)
+        F = np.random.default_rng(3).standard_normal((32, layout.width))
+        assert layout.window_grid is not None  # worked out once, before the trace
+        workspace = Workspace()
+        out = workspace.take(("F", 2), (32, layout.patch_count))
+        for args in ((), (out, workspace)):
+            tracemalloc.start()
+            try:
+                maxima = max_pool(layout, F, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            allocated = 0 if args else maxima.nbytes
+            assert peak <= allocated + 8 * np.getbufsize() + 4096
+        assert maxima is out and list(workspace._buffers) == [("F", 2)]
 
     def test_wide_windows_agree_up_to_the_sign_of_zero(self):
         # np.max reduces a window of 9 or more taps in its own order, so a

@@ -9,14 +9,21 @@ from widecnn import MaxPool, StructuralError
 from widecnn.architectures import mnist_conv_pool_network
 from widecnn.layout import (
     PatchLayout,
+    WindowGrid,
     conv1d_layout,
     conv2d_layout,
     conv2d_multichannel_layout,
     full_layout,
     pool2d_multichannel_layout,
 )
+from widecnn.netspec_io import load_netspec, save_netspec
 
-from oracles import loop_conv1d_patches, loop_conv2d_patches, loop_pool2d_patches
+from oracles import (
+    add_at_scatter,
+    loop_conv1d_patches,
+    loop_conv2d_patches,
+    loop_pool2d_patches,
+)
 
 
 class TestInvariants:
@@ -154,11 +161,25 @@ def _assert_built_as_looped(build, width, expected):
     assert layout.width == width
     assert layout.patches.dtype == np.intp
     np.testing.assert_array_equal(layout.patches, np.array(expected, dtype=np.intp))
+    _assert_window_grid(layout)
+
+
+def _assert_window_grid(layout):
+    """The layout is a window grid, and its strided view of some rows is
+    their gather: a layout that max-pooling would gather instead fails."""
+    grid = layout.window_grid
+    assert grid is not None
+    rows = np.arange(2.0 * layout.width).reshape(2, layout.width)
+    view = layout.window_view(rows)
+    assert view.shape == (2, *grid.patch_shape, *grid.tap_shape)
+    assert np.shares_memory(view, rows) and not view.flags.writeable
+    np.testing.assert_array_equal(view.reshape(2, *layout.patches.shape),
+                                  layout.extract(rows))
 
 
 class TestBuildersMatchLoops:
     """Every builder's index arithmetic against the nested loops in
-    ``oracles``."""
+    ``oracles``; every layout built is a window grid."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(width=st.integers(1, 12), kernel=st.integers(1, 5), stride=st.integers(1, 4))
@@ -192,3 +213,81 @@ class TestBuildersMatchLoops:
             loops = loop_pool2d_patches if isinstance(spec.layer(k), MaxPool) \
                 else loop_conv2d_patches
             assert spec.layer(k).layout == PatchLayout(spec.widths[k - 1], loops(*grid))
+
+
+class TestWindowGrid:
+    def test_reference_pooling_view(self):
+        layout = mnist_conv_pool_network().layer_layout(2)
+        assert layout.window_grid == WindowGrid(0, (13, 13, 100), (2, 2),
+                                                (5200, 200, 1, 2600, 100))
+        view = layout.window_view(np.zeros((32, layout.width)))
+        assert view.shape == (32, 13, 13, 100, 2, 2)
+        assert view.strides == tuple(8 * s for s in (67600, 5200, 200, 1, 2600, 100))
+
+    def test_every_layer_of_a_loaded_netspec(self, tmp_path):
+        spec = mnist_conv_pool_network(4, 4, 8)
+        path = tmp_path / "net.netspec"
+        save_netspec(spec, path)
+        loaded = load_netspec(path)
+        assert any(isinstance(layer, MaxPool) for layer in loaded.layers)
+        for k in range(1, spec.depth + 1):
+            layout = loaded.layer_layout(k)
+            _assert_window_grid(layout)
+            assert layout.window_grid == spec.layer_layout(k).window_grid
+
+    def test_negative_strides(self):
+        layout = PatchLayout(4, [[1], [0], [3], [2]])
+        assert layout.window_grid == WindowGrid(1, (2, 2), (), (2, -1))
+        _assert_window_grid(layout)
+        pool = pool2d_multichannel_layout(4, 4, 3, 2, 2, 2, 2)
+        reversed_rows = PatchLayout(pool.width, pool.patches[::-1])
+        assert reversed_rows.window_grid == WindowGrid(32, (2, 2, 3), (2, 2),
+                                                       (-24, -6, -1, 12, 3))
+        _assert_window_grid(reversed_rows)
+
+    @pytest.mark.parametrize("layout", [
+        PatchLayout(5, [[3, 0, 4, 1, 2]]),
+        conv1d_layout(10, 3, 1).patches[[1, 0, *range(2, 8)]],
+        np.roll(pool2d_multichannel_layout(4, 4, 3, 2, 2, 2, 2).patches, 1, axis=0),
+        PatchLayout(8, [[0, 2], [1, 3], [4, 5], [6, 7]]),
+        PatchLayout(4, [[0], [1], [3], [2]]),
+        PatchLayout(4, [[2], [0], [1], [3]]),
+    ], ids=["permuted-taps", "swapped-rows", "rolled-rows", "steps-fit-not-rows",
+            "grid-above-width", "grid-below-zero"])
+    def test_other_layouts_are_no_grid(self, layout):
+        """Permuted rows and hand-written layouts that no grid gives. The
+        last two would extend their first column and row to the grids
+        [0, 1, 3, 4] and [2, 0, 1, -1], outside the layer."""
+        if not isinstance(layout, PatchLayout):
+            layout = PatchLayout(int(layout.max()) + 1, layout)
+        assert layout.window_grid is None
+        with pytest.raises(StructuralError, match="not a window grid"):
+            layout.window_view(np.zeros((1, layout.width)))
+
+    def test_view_rejects_wrong_width(self):
+        with pytest.raises(StructuralError, match=r"expected \(N, 4\) feature rows"):
+            conv1d_layout(4, 2, 2).window_view(np.zeros((2, 5)))
+
+
+class TestScatterAdd:
+    def test_bits_of_add_at(self):
+        """bincount adds each neuron's entries in np.add.at's order: equal
+        bits on 200 random conv1d layouts with NaN, infinities, signed
+        zeros and magnitudes from e^-300 to e^300 planted."""
+        rng = np.random.default_rng(21)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+        for _ in range(200):
+            kernel = int(rng.integers(1, 6))
+            stride = int(rng.integers(1, kernel + 1))
+            width = kernel + stride * int(rng.integers(1, 6))  # not whole-layer
+            layout = conv1d_layout(width, kernel, stride)
+            N = int(rng.integers(0, 4))
+            patches = (rng.standard_normal((N, *layout.patches.shape))
+                       * np.exp(rng.uniform(-300.0, 300.0, (N, *layout.patches.shape))))
+            mask = rng.random(patches.shape) < 0.2
+            patches[mask] = special[rng.integers(len(special), size=int(mask.sum()))]
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = add_at_scatter(layout, patches)
+            got = layout.scatter_add(patches)
+            assert got.dtype == np.float64
+            assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
