@@ -115,7 +115,8 @@ class Sigmoid(Activation):
         # branch. Every step writes in place, so besides the t >= 0 mask at
         # most two arrays of t's size are alive at once: e in scratch and
         # the result in out; out= keeps a 0-d input an array. forward
-        # passes row blocks of at most one ROW_TILE, so each is one tile.
+        # passes pieces of at most one network.CHUNK, so t, e and out stay
+        # in L2 from one step to the next.
         t = np.asarray(t, dtype=np.float64)
         e = np.abs(t, out=np.empty_like(t) if scratch is None else scratch)
         np.negative(e, out=e)

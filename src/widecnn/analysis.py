@@ -10,8 +10,10 @@ GEMMs, when a guard from that algorithm's roundoff analysis vouches for
 it, which it does only for a well-conditioned matrix of full rank, and
 otherwise from the blocks' Householder R factors (a sequential TSQR), so
 that the SVD reads the matrix about once instead of once per Householder
-reflector. The gradient bounds sandwich the Frobenius norm of the
-full-matrix gradient at the layer after a wide layer between products of
+reflector. A finite Gram proves the matrix finite, so only a matrix that
+CholeskyQR2 does not take is scanned for non-finite entries. The
+gradient bounds sandwich the Frobenius norm of the full-matrix gradient
+at the layer after a wide layer between products of
 extreme singular values, extreme activation derivatives, and the
 residual norm; at points where the feature matrix of the wide layer and
 all downstream weight matrices have full rank, zero loss and zero
@@ -84,9 +86,11 @@ def _gram_cholesky(G: np.ndarray) -> np.ndarray | None:
 
 
 def _cholesky_qr2(short_fat: np.ndarray, width: int) -> np.ndarray | None:
-    """Singular values of a finite short-fat n x m matrix S by CholeskyQR2
-    over its blocks of ``width`` columns (the row blocks B of the tall
-    orientation Sᵀ), or None when the guard cannot vouch for them.
+    """Singular values of a short-fat n x m matrix S by CholeskyQR2 over
+    its blocks of ``width`` columns (the row blocks B of the tall
+    orientation Sᵀ), or None when the guard cannot vouch for them. A
+    non-finite entry of S makes its diagonal entry of G₁ non-finite, so
+    the guard refuses every S that is not finite.
 
     G₁ = Σ BᵀB = L₁L₁ᵀ. The guard: G₁ is finite and positive definite
     under Cholesky, ‖G₁‖ = σ_max(L₁)² is at least the smallest normal
@@ -142,28 +146,33 @@ def _singular_values(A: np.ndarray) -> np.ndarray:
     ``np.linalg.svd``. Above the tile, if a block of ``RANK_TILE // short``
     rows of the tall orientation holds at least twice the short side, the
     values come from ``_cholesky_qr2`` over those row blocks when its guard
-    vouches for them, which it does only for a well-conditioned matrix of
-    full rank. Otherwise the blocks are replaced by their Householder R
-    factors until the stack fits in one block (a sequential TSQR), and the
-    stack's singular values, which are A's, are returned. A matrix too
-    square for a block to halve the stack goes to the direct call. A
-    malformed, empty or non-finite matrix raises StructuralError and a
-    LAPACK failure NumericError.
+    vouches for them, which it does only for a finite, well-conditioned
+    matrix of full rank, so that its Gram alone proves A finite. Every
+    other matrix is scanned for non-finite entries with ``_all_finite``
+    first. Then the blocks are replaced by their Householder R factors
+    until the stack fits in one block (a sequential TSQR), and the stack's
+    singular values, which are A's, are returned. A matrix too square for
+    a block to halve the stack goes to the direct call. A malformed, empty
+    or non-finite matrix raises StructuralError and a LAPACK failure
+    NumericError.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
         raise StructuralError(f"expected a non-empty matrix, got shape {A.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not _all_finite(A):  # a sum, not an A.size boolean mask
-            raise StructuralError("matrix contains non-finite entries")
     tall = A.T if A.shape[0] < A.shape[1] else A
     short = tall.shape[1]
+    blocked = A.size > RANK_TILE and 2 * short * short <= RANK_TILE
+    block = RANK_TILE // short  # at least 2 * short rows when blocked
     try:
-        if A.size > RANK_TILE and 2 * short * short <= RANK_TILE:
-            block = RANK_TILE // short  # at least 2 * short rows
-            sv = _cholesky_qr2(tall.T, block)
-            if sv is not None:
-                return sv
+        # a non-finite entry makes its diagonal Gram entry non-finite, so
+        # a matrix that CholeskyQR2 accepts is finite; any other is scanned
+        sv = _cholesky_qr2(tall.T, block) if blocked else None
+        if sv is not None:
+            return sv
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _all_finite(A):  # a sum, not an A.size boolean mask
+                raise StructuralError("matrix contains non-finite entries")
+        if blocked:
             while tall.shape[0] > block:
                 tall = np.vstack([np.linalg.qr(tall[i:i + block], mode="r")
                                   for i in range(0, tall.shape[0], block)])
@@ -192,9 +201,11 @@ def estimate_rank(A: np.ndarray) -> RankReport:
     an R factor (see ``_singular_values``): CholeskyQR2 where its guard
     holds (``_cholesky_qr2`` states the guard and the error bound), else
     Householder blocks, which are the only path that can report a
-    deficient rank. A malformed, empty or non-finite matrix
-    raises StructuralError; a convergence failure raises NumericError
-    rather than being reported as rank 0.
+    deficient rank. The CholeskyQR2 Gram proves the matrix finite; only a
+    matrix that path does not take is scanned for non-finite entries. A
+    malformed, empty or non-finite matrix raises StructuralError; a
+    convergence failure raises NumericError rather than being reported as
+    rank 0.
     """
     return _rank_report(np.shape(A), _singular_values(A))
 

@@ -17,11 +17,14 @@ is a window grid, as every builder's is, is read through the strided
 are gathered by the one tiled walk, ``_patch_blocks``, that
 ``patch_products`` also uses.
 
-The forward pass allocates little beyond the trace it returns: each of
-its temporaries (a block's gathered patches, the sigmoid's scratch) is at
-most one ``ROW_TILE`` of 2^18 float64 entries, because the gather and
-GEMM or tap maximum, the bias add, the finiteness sum and the activation
-run over row blocks that fit one tile.
+The forward pass allocates little beyond the trace it returns. Its GEMM
+blocks follow ``ROW_TILE`` (2^18 float64 entries): a block's gathered
+patches, for the GEMM or the tap maximum, are at most one tile. Its
+elementwise passes, the bias add, the finiteness sum and the
+activation, follow ``CHUNK`` (2^15 entries): each runs over pieces of a
+layer's G of at most one chunk, whole rows while a row fits and column
+slices of one row otherwise, so that a piece, the sigmoid's scratch and
+the matching piece of F stay in a core's L2 cache between the passes.
 Every blocked operation but the GEMM gives the bits of one call over the
 whole batch; a batch of more rows than one tile holds may see BLAS round
 a block's GEMM differently, within the bound ``patch_products`` states.
@@ -55,8 +58,12 @@ from .activations import Activation, Identity
 from .errors import NumericOverflowError, StructuralError, UnsupportedLayerError
 from .layout import PatchLayout, full_layout
 
-# float64 entries (2 MiB) in the largest temporary of the forward pass
+# float64 entries (2 MiB) in a block of gathered patches
 ROW_TILE = 1 << 18
+# float64 entries (256 KiB) in a piece of an elementwise pass of forward:
+# a G piece, the sigmoid's scratch and the F piece together take 3/8 of
+# a 2 MiB L2; of 2^11..2^16 entries, 2^15 ran the reference net fastest
+CHUNK = ROW_TILE >> 3
 
 
 @dataclass(frozen=True)
@@ -558,6 +565,21 @@ def _tile_rows(width: int) -> int:
     return max(1, ROW_TILE // width)
 
 
+def _chunks(rows: int, width: int):
+    """(row slice, column slice) pairs that cover an (rows, width) array in
+    row-major order with pieces of at most ``CHUNK`` entries: blocks of
+    whole rows while one row fits, else slices of ``CHUNK`` columns of one
+    row, the last one shorter."""
+    if width <= CHUNK:
+        step = CHUNK // width
+        for start in range(0, rows, step):
+            yield slice(start, start + step), slice(None)
+        return
+    for row in range(rows):
+        for start in range(0, width, CHUNK):
+            yield slice(row, row + 1), slice(start, start + CHUNK)
+
+
 def _gather(layout: PatchLayout, rows: int, workspace: Workspace | None) -> np.ndarray | None:
     """Where ``layout.extract`` of ``rows`` rows writes: the scratch as
     (rows, P, l), or None to allocate. A whole-layer layout needs none:
@@ -616,12 +638,15 @@ def max_pool(
 ) -> np.ndarray:
     """(N, P) per-patch maxima of the (N, layout.width) rows F: tap 0,
     then a running ``np.maximum`` with taps 1..l-1 in order, so NaN
-    propagates. A ``window_grid`` layout reads its taps from the strided
-    ``window_view`` of F, with no gather and no scratch; any other layout
-    takes them from each block that ``_patch_blocks`` gathers with the
-    ``workspace``. Both do the same operations on the same values, so
-    they give the same bits, NaN and signed zeros included. ``out``
-    receives the maxima; without it they are allocated."""
+    propagates, and since ``np.maximum`` returns its first operand when
+    both are NaN, a window that holds NaN gives the bits of its first NaN
+    in tap order, sign and payload included. A ``window_grid`` layout
+    reads its taps from the strided ``window_view`` of F, with no gather
+    and no scratch; any other layout takes them from each block that
+    ``_patch_blocks`` gathers with the ``workspace``. Both do the same
+    operations on the same values, so they give the same bits, NaN and
+    signed zeros included. ``out`` receives the maxima; without it they
+    are allocated."""
     M = np.empty((F.shape[0], layout.patch_count)) if out is None else out
     grid = layout.window_grid
     if grid is not None:
@@ -673,9 +698,9 @@ def forward(
     the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
     floating-point rounding, and every pooling layer by ``max_pool``; both
     are handed the workspace for their gather.
-    The bias add, the finiteness sums and the activation run over blocks
-    of ``_tile_rows(n_k)`` rows, so each temporary is at most one
-    ``ROW_TILE``. Pure function: identical inputs give identical traces.
+    The bias add, the finiteness sums and the activation run over the
+    ``_chunks`` of G_k, so each of their temporaries is at most one
+    ``CHUNK``. Pure function: identical inputs give identical traces.
     With a ``workspace`` every G and F except the input is a view of its
     buffers, computed by the same operations in the same order, and the
     next call with that workspace overwrites them.
@@ -707,7 +732,7 @@ def forward(
         G: list[np.ndarray | None] = [None]
         for k, layer in enumerate(spec.plan[1 : up_to + 1], 1):
             prev, layout, width = F[k - 1], layer.layout, layer.width
-            shape, rows = (N, width), _tile_rows(width)
+            shape = (N, width)
             if layer.filter_shape is None:
                 # the maxima of finite features are finite
                 F.append(_seal(max_pool(layout, prev, _take(workspace, ("F", k), shape),
@@ -722,14 +747,15 @@ def forward(
             Fk = Gk if linear else _take(workspace, ("F", k), shape)
             if Fk is None:
                 Fk = np.empty(shape)
-            scratch = None if linear else _take(workspace, "scratch", (min(N, rows), width))
-            for start in range(0, N, rows):
-                Gb = Gk[start : start + rows]
-                Gb += params.biases[k]  # the products are new or the workspace's
+            bias = params.biases[k]
+            scratch = None if linear else _take(workspace, "scratch", (min(N * width, CHUNK),))
+            for rows, cols in _chunks(N, width):
+                Gb = Gk[rows, cols]
+                Gb += bias[cols]  # the products are new or the workspace's
                 G_finite = G_finite and _all_finite(Gb)
                 if not linear:
-                    Fb = sigma(Gb, out=Fk[start : start + rows],
-                               scratch=None if scratch is None else scratch[: len(Gb)])
+                    Fb = sigma(Gb, out=Fk[rows, cols], scratch=None if scratch is None
+                               else scratch[: Gb.size].reshape(Gb.shape))
                     F_finite = F_finite and (not layer.unbounded or _all_finite(Fb))
             if not G_finite:
                 _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")

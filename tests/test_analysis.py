@@ -434,6 +434,64 @@ class TestCholeskyQR2:
         assert 2 * block_bytes <= peak <= 2 * block_bytes + 64 * 1024
 
 
+@pytest.fixture
+def finiteness_scans(monkeypatch):
+    counter = _Counting(analysis._all_finite)
+    monkeypatch.setattr(analysis, "_all_finite", counter)
+    return counter
+
+
+class TestFinitenessFromTheGram:
+    """Short-fat matrices above the tile whose blocks hold twice the short
+    side: a matrix CholeskyQR2 accepts is proved finite by its Gram and is
+    never scanned; a non-finite one makes the Gram non-finite, so the scan
+    raises before any Householder block runs."""
+
+    SHAPES = ((60, (5, 1000)), (analysis.RANK_TILE, (16, 20_000)))
+
+    @pytest.mark.parametrize("tile, shape", SHAPES)
+    def test_accepted_matrix_is_not_scanned(self, monkeypatch, qr_calls, cholesky_calls,
+                                            finiteness_scans, tile, shape):
+        monkeypatch.setattr(analysis, "RANK_TILE", tile)
+        A = np.random.default_rng(38).standard_normal(shape)
+        assert A.size > tile and 2 * shape[0] ** 2 <= tile
+        for B in (A, A.T):
+            qr_calls.calls = cholesky_calls.calls = 0
+            assert estimate_rank(B).estimated_rank == shape[0]
+            assert (qr_calls.calls, cholesky_calls.calls, finiteness_scans.calls) == (0, 2, 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tile, shape", SHAPES)
+    def test_non_finite_entry_is_refused_before_the_householder_blocks(
+            self, monkeypatch, qr_calls, cholesky_calls, finiteness_scans, tile, shape, value):
+        monkeypatch.setattr(analysis, "RANK_TILE", tile)
+        A = np.random.default_rng(39).standard_normal(shape)
+        A[shape[0] // 2, shape[1] - 3] = value
+        for B in (A, A.T):
+            finiteness_scans.calls = 0
+            with pytest.raises(StructuralError) as caught:
+                estimate_rank(B)
+            assert str(caught.value) == "matrix contains non-finite entries"
+            assert finiteness_scans.calls == 1
+        assert (qr_calls.calls, cholesky_calls.calls) == (0, 0)
+
+    @pytest.mark.parametrize("r", [5, 3])
+    def test_finite_matrix_whose_gram_overflows(self, monkeypatch, qr_calls, cholesky_calls,
+                                                finiteness_scans, r):
+        """Entries near 1e200 square past the float64 range, so the Gram
+        is not finite; the scan finds the matrix finite and the Householder
+        blocks give its rank."""
+        monkeypatch.setattr(analysis, "RANK_TILE", 60)
+        A = 1e200 * planted_rank_matrix(np.random.default_rng(40), 5, 1000, r)
+        for B in (A, A.T):
+            qr_calls.calls = finiteness_scans.calls = 0
+            assert estimate_rank(B).estimated_rank == r == elimination_rank(B)
+            assert qr_calls.calls > 0 and finiteness_scans.calls == 1
+            np.testing.assert_array_equal(analysis._singular_values(B),
+                                          _householder_values(monkeypatch, B))
+        assert cholesky_calls.calls == 0
+
+
 def _sv(A):
     return np.linalg.svd(A, compute_uv=False)
 

@@ -240,6 +240,32 @@ class TestMaxPoolRunningMaximum:
         zero_or_nan = (ours == 0.0) | np.isnan(ours)
         assert _bits(ours[~zero_or_nan]) == _bits(theirs[~zero_or_nan])
 
+    @pytest.mark.parametrize("name", ["1d-18-2-2", "2d-6x6x5", "2d-26x26x3"])
+    def test_first_nan_in_tap_order_wins(self, name):
+        """Every window holds a +NaN and a -NaN, each with its own payload,
+        at two random taps, in both orders across the windows. The window
+        view and the gather path (the same patches with the first two rows
+        swapped) both return the bits of the NaN at the lower tap. The
+        oracle's ``np.max`` does not keep the sign, so it is not compared."""
+        layout = POOL_LAYOUTS[name]  # windows that do not overlap
+        order = [1, 0, *range(2, layout.patch_count)]
+        swapped = PatchLayout(layout.width, layout.patches[order])
+        assert layout.window_grid is not None and swapped.window_grid is None
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], np.uint64).view(np.float64)
+        rng = np.random.default_rng(len(name))
+        n, (P, l) = 4, layout.patches.shape
+        F = rng.standard_normal((n, layout.width))
+        taps = np.array([rng.choice(l, 2, replace=False) for _ in range(n * P)]).reshape(n, P, 2)
+        signs = rng.integers(2, size=(n, P))  # which NaN takes the first of the two taps
+        first_taps = taps.min(axis=2)
+        rows = np.arange(n)[:, None]
+        F[rows, layout.patches[np.arange(P), taps[..., 0]]] = nans[signs]
+        F[rows, layout.patches[np.arange(P), taps[..., 1]]] = nans[1 - signs]
+        expected = np.where(first_taps == taps[..., 0], nans[signs], nans[1 - signs])
+        assert set(np.unique(expected.view(np.uint64))) == set(nans.view(np.uint64))
+        assert _bits(max_pool(layout, F)) == _bits(expected)
+        assert _bits(max_pool(swapped, F)) == _bits(expected[:, order])
+
     @pytest.mark.parametrize("use_workspace", [False, True])
     def test_forward_pools_match_gather_reduce(self, use_workspace):
         rng = np.random.default_rng(12)

@@ -1,6 +1,7 @@
-"""Forward's row tiles: a batch split into many blocks gives the one-block
-trace bit for bit, meets the per-patch oracles, raises the same errors,
-and one forward of the reference net allocates little beyond its trace."""
+"""Forward's row tiles and chunks: a batch split into many GEMM blocks or
+elementwise pieces gives the one-block trace bit for bit, meets the
+per-patch oracles, raises the same errors, and one forward of the
+reference net allocates little beyond its trace."""
 
 import re
 import tracemalloc
@@ -57,8 +58,9 @@ NETS = {
         Output(3),
     )),
 }
-# 16 entries split every layer of these nets into blocks of one or two
-# rows; 250 gives blocks of a few rows, with a shorter last block
+# as ROW_TILE and CHUNK, 16 entries split every layer of these nets into
+# blocks of one or two rows, or slices of one row; 250 gives blocks of a
+# few rows, with a shorter last block
 TILES = (16, 250)
 
 
@@ -82,6 +84,7 @@ def test_many_blocks_match_one_block(monkeypatch, net, tile):
     cases = [batch(spec, n, seed) for seed, n in enumerate((1, 7, 33))]
     with monkeypatch.context() as patched:
         patched.setattr(network, "ROW_TILE", tile)
+        patched.setattr(network, "CHUNK", tile)
         blocked = [forward(spec, params, X) for params, X in cases]
         workspace = Workspace()  # grows from 1 row to 33
         for (params, X), trace in zip(cases, blocked):
@@ -160,8 +163,88 @@ class TestErrorsInALaterBlock:
         whole = self.error(params, X)
         assert whole[0] is error and re.search(match, whole[1])
         monkeypatch.setattr(network, "ROW_TILE", TILES[0])
+        monkeypatch.setattr(network, "CHUNK", TILES[0])
         assert network._tile_rows(self.SPEC.widths[1]) == 2
+        assert len(list(network._chunks(33, self.SPEC.widths[1]))) == 17
         assert self.error(params, X) == whole
+
+
+def record_sizes(monkeypatch, cls):
+    """Patch activation class ``cls`` to append the entry count of every
+    input it is called with to the returned list."""
+    sizes, call = [], cls.__call__
+
+    def recording(self, t, out=None, scratch=None):
+        sizes.append(np.size(t))
+        return call(self, t, out=out, scratch=scratch)
+
+    monkeypatch.setattr(cls, "__call__", recording)
+    return sizes
+
+
+class TestChunkedPasses:
+    """The bias add, the finiteness sums and the activation of a layer
+    wider than one ``CHUNK``: conv2d over 28x28 with 4 filters, 2704 units,
+    16 * 2704 = 43 264 entries at N = 16. With the chunk patched to 7
+    entries (slices of one row), to one row, to a value above one row
+    (blocks of two rows) and left as it is, every G and F has the bits of
+    one piece over the whole layer, and the same errors are raised."""
+
+    N, WIDTH = 16, 2704
+    CHUNKS = {"7": 7, "row": WIDTH, "two rows": 3 * WIDTH - 1, "real": network.CHUNK}
+
+    def spec(self, sigma):
+        return NetworkSpec(784, (
+            Conv(conv2d_layout(28, 28, 3, 3), 4, sigma),
+            MaxPool(pool2d_multichannel_layout(26, 26, 4, 2, 2, 2, 2)),
+            FullyConnected(6, sigma),
+            Output(3),
+        ))
+
+    def traces(self, monkeypatch, spec, params, X, chunk):
+        with monkeypatch.context() as patched:
+            patched.setattr(network, "CHUNK", chunk)
+            return [forward(spec, params, X, workspace=workspace)
+                    for workspace in (None, Workspace())]
+
+    @pytest.mark.parametrize("sigma", [Sigmoid(), Softplus(4.0)], ids=repr)
+    def test_bits_of_one_piece(self, monkeypatch, sigma):
+        spec = self.spec(sigma)
+        assert spec.widths[1] == self.WIDTH and self.N * self.WIDTH > network.CHUNK
+        params, X = batch(spec, self.N, 17)
+        sizes = record_sizes(monkeypatch, type(sigma))
+        whole = self.traces(monkeypatch, spec, params, X, self.N * self.WIDTH)[0]
+        assert sizes == [self.N * self.WIDTH, self.N * 6] * 2  # one call a layer
+        for k in (1, 3):
+            assert bits(whole.F[k]) == bits(sigma(whole.G[k]))
+        expected = list(map(bits, (*whole.F, *whole.G)))
+        for name, chunk in self.CHUNKS.items():
+            sizes.clear()
+            for trace in self.traces(monkeypatch, spec, params, X, chunk):
+                assert list(map(bits, (*trace.F, *trace.G))) == expected, name
+            assert max(sizes) <= chunk, name
+            assert sum(sizes) == 2 * self.N * (self.WIDTH + 6), name
+
+    @pytest.mark.parametrize("case", ["G", "F"])
+    def test_overflow_in_the_last_piece_names_its_layer(self, monkeypatch, case):
+        """Unit layer-1 filters: two inputs of 1e308 overflow the last G_1
+        entries of the last row; one of 5e307 leaves G_1 finite and
+        overflows softplus's 4*G_1 there."""
+        spec = self.spec(Softplus(4.0))
+        params, X = batch(spec, self.N, 18)
+        params = params.with_layer(1, np.ones((9, 4)), params.biases[1])
+        if case == "G":
+            X[-1, -2:] = 1e308
+        else:
+            X[-1, -1] = 5e307
+        message = {"G": "non-finite pre-activation at layer 1",
+                   "F": "non-finite activation at layer 1"}[case]
+        for chunk in (self.N * self.WIDTH, *self.CHUNKS.values()):
+            with monkeypatch.context() as patched:
+                patched.setattr(network, "CHUNK", chunk)
+                with pytest.raises(NumericOverflowError) as caught:
+                    forward(spec, params, X)
+            assert str(caught.value) == message, chunk
 
 
 def test_reference_forward_allocates_at_most_three_tiles_beyond_its_trace():
