@@ -72,14 +72,15 @@ def check_distinct_patches(X: np.ndarray, layout: PatchLayout) -> DistinctPatche
 
 
 def perturb_dataset(X: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """Add i.i.d. Gaussian noise of mean 0 and **variance** ``sigma``.
+    """Add i.i.d. Gaussian noise of mean 0 and finite **variance** ``sigma``.
 
-    Deterministic given ``seed``; ``sigma=0`` returns X unchanged. Used to
-    enforce patch distinctness: the perturbations for which it still fails
-    form a measure-zero set.
+    Deterministic given ``seed``; ``sigma=0`` returns X unchanged. The
+    perturbations for which patch distinctness still fails form a null set.
     """
     if sigma < 0:
         raise StructuralError("noise variance must be nonnegative")
+    if not np.isfinite(sigma):
+        raise StructuralError(f"noise variance must be finite, got {sigma}")
     X = np.asarray(X, dtype=np.float64)
     if sigma == 0.0:
         return X.copy()

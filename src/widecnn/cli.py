@@ -52,11 +52,12 @@ def _load(args) -> experiments.ExperimentConfig:
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if flags.get("n", 1) < 1:
         raise ConfigError(f"--n must be a positive integer, got {args.n}")
-    cfg = (
-        experiments.load_config(args.config)
-        if args.config is not None
-        else experiments.ExperimentConfig()
-    )
+    if args.config is not None:
+        cfg = experiments.load_config(args.config)
+    elif args.command == "table2-sweep":  # the documented desk sweep
+        cfg = experiments.table2_desk_config(seed=flags.get("seed", 0))
+    else:
+        cfg = experiments.ExperimentConfig()
     fields = {field: flags[flag] for flag, field in _FIELDS.items() if flag in flags}
     if "seed" in flags:
         fields["seeds"] = (args.seed,) + cfg.seeds[1:]

@@ -95,10 +95,7 @@ def _min_cross_sample_gap(F: np.ndarray) -> float:
     order = np.argsort(values, kind="stable")
     vs, rs = values[order], ids[order]
     diffs = np.diff(vs)
-    mask = rs[1:] != rs[:-1]
-    if not mask.any():
-        return np.inf
-    return float(diffs[mask].min())
+    return float(diffs[rs[1:] != rs[:-1]].min())
 
 
 def _sample_filters(rng: np.random.Generator, size: tuple[int, int]) -> np.ndarray:

@@ -19,7 +19,7 @@ from widecnn.architectures import (
     single_conv_network,
 )
 from widecnn.cli import build_parser, main
-from widecnn.experiments import SCHEMAS, read_csv
+from widecnn.experiments import SCHEMAS, ExperimentConfig, read_csv, table2_desk_config
 from widecnn.netspec_io import load_netspec, save_netspec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -169,6 +169,21 @@ class TestRuns:
         tag, columns, written = read_csv(out)
         assert (tag, tuple(columns)) == ("table2.v1", SCHEMAS["table2.v1"])
         assert [",".join(row) for row in written] == rows
+
+    def test_table2_sweep_without_a_config_is_the_desk_sweep(self, tmp_path):
+        def loaded(*argv):
+            return cli._load(build_parser().parse_args(list(argv)))
+
+        out = str(tmp_path / "sweep.csv")
+        assert loaded("table2-sweep") == table2_desk_config()
+        assert loaded("table2-sweep", "--seed", "3", "--out", out) == table2_desk_config(
+            seed=3, out=out)
+        # the widest first layer of the desk sweep reaches n_1 >= N
+        cfg = loaded("table2-sweep")
+        spec = desk_sweep_network(cfg.dataset.d, max(cfg.filter_counts), cfg.dataset.m)
+        assert spec.widths[1] >= cfg.n_subset
+        # other subcommands keep the generic defaults
+        assert loaded("grad-bounds") == ExperimentConfig()
 
     def test_construct_independent(self, capsys):
         assert main(["construct-independent", "--n", "6", "--seed", "1"]) == 0

@@ -1,5 +1,6 @@
 """IDX byte format and synthetic dataset generation."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from widecnn import (
     Dataset,
     FormatError,
+    GenerationError,
     StructuralError,
     check_distinct_patches,
     load_idx,
@@ -18,6 +20,7 @@ from widecnn import (
 from widecnn.layout import full_layout
 
 from idx_files import write_idx_images, write_idx_labels
+from oracles import pairwise_distinct_patches
 
 
 def write_pair(tmp_path, images, labels):
@@ -122,6 +125,128 @@ class TestSynthesize:
         dataset = synthesize_dataset(1, 5, 2, seed=8)
         assert dataset.sample_count == 1
         assert dataset.Y.shape == (1, 2)
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_a_non_finite_variance_is_rejected(self, sigma):
+        with pytest.raises(StructuralError,
+                           match=rf"^noise variance must be finite, got {sigma}$"):
+            synthesize_dataset(4, 3, 2, perturb_sigma=sigma)
+
+
+def digest(dataset):
+    """SHA-256 over the bytes of X, Y, Z and the labels as int64."""
+    h = hashlib.sha256()
+    for a in (dataset.X, dataset.Y, dataset.Z, np.asarray(dataset.labels, np.int64)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# each dataset's digest: it changes if any draw, or the order of the draws
+# of X, the perturbation seed and the labels, changes
+PINNED = [
+    ((512, 64, 10, 0), {}, "4ee2a66bfec18497aff327679e0ca045246fcbf801f18e85ee474f486f8fc1a3"),
+    ((512, 64, 10, 1), {}, "fe5cee3904c2458bd6a811026fa4f80702951b487531a95672f5730b96e58afd"),
+    ((512, 64, 10, 2), {}, "03f249f6f54abf9e8e070feded256ea653c97778ab871718f96dc3bb2aab5b6b"),
+    ((512, 64, 10, 3), {}, "e541265bdc8b22f27cd3dd0c0b301e2eb915377be4b8692742790984c76a408d"),
+    ((64, 16, 2, 0), {}, "39373f77998d9f987e7a4ec6a41303b4a2fe9b08d55428f217faf5391c91eaa5"),
+    ((32, 10, 4, 1000), {"perturb_sigma": 1e-5},
+     "b8da2a0c650b57ad83518a5b7a0e49878874a90f3a6966218f4ad322865d8b7f"),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, expected", PINNED,
+                         ids=["-".join(map(str, args)) for args, _, _ in PINNED])
+def test_synthesized_bits_are_pinned(args, kwargs, expected):
+    assert digest(synthesize_dataset(*args, **kwargs)) == expected
+
+
+class PlantedDraws:
+    """A generator whose first ``standard_normal`` draws are passed through
+    the ``planted`` functions; every draw still advances the wrapped one."""
+
+    def __init__(self, rng, planted):
+        self._rng, self._planted = rng, list(planted)
+
+    def standard_normal(self, size):
+        X = self._rng.standard_normal(size)
+        return self._planted.pop(0)(X) if self._planted else X
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+DEFAULT_RNG = np.random.default_rng
+
+
+def plant(monkeypatch, *planted):
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: PlantedDraws(DEFAULT_RNG(seed), planted))
+
+
+def repeat_first_row(X):
+    X = X.copy()
+    X[1] = X[0]
+    return X
+
+
+class TestResampling:
+    N, d, m, seed = 6, 3, 2, 4
+
+    def draws(self):
+        """The three (X, labels) draws of the generator, in order."""
+        rng = np.random.default_rng(self.seed)
+        out = []
+        for _ in range(3):
+            X = rng.standard_normal((self.N, self.d))
+            rng.integers(2**63)
+            out.append((X, tuple(int(c) for c in rng.permutation(np.arange(self.N) % self.m))))
+        return out
+
+    @pytest.mark.parametrize("repeats", [0, 1, 2])
+    def test_draws_with_a_repeated_row_are_drawn_again(self, monkeypatch, repeats):
+        X, labels = self.draws()[repeats]
+        plant(monkeypatch, *[repeat_first_row] * repeats)
+        dataset = synthesize_dataset(self.N, self.d, self.m, seed=self.seed)
+        np.testing.assert_array_equal(dataset.X, X)
+        assert dataset.labels == labels
+
+    def test_three_draws_with_a_repeated_row_fail(self, monkeypatch):
+        plant(monkeypatch, *[repeat_first_row] * 3)
+        with pytest.raises(GenerationError, match="^could not generate a dataset "
+                           "with distinct rows in 3 attempts$"):
+            synthesize_dataset(self.N, self.d, self.m, seed=self.seed)
+
+
+def small_integer_matrices(count, seed=0):
+    """Matrices of 1-6 rows and 1-4 columns with entries in -2..2, an equal
+    pair of rows planted in two of three, and half the zeros made -0.0."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        N, d = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        M = rng.integers(-2, 3, size=(N, d)).astype(np.float64)
+        if N > 1 and k % 3:
+            i, j = rng.choice(N, 2, replace=False)
+            M[j] = M[i]
+        M[(M == 0) & (rng.random(M.shape) < 0.5)] = -0.0
+        yield M
+
+
+def test_distinct_rows_agree_with_the_pairwise_patch_search(monkeypatch):
+    outcomes = {"distinct": 0, "equal": 0, "equal_up_to_signed_zeros": 0, "single_row": 0}
+    for M in small_integer_matrices(1500):
+        N, d = M.shape
+        plant(monkeypatch, *[lambda _, M=M: M] * 3)
+        if pairwise_distinct_patches(M, full_layout(d)).holds:
+            outcomes["distinct"] += 1
+            outcomes["single_row"] += N == 1
+            np.testing.assert_array_equal(synthesize_dataset(N, d, 2).X, M)
+        else:
+            outcomes["equal"] += 1
+            bits = {M[i].tobytes() for i in range(N)}
+            outcomes["equal_up_to_signed_zeros"] += len(bits) == N
+            with pytest.raises(GenerationError):
+                synthesize_dataset(N, d, 2)
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 class TestDatasetEmbedding:
