@@ -12,6 +12,7 @@ positive axis.
 
 from __future__ import annotations
 
+import abc
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,8 +51,8 @@ class ActivationProfile:
         return self.exp_bound is not None and self.linear_bound is not None
 
 
-class Activation:
-    """Base class; subclasses are immutable and stateless.
+class Activation(abc.ABC):
+    """Abstract base class; subclasses are immutable and stateless.
 
     A call ``sigma(t, out=None, scratch=None)`` writes its result into
     ``out`` when given, and may overwrite ``scratch``, an array of t's
@@ -62,23 +63,21 @@ class Activation:
     # Bias offset of the constructions: its activation value is nonzero and
     # lies inside the injectivity interval.
     construction_bias = 1.0
+    # Open interval on which the function is injective.
+    bijective_interval: tuple[float, float] = (-INF, INF)
 
+    @abc.abstractmethod
     def __call__(self, t, out=None, scratch=None):
-        raise NotImplementedError
+        """sigma(t), elementwise."""
 
+    @abc.abstractmethod
     def derivative(self, t, F=None, out=None):
         """sigma'(t), written into ``out`` when given. ``F = self(t)``, when
         already computed (the forward trace stores it), may stand in for a
         second evaluation; the result is the same bit for bit."""
-        raise NotImplementedError
 
     def inverse(self, y):
         raise RangeError(f"{self.name} has no inverse")
-
-    @property
-    def bijective_interval(self) -> tuple[float, float]:
-        """Open interval on which the function is injective."""
-        raise NotImplementedError
 
     @property
     def comfortable_range(self) -> tuple[float, float]:
@@ -86,8 +85,9 @@ class Activation:
         well-conditioned; the zero-loss construction draws targets here."""
         raise RangeError(f"{self!r} has no range of values to invert")
 
+    @abc.abstractmethod
     def profile(self) -> ActivationProfile:
-        raise NotImplementedError
+        """The growth and shape summary of the function."""
 
     def to_dict(self) -> dict:
         return {"kind": self.name}
@@ -105,6 +105,7 @@ class Activation:
 class Sigmoid(Activation):
     name = "sigmoid"
     construction_bias = 0.0  # sigmoid(0) = 1/2
+    comfortable_range = (0.2, 0.8)
 
     def __call__(self, t, out=None, scratch=None):
         # 1/(1+exp(-t)) for t >= 0 and exp(t)/(1+exp(t)) below, in one pass:
@@ -138,14 +139,6 @@ class Sigmoid(Activation):
             raise RangeError("sigmoid inverse requires values in (0, 1)")
         return np.log(y) - np.log1p(-y)
 
-    @property
-    def bijective_interval(self) -> tuple[float, float]:
-        return (-INF, INF)
-
-    @property
-    def comfortable_range(self) -> tuple[float, float]:
-        return (0.2, 0.8)
-
     def profile(self) -> ActivationProfile:
         return ActivationProfile(
             limit_neg=0.0,
@@ -159,6 +152,7 @@ class Sigmoid(Activation):
 
 class ReLU(Activation):
     name = "relu"
+    bijective_interval = (0.0, INF)
 
     def __call__(self, t, out=None, scratch=None):
         return np.maximum(np.asarray(t, dtype=np.float64), 0.0, out=out)
@@ -167,10 +161,6 @@ class ReLU(Activation):
         # subgradient convention: derivative at 0 is 0
         t = np.asarray(t, dtype=np.float64)
         return np.greater(t, 0.0, out=np.empty_like(t) if out is None else out)
-
-    @property
-    def bijective_interval(self) -> tuple[float, float]:
-        return (0.0, INF)
 
     def profile(self) -> ActivationProfile:
         return ActivationProfile(
@@ -193,6 +183,7 @@ class Softplus(Activation):
 
     alpha: float = 1.0
     name = "softplus"
+    comfortable_range = (0.5, 1.5)
 
     def __post_init__(self):
         alpha = self.alpha
@@ -220,14 +211,6 @@ class Softplus(Activation):
         out[small] = np.log(np.expm1(ay[small])) / self.alpha
         out[~small] = y[~small] + np.log1p(-np.exp(-ay[~small])) / self.alpha
         return out
-
-    @property
-    def bijective_interval(self) -> tuple[float, float]:
-        return (-INF, INF)
-
-    @property
-    def comfortable_range(self) -> tuple[float, float]:
-        return (0.5, 1.5)
 
     def profile(self) -> ActivationProfile:
         return ActivationProfile(
@@ -271,10 +254,6 @@ class Identity(Activation):
 
     def inverse(self, y):
         return np.asarray(y, dtype=np.float64)
-
-    @property
-    def bijective_interval(self) -> tuple[float, float]:
-        return (-INF, INF)
 
     def profile(self) -> ActivationProfile:
         return ActivationProfile(

@@ -38,6 +38,7 @@ from .training import (
     LearningRateSchedule,
     TrainConfig,
     check_fields,
+    classification_errors,
     is_int,
     is_real,
     train_adam,
@@ -404,7 +405,10 @@ def sweep_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 def run_table2_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Train the sweep architecture for each first-layer filter count and
-    report feature-matrix ranks, final loss, and error counts."""
+    report feature-matrix ranks, final loss, and error counts.
+
+    The held-out half is scored right after training, before the forward
+    that gives the final ranks, so one full-batch trace is alive at a time."""
     train_set, test_set = sweep_datasets(cfg)
     m = train_set.class_count
     seed = cfg.seeds[0]
@@ -417,8 +421,8 @@ def run_table2_sweep(cfg: ExperimentConfig) -> SweepResult:
             forward(spec, params0, train_set.X, up_to=1).F[1]
         ).estimated_rank
         train_cfg = replace(cfg.train_config(seed), stop_at_zero_errors=True)
-        result = train_adam(spec, params0, train_set, train_cfg,
-                            test_dataset=test_set)
+        result = train_adam(spec, params0, train_set, train_cfg)
+        test_error = classification_errors(spec, result.params, test_set)
         trace = forward(spec, result.params, train_set.X)
         rep1 = estimate_rank(trace.F[1])
         rep3 = estimate_rank(trace.F[3])
@@ -432,7 +436,7 @@ def run_table2_sweep(cfg: ExperimentConfig) -> SweepResult:
             f3_sigma_min=rep3.sigma_min,
             loss=result.loss_curve[-1],
             train_error=result.train_error_count,
-            test_error=result.test_error_count,
+            test_error=test_error,
         )
         runs.append(SweepRun(row, init_rank, result.loss_curve))
     result = SweepResult(tuple(runs))

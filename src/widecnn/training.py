@@ -128,10 +128,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """The trained parameters, the loss curve and the training-error count
+    of the final parameters; ``classification_errors`` scores another set."""
+
     params: Params
     loss_curve: tuple[float, ...]  # full-batch loss after each epoch
     train_error_count: int
-    test_error_count: int | None
 
 
 def classification_errors(spec: NetworkSpec, params: Params, dataset: Dataset) -> int:
@@ -155,7 +157,6 @@ def train_adam(
     params0: Params,
     dataset: Dataset,
     cfg: TrainConfig = TrainConfig(),
-    test_dataset: Dataset | None = None,
 ) -> TrainResult:
     """Optimize all filter matrices and biases with Adam.
 
@@ -171,10 +172,9 @@ def train_adam(
     forward and backward read holds views of p, which is sealed whenever
     they run and for good once training ends.
 
-    Every forward and backward, the test set's included, writes into one
-    workspace. Each step's trace and gradient are dropped before the next
-    forward overwrites them, and the epoch's output, which the error
-    counts read, is copied out of it.
+    Every forward and backward writes into one workspace. Each step's trace
+    and gradient are dropped before the next forward overwrites them; the
+    error counts read the epoch's output where its forward wrote it.
     """
     rng = np.random.default_rng(cfg.seed)
     X, Y = dataset.X, dataset.Y
@@ -236,7 +236,7 @@ def train_adam(
                 del g
                 _seal(p)
             trace = forward(spec, params, X, workspace=workspace)
-            epoch_loss, output = loss(trace, Y), trace.output.copy()
+            epoch_loss, output = loss(trace, Y), trace.output
             del trace
         except (NumericOverflowError, StructuralError) as exc:
             # params0 is finite, so non-finite parameters came from a step
@@ -257,12 +257,5 @@ def train_adam(
         ):
             break
 
-    # this forward reuses the workspace, which is why output is a copy
-    test_errors = (
-        _errors(forward(spec, params, test_dataset.X, workspace=workspace).output,
-                test_dataset)
-        if test_dataset is not None
-        else None
-    )
     # the last training forward ran on the final p
-    return TrainResult(params, tuple(curve), _errors(output, dataset), test_errors)
+    return TrainResult(params, tuple(curve), _errors(output, dataset))

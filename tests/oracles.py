@@ -189,7 +189,6 @@ def per_layer_adam(
     params0: Params,
     dataset: Dataset,
     cfg: TrainConfig,
-    test_dataset: Dataset | None = None,
 ) -> TrainResult:
     """``train_adam`` as a per-layer loop: every step replaces each layer's
     read-only W and b with new arrays, and keeps Adam's moments in per-layer
@@ -273,13 +272,7 @@ def per_layer_adam(
             break
 
     final = materialize()
-    train_errors = classification_errors(spec, final, dataset)
-    test_errors = (
-        classification_errors(spec, final, test_dataset)
-        if test_dataset is not None
-        else None
-    )
-    return TrainResult(final, tuple(curve), train_errors, test_errors)
+    return TrainResult(final, tuple(curve), classification_errors(spec, final, dataset))
 
 
 # Step of the central differences in ``finite_difference_gradient``.

@@ -11,6 +11,8 @@ audit arithmetic; rank estimation against an elimination oracle; and the
 activation growth-bound suite.
 """
 
+import hashlib
+import json
 import time
 
 import numpy as np
@@ -225,6 +227,14 @@ def test_08_zero_loss_iff_zero_gradient():
            "lower bound at 50 full-rank points with residual >= 0.1")
 
 
+# SHA-256 of acceptance 09's Table-2 CSV, and of its four loss curves as
+# lists of float.hex strings in json.dumps; the curves have 950, 550, 325
+# and 375 epochs. Computed with numpy 2.4.6 and OpenBLAS 0.3.31, equal
+# under one and under two BLAS threads.
+TABLE2_CSV_SHA256 = "5a00f85d17d2b1027a9bbb65ddd6d0d74e0684904663d19be7900dea251a3ddc"
+LOSS_CURVES_SHA256 = "d0074b04b841f674893fe73096b9078aa9f62c0b49018643170b14afafa8461e"
+
+
 def test_09_desk_scale_sweep(tmp_path):
     started = time.time()
     out = tmp_path / "sweep.csv"
@@ -244,6 +254,12 @@ def test_09_desk_scale_sweep(tmp_path):
     assert tag == "table2.v1"
     assert tuple(columns) == SCHEMAS["table2.v1"]
     assert len(rows) == 4
+    curves = [[float(x).hex() for x in run.loss_curve] for run in result.runs]
+    digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
+               hashlib.sha256(json.dumps(curves).encode()).hexdigest())
+    assert digests == (TABLE2_CSV_SHA256, LOSS_CURVES_SHA256), (
+        f"Table-2 CSV or loss curves changed their bits under numpy "
+        f"{np.__version__}; epochs run: {[len(c) for c in curves]}")
     report(9, 900.0, started,
            f"sweep ranks = min(256, n_1); widest run hit 0/256 train errors "
            f"in {len(widest.loss_curve)} epochs; CSV schema matches")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from widecnn import (
+    Activation,
     Identity,
     RangeError,
     ReLU,
@@ -133,6 +134,25 @@ class TestConstructionConstants:
     def test_no_range_without_a_hidden_layer_inverse(self, act):
         with pytest.raises(RangeError, match=f"^{act!r} has no range of values to invert$"):
             act.comfortable_range
+
+    def test_injectivity_intervals(self):
+        assert ReLU().bijective_interval == (0.0, np.inf)
+        assert all(act.bijective_interval == (-np.inf, np.inf)
+                   for act in (Sigmoid(), Softplus(2.0), Identity()))
+
+
+class TestInterface:
+    def test_an_incomplete_activation_cannot_be_made(self):
+        class NoProfile(Activation):
+            def __call__(self, t, out=None, scratch=None):
+                return t
+
+            def derivative(self, t, F=None, out=None):
+                return t
+
+        for cls in (Activation, NoProfile):
+            with pytest.raises(TypeError, match="abstract"):
+                cls()
 
 
 class TestProfiles:

@@ -12,7 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from widecnn import FullyConnected, Identity, NetworkSpec, ReLU, Sigmoid, cli, netspec_io
+from widecnn import (
+    FullyConnected,
+    Identity,
+    NetworkSpec,
+    ReLU,
+    Sigmoid,
+    cli,
+    experiments,
+    netspec_io,
+)
 from widecnn.architectures import (
     desk_sweep_network,
     mnist_conv_pool_network,
@@ -21,6 +30,8 @@ from widecnn.architectures import (
 from widecnn.cli import build_parser, main
 from widecnn.experiments import SCHEMAS, ExperimentConfig, read_csv, table2_desk_config
 from widecnn.netspec_io import load_netspec, save_netspec
+
+from test_experiments import above_the_upper_bound
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -200,6 +211,11 @@ class TestRuns:
     def test_grad_bounds(self, capsys):
         assert main(["grad-bounds", "--trials", "5", "--seed", "2"]) == 0
         assert "5/5" in capsys.readouterr().out
+
+    def test_grad_bounds_fails_on_a_violation(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "gradient_bounds", above_the_upper_bound)
+        assert main(["grad-bounds", "--trials", "2"]) == 1
+        assert "sandwich held in 0/2 trials" in capsys.readouterr().out
 
     def test_grad_bounds_writes_its_csv(self, tmp_path, capsys):
         out = tmp_path / "bounds.csv"

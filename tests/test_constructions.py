@@ -36,6 +36,7 @@ from widecnn import (
     zero_loss_construction,
 )
 from widecnn import constructions
+from widecnn.architectures import single_conv_network
 from widecnn.constructions import build_selection_permutation
 from widecnn.errors import ConstructionFailedError
 from widecnn.experiments import zero_loss_demo_case
@@ -60,6 +61,15 @@ class TestTransport:
         params = transport_construction(spec, X, 1, ConstructionParams(seed=1))
         F = forward(spec, params, X, up_to=1).F[1]
         assert min_cross_gap(F) > 1e-9
+
+    def test_one_sample(self):
+        """A lone sample has no other sample to differ from: every gap test
+        passes, and the layer is still built."""
+        spec = single_conv_network(8, 3, 2)
+        X = np.random.default_rng(8).standard_normal((1, 8))
+        params = transport_construction(spec, X, 1)
+        assert params.weights[1].shape == spec.filter_shape(1)
+        assert np.isfinite(forward(spec, params, X, up_to=1).F[1]).all()
 
     def test_duplicate_rows_rejected(self):
         spec = NetworkSpec(4, (Conv(conv1d_layout(4, 2, 1), 2, Sigmoid()),))

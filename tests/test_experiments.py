@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from widecnn import AdamConfig, ConfigError, FormatError, LearningRateSchedule, forward
+from widecnn import experiments
+from widecnn.analysis import BoundReport
 from widecnn.experiments import (
     SCHEMAS,
     DatasetConfig,
@@ -291,12 +293,25 @@ class TestGradBoundsRunner:
         assert tag == "grad-bounds.v1"
         assert len(rows) == 10
 
+    def test_a_gradient_above_the_upper_bound_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(experiments, "gradient_bounds", above_the_upper_bound)
+        cfg = ExperimentConfig(trials=3, seeds=(3,))
+        assert run_grad_bounds(cfg).violations == cfg.trials
+
+
+def above_the_upper_bound(*args):
+    return BoundReport(lower=0.5, upper=1.0, grad_norm=2.0, residual=1.0, factors=())
+
 
 class TestZeroLossDemos:
     @pytest.mark.parametrize("case,expected_gap", [(1, 1), (2, 2), (3, 3)])
     def test_wide_layer_distance_matches_case(self, case, expected_gap):
         spec, dataset, k = zero_loss_demo_case(case, seed=0)
         assert spec.depth - k == expected_gap
+
+    def test_unknown_case_rejected(self):
+        with pytest.raises(ConfigError, match=r"^case must be 1, 2, or 3; got 4$"):
+            zero_loss_demo_case(4)
 
 
 class TestSweepDatasets:
