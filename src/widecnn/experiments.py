@@ -31,6 +31,7 @@ from .network import (
     NetworkSpec,
     Output,
     Params,
+    Workspace,
     forward,
 )
 from .training import (
@@ -287,7 +288,9 @@ def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
     wide enough that n_1 >= N.
 
     With analytic activations and n_k >= N the full-rank fraction should
-    be 1.0; for ReLU the fraction is reported without any claim.
+    be 1.0; for ReLU the fraction is reported without any claim. The
+    trials share one workspace, whose buffers are freed when the run
+    ends.
     """
     if cfg.network is not None:
         (spec, dataset), k = netspec_and_dataset(cfg), cfg.wide_layer
@@ -298,11 +301,12 @@ def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
         filters = -(-2 * n // (d - kernel + 1))  # width 2N leaves slack above the bound
         act = named_activation(cfg.activation)
         spec, k = single_conv_network(d, kernel, filters, activation=act), 1
-    reports = []
+    reports, workspace = [], Workspace()
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
         params = Params.gaussian(spec, rng, up_to=k)
-        reports.append(estimate_rank(forward(spec, params, dataset.X, up_to=k).F[k]))
+        reports.append(estimate_rank(
+            forward(spec, params, dataset.X, up_to=k, workspace=workspace).F[k]))
     hits = sum(rep.estimated_rank == dataset.sample_count for rep in reports)
     result = RankGenericityResult(tuple(reports), tuple(cfg.seeds),
                                   hits / len(cfg.seeds), spec, k)
@@ -405,44 +409,46 @@ def sweep_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 def run_table2_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Train the sweep architecture for each first-layer filter count and
-    report feature-matrix ranks, final loss, and error counts.
-
-    The held-out half is scored right after training, before the forward
-    that gives the final ranks, so one full-batch trace is alive at a time."""
+    report feature-matrix ranks, final loss, and error counts."""
     train_set, test_set = sweep_datasets(cfg)
-    m = train_set.class_count
-    seed = cfg.seeds[0]
-    runs = []
-    for t1 in cfg.filter_counts:
-        spec = desk_sweep_network(train_set.input_width, t1, m)
-        rng = np.random.default_rng(seed)
-        params0 = Params.fan_in_gaussian(spec, rng)
-        init_rank = estimate_rank(
-            forward(spec, params0, train_set.X, up_to=1).F[1]
-        ).estimated_rank
-        train_cfg = replace(cfg.train_config(seed), stop_at_zero_errors=True)
-        result = train_adam(spec, params0, train_set, train_cfg)
-        test_error = classification_errors(spec, result.params, test_set)
-        trace = forward(spec, result.params, train_set.X)
-        rep1 = estimate_rank(trace.F[1])
-        rep3 = estimate_rank(trace.F[3])
-        row = Table2Row(
-            t1=t1,
-            f1_size=(trace.F[1].shape[0], trace.F[1].shape[1]),
-            f1_rank=rep1.estimated_rank,
-            f1_sigma_min=rep1.sigma_min,
-            f3_size=(trace.F[3].shape[0], trace.F[3].shape[1]),
-            f3_rank=rep3.estimated_rank,
-            f3_sigma_min=rep3.sigma_min,
-            loss=result.loss_curve[-1],
-            train_error=result.train_error_count,
-            test_error=test_error,
-        )
-        runs.append(SweepRun(row, init_rank, result.loss_curve))
-    result = SweepResult(tuple(runs))
+    runs = tuple(_sweep_run(cfg, train_set, test_set, t1) for t1 in cfg.filter_counts)
+    result = SweepResult(runs)
     if cfg.out:
         write_csv(cfg.out, "table2.v1", [r.csv_row() for r in result.rows])
     return result
+
+
+def _sweep_run(cfg: ExperimentConfig, train_set: Dataset, test_set: Dataset,
+               t1: int) -> SweepRun:
+    """One filter count of the sweep. The held-out half is scored right
+    after training, before the forward that gives the final ranks, so one
+    full-batch trace is alive at a time, and that trace is dropped on
+    return, so the next filter count's forwards recycle its buffers."""
+    spec = desk_sweep_network(train_set.input_width, t1, train_set.class_count)
+    seed = cfg.seeds[0]
+    params0 = Params.fan_in_gaussian(spec, np.random.default_rng(seed))
+    init_rank = estimate_rank(
+        forward(spec, params0, train_set.X, up_to=1).F[1]
+    ).estimated_rank
+    train_cfg = replace(cfg.train_config(seed), stop_at_zero_errors=True)
+    result = train_adam(spec, params0, train_set, train_cfg)
+    test_error = classification_errors(spec, result.params, test_set)
+    trace = forward(spec, result.params, train_set.X)
+    rep1 = estimate_rank(trace.F[1])
+    rep3 = estimate_rank(trace.F[3])
+    row = Table2Row(
+        t1=t1,
+        f1_size=(trace.F[1].shape[0], trace.F[1].shape[1]),
+        f1_rank=rep1.estimated_rank,
+        f1_sigma_min=rep1.sigma_min,
+        f3_size=(trace.F[3].shape[0], trace.F[3].shape[1]),
+        f3_rank=rep3.estimated_rank,
+        f3_sigma_min=rep3.sigma_min,
+        loss=result.loss_curve[-1],
+        train_error=result.train_error_count,
+        test_error=test_error,
+    )
+    return SweepRun(row, init_rank, result.loss_curve)
 
 
 # ---------------------------------------------------------------------------

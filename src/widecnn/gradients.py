@@ -15,11 +15,11 @@ gathered patches with the deltas, summed in patch order as
 formed. Bias gradients are the column sums of ``D_l``. ``backward``
 reads each layer's plan entry once, in one walk from the output down.
 Every filter and bias gradient is written into one flat vector, each
-layer's weights then its bias, layer by layer. Given a ``Workspace``,
-the products, the flat vector, the gathered patches (as
-``network._gather`` sizes them) and sigma' go to its buffers. Overflow
-gives non-finite values, not warnings; the trainer turns them into
-``TrainingDivergedError``.
+layer's weights then its bias, layer by layer. The products, the flat
+vector, the gathered patches (as ``network._gather`` sizes them) and
+sigma' go to the buffers of the ``Workspace`` that ``backward`` is given,
+or of the thread's default one. Overflow gives non-finite values, not
+warnings; the trainer turns them into ``TrainingDivergedError``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .network import (
     _gather,
     _param_views,
     _require_output_last,
-    _take,
+    _workspace,
 )
 
 
@@ -88,8 +88,10 @@ def backward(
     The trace must come from ``forward`` on the same (spec, params). Every
     layer in the differentiated segment must have weights, not pool;
     ReLU uses the subgradient convention derivative(0) = 0.
-    With a ``workspace`` the arrays of the result are its buffers, which
-    the next call with that workspace overwrites; they hold the same bits.
+    The arrays of the result are views of buffers of the ``workspace``, or
+    of the thread's default workspace without one; a later call recycles
+    a buffer only once nothing references the set or any view of its
+    arrays. Which workspace is used changes no bit.
     """
     _require_output_last(spec)
     L = spec.depth
@@ -105,15 +107,15 @@ def backward(
     if trace.output.shape != Y.shape:
         raise StructuralError(f"output {trace.output.shape} vs targets {Y.shape}")
 
-    N, plan = Y.shape[0], spec.plan
+    N, plan, workspace = Y.shape[0], spec.plan, _workspace(workspace)
     count = plan[L].stop - plan[start_layer].offset
-    flat = np.empty(count) if workspace is None else workspace.take("grad", (count,))
+    flat = workspace.take("grad", (count,))
     grad_W, grad_b = _param_views(spec, flat, start_layer)
     deltas: list[np.ndarray | None] = [None] * (L + 1)
     # a diverging run overflows here; the trainer reports it as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         # the output layer is linear
-        delta = np.subtract(trace.output, Y, out=_take(workspace, ("delta", L), Y.shape))
+        delta = np.subtract(trace.output, Y, out=workspace.take(("delta", L), Y.shape))
         for l in range(L, start_layer - 1, -1):
             deltas[l] = delta
             layout, (size, T) = plan[l].layout, plan[l].filter_shape
@@ -123,13 +125,14 @@ def backward(
             np.sum(np.matmul(patches.transpose(1, 2, 0),
                              delta.reshape(N, P, T).transpose(1, 0, 2)),
                    axis=0, out=grad_W[l])
+            del patches  # held, it would keep sigma' below from recycling the scratch
             np.sum(delta, axis=0, out=grad_b[l])
             if l == start_layer:
                 break
             # one 2-D GEMM: a dense layer's is D_l @ W^T itself
             product = np.matmul(delta.reshape(N * P, T), params.weights[l].T,
-                                out=_take(workspace, ("delta", l - 1), (N * P, size)))
+                                out=workspace.take(("delta", l - 1), (N * P, size)))
             delta = layout.scatter_add(product.reshape(N, P, size))
             delta *= plan[l - 1].activation.derivative(
-                trace.G[l - 1], trace.F[l - 1], out=_take(workspace, "scratch", delta.shape))
+                trace.G[l - 1], trace.F[l - 1], out=workspace.take("scratch", delta.shape))
     return GradientSet(tuple(grad_W), tuple(grad_b), tuple(deltas), flat)

@@ -41,15 +41,22 @@ A ``Workspace`` holds one float64 buffer per role (a layer's G, F or
 delta, the flat gradient, and one scratch for temporaries that die
 inside a call, such as a layer's gathered patches, whose shape, or that
 a whole-layer layout needs none, ``_gather`` alone decides). ``forward``
-and ``backward`` given the same workspace write into those buffers
-instead of allocating, so a training run faults its arrays in once
-instead of once per step. A trace or gradient set made with a workspace
-is overwritten by the next call that uses it.
+and ``backward`` write into the buffers of the workspace they are given,
+or of their thread's default workspace when they are given none, so
+repeated calls fault their arrays in once instead of once per call. A
+role's buffer is recycled only when no live array references it; while
+a trace or gradient set, or any view or slice of one, is held, the next
+call takes a fresh buffer for that role instead, so nothing a caller
+holds is ever overwritten. The default workspace keeps each role's
+current buffer until its thread ends, so a thread holds on to the
+memory of the largest call that each of those buffers served.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -531,13 +538,17 @@ def lift_adjoint(spec: NetworkSpec, k: int, V: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """Float64 buffers keyed by role, reused from call to call.
+    """Float64 buffers keyed by role, recycled from call to call.
 
     ``take`` hands out the first ``prod(shape)`` entries of the role's
-    buffer, which grows to the largest request. A buffer that ``_seal``
-    made read-only for a trace is made writable again first: the trace's
-    own views stay read-only, but their contents change with the next
-    call that takes the same role.
+    buffer when the buffer is large enough and no live array references
+    it. Every view or slice of a buffer keeps the buffer itself as its
+    ``.base``, so a held trace, gradient set or any piece of one keeps its
+    buffers busy. A busy or too small buffer is replaced by a fresh one of
+    the requested size, which the role adopts, so an array that ``take``
+    handed out is never overwritten while anyone holds it. A recycled
+    buffer that ``_seal`` made read-only for a trace is made writable
+    again first.
     """
 
     def __init__(self):
@@ -546,17 +557,39 @@ class Workspace:
     def take(self, key, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
+        if buf is None or buf.size < size or sys.getrefcount(buf) > _FREE_REFS:
             buf = self._buffers[key] = np.empty(size)
         else:
             buf.setflags(write=True)
         return buf[:size].reshape(shape)
 
 
-def _take(workspace: Workspace | None, key, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The workspace's buffer for ``key``, or None without a workspace, in
-    which case the operation that receives it allocates its result."""
-    return None if workspace is None else workspace.take(key, shape)
+def _free_refs() -> int:
+    """What ``sys.getrefcount`` reads in ``Workspace.take`` for a buffer
+    that only its role holds: on CPython 3.11 the role, ``take``'s local
+    and the call's argument. Read once, the way ``take`` reads it, since
+    an interpreter may lend a local to a call without counting it."""
+    roles = {None: np.empty(0)}
+    buf = roles.get(None)
+    return sys.getrefcount(buf)
+
+
+_FREE_REFS = _free_refs()
+
+
+class _ThreadWorkspace(threading.local):
+    """One ``Workspace`` per thread, made on the thread's first call."""
+
+    def __init__(self):
+        self.workspace = Workspace()
+
+
+_THREAD = _ThreadWorkspace()
+
+
+def _workspace(workspace: Workspace | None) -> Workspace:
+    """``workspace``, or the calling thread's default one for None."""
+    return _THREAD.workspace if workspace is None else workspace
 
 
 def _tile_rows(width: int) -> int:
@@ -580,23 +613,24 @@ def _chunks(rows: int, width: int):
             yield slice(row, row + 1), slice(start, start + CHUNK)
 
 
-def _gather(layout: PatchLayout, rows: int, workspace: Workspace | None) -> np.ndarray | None:
-    """Where ``layout.extract`` of ``rows`` rows writes: the scratch as
-    (rows, P, l), or None to allocate. A whole-layer layout needs none:
-    its one patch of a row is a view of the row."""
-    return None if layout._whole_layer else _take(
-        workspace, "scratch", (rows, *layout.patches.shape))
+def _gather(layout: PatchLayout, rows: int, workspace: Workspace) -> np.ndarray | None:
+    """Where ``layout.extract`` of ``rows`` rows writes: the workspace's
+    scratch as (rows, P, l), or None for a whole-layer layout, which needs
+    none: its one patch of a row is a view of the row."""
+    return None if layout._whole_layer else workspace.take(
+        "scratch", (rows, *layout.patches.shape))
 
 
 def _patch_blocks(layout: PatchLayout, F: np.ndarray, workspace: Workspace | None):
     """Walk the (N, layout.width) rows F in blocks of b = ``_tile_rows(P*l)``
     rows, yielding each block's row slice and its (rows, P, l) patches,
-    gathered by ``layout.extract`` into the ``workspace``'s scratch as
-    ``_gather`` sizes it (allocated without one), so a gathered block holds
-    at most one ``ROW_TILE``. A whole-layer layout's patches are views."""
+    gathered by ``layout.extract`` into the scratch of the ``workspace``
+    (the thread's default without one) as ``_gather`` sizes it, so a
+    gathered block holds at most one ``ROW_TILE``. A whole-layer layout's
+    patches are views."""
     N, (P, l) = F.shape[0], layout.patches.shape
     rows = _tile_rows(P * l)
-    gather = _gather(layout, min(N, rows), workspace)
+    gather = _gather(layout, min(N, rows), _workspace(workspace))
     for start in range(0, N, rows):
         block = F[start : start + rows]
         yield slice(start, start + rows), layout.extract(
@@ -701,9 +735,10 @@ def forward(
     The bias add, the finiteness sums and the activation run over the
     ``_chunks`` of G_k, so each of their temporaries is at most one
     ``CHUNK``. Pure function: identical inputs give identical traces.
-    With a ``workspace`` every G and F except the input is a view of its
-    buffers, computed by the same operations in the same order, and the
-    next call with that workspace overwrites them.
+    Every G and F except the input is a view of a buffer of the
+    ``workspace``, or of the thread's default workspace without one; a
+    later call recycles that buffer only once nothing references the
+    trace or any view of its arrays.
 
     Raises StructuralError for an ``up_to`` outside [0, L], a malformed or
     non-finite batch and misshapen or non-finite parameters of layers
@@ -718,6 +753,7 @@ def forward(
         raise StructuralError(
             f"X must be (N, {spec.input_width}), got {X.shape}"
         )
+    workspace = _workspace(workspace)
     # overflow surfaces as NumericOverflowError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if not _all_finite(X):
@@ -735,7 +771,7 @@ def forward(
             shape = (N, width)
             if layer.filter_shape is None:
                 # the maxima of finite features are finite
-                F.append(_seal(max_pool(layout, prev, _take(workspace, ("F", k), shape),
+                F.append(_seal(max_pool(layout, prev, workspace.take(("F", k), shape),
                                         workspace)))
                 G.append(None)
                 continue
@@ -743,20 +779,19 @@ def forward(
             linear = isinstance(sigma, Identity)
             G_finite = F_finite = True
             Gk = patch_products(layout, prev, params.weights[k],
-                                _take(workspace, ("G", k), shape), workspace).reshape(shape)
-            Fk = Gk if linear else _take(workspace, ("F", k), shape)
-            if Fk is None:
-                Fk = np.empty(shape)
+                                workspace.take(("G", k), shape), workspace).reshape(shape)
+            Fk = Gk if linear else workspace.take(("F", k), shape)
             bias = params.biases[k]
-            scratch = None if linear else _take(workspace, "scratch", (min(N * width, CHUNK),))
+            scratch = None if linear else workspace.take("scratch", (min(N * width, CHUNK),))
             for rows, cols in _chunks(N, width):
                 Gb = Gk[rows, cols]
-                Gb += bias[cols]  # the products are new or the workspace's
+                Gb += bias[cols]  # the products are the workspace's
                 G_finite = G_finite and _all_finite(Gb)
                 if not linear:
-                    Fb = sigma(Gb, out=Fk[rows, cols], scratch=None if scratch is None
-                               else scratch[: Gb.size].reshape(Gb.shape))
+                    Fb = sigma(Gb, out=Fk[rows, cols],
+                               scratch=scratch[: Gb.size].reshape(Gb.shape))
                     F_finite = F_finite and (not layer.unbounded or _all_finite(Fb))
+            del scratch  # held, it would keep the next layer from recycling the scratch
             if not G_finite:
                 _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")
             if not F_finite:

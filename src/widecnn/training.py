@@ -9,9 +9,10 @@ The trainer keeps the parameters and Adam's moments as flat vectors and
 updates them in place with the per-layer formula's elementwise
 operations, in its order, so each step is the per-layer step bit for bit.
 The full-batch forward that gives an epoch's loss also gives its
-training-error count. Every forward and backward of a run writes into one
-``Workspace``, so the run faults its feature and gradient arrays in once
-instead of once per step.
+training-error count. Every forward and backward of a run writes into the
+thread's default ``Workspace``, so the run faults its feature and gradient
+arrays in once instead of once per step, and a later run or forward on the
+same thread reuses them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .network import (
     Dataset,
     NetworkSpec,
     Params,
-    Workspace,
     _check_param_shapes,
     _check_params_finite,
     _param_views,
@@ -172,9 +172,10 @@ def train_adam(
     forward and backward read holds views of p, which is sealed whenever
     they run and for good once training ends.
 
-    Every forward and backward writes into one workspace. Each step's trace
-    and gradient are dropped before the next forward overwrites them; the
-    error counts read the epoch's output where its forward wrote it.
+    Every forward and backward writes into the thread's default workspace.
+    Each step's trace and gradient are dropped before the next forward, so
+    it recycles their buffers; the error counts read the epoch's output
+    where its forward wrote it.
     """
     rng = np.random.default_rng(cfg.seed)
     X, Y = dataset.X, dataset.Y
@@ -189,7 +190,6 @@ def train_adam(
     params = Params(*map(tuple, _param_views(spec, p)))
     m, v, scratch = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
     b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.eps
-    workspace = Workspace()
 
     step = 0
     curve = []
@@ -203,9 +203,9 @@ def train_adam(
         try:
             for rows in slices:
                 # the gather is a new array, so the trace takes it uncopied
-                trace = forward(spec, params, _seal(X[rows]), workspace=workspace)
-                g = backward(spec, params, trace, Y[rows], workspace=workspace).flat
-                del trace  # the next forward overwrites its arrays
+                trace = forward(spec, params, _seal(X[rows]))
+                g = backward(spec, params, trace, Y[rows]).flat
+                del trace  # so that the next forward recycles its buffers
                 step += 1
                 # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps) after
                 # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g; g is
@@ -235,7 +235,7 @@ def train_adam(
                     p -= g
                 del g
                 _seal(p)
-            trace = forward(spec, params, X, workspace=workspace)
+            trace = forward(spec, params, X)
             epoch_loss, output = loss(trace, Y), trace.output
             del trace
         except (NumericOverflowError, StructuralError) as exc:

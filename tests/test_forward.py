@@ -180,9 +180,11 @@ class TestMaxPoolRunningMaximum:
             out = workspace.take("F", shape)
             scratch = workspace.take("scratch", (n, *layout.patches.shape))
             out[...] = scratch[...] = np.nan  # stale contents must not leak
+            del scratch  # so that max_pool's gather recycles it
             result = max_pool(layout, F, out, workspace)
             assert result is out
             assert _bits(result) == expected
+            del out, result  # so that the next size recycles the buffer
 
     def test_non_contiguous_rows(self):
         layout = POOL_LAYOUTS["2d-6x6x5"]
