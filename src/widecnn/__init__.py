@@ -91,7 +91,6 @@ from .network import (
     NetworkSpec,
     Output,
     Params,
-    Workspace,
     forward,
     lift_adjoint,
     lift_weights,

@@ -124,13 +124,16 @@ def _collisions_within_columns(ip: np.ndarray) -> bool:
 def _filter_draws(spec, k, F_prev, rng, collides):
     """Draw up to RESAMPLE_BUDGET unit-column filter matrices Q for layer
     k. Yield ``(Q, ip)``, ip being Q's inner products with the patches of
-    F_prev, for each draw with ``collides(ip)`` false and a full-rank
-    lifting, tested in that order."""
+    F_prev, for each draw with finite inner products, ``collides(ip)``
+    false and a full-rank lifting, tested in that order. An inner product
+    that overflowed counts as a collision: infinities order no samples,
+    and no scale brings them back."""
     layout = spec.layer_layout(k)
     for _ in range(RESAMPLE_BUDGET):
         Q = _sample_filters(rng, spec.filter_shape(k))
-        ip = patch_products(layout, F_prev, Q)
-        if not collides(ip) and _lifted_full_rank(spec, k, Q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ip = patch_products(layout, F_prev, Q)
+        if np.isfinite(ip).all() and not collides(ip) and _lifted_full_rank(spec, k, Q):
             yield Q, ip
 
 
@@ -207,28 +210,27 @@ def _transport_layer(spec, k, F_prev, rng):
     )
 
 
-def build_selection_permutation(ip: np.ndarray, n: int) -> np.ndarray:
+def build_selection_permutation(ip: np.ndarray) -> np.ndarray:
     """Greedy sample ordering for the wide-layer construction.
 
     ``ip`` is the (N, P, T) inner-product array; flattening the last two
     axes puts unit j = p*T + t at column j. Position j of the result is
     the yet-unused sample whose inner product at unit j's (patch, filter)
-    is smallest. With collision-free inner products this is a permutation
-    of range(N).
+    is smallest. With finite inner products this is a permutation of
+    range(N): a used sample reads +inf, above every unused one.
     """
     N = ip.shape[0]
-    if n > ip.shape[1] * ip.shape[2]:
+    if N > ip.shape[1] * ip.shape[2]:
         raise StructuralError("wide layer narrower than the sample count")
     flat = ip.reshape(N, -1)
     used = np.zeros(N, dtype=bool)
-    gamma = np.empty(n, dtype=np.intp)
-    for j in range(n):
+    gamma = np.empty(N, dtype=np.intp)
+    for j in range(N):
         col = flat[:, j].copy()
         col[used] = np.inf
         pick = int(np.argmin(col))
         gamma[j] = pick
         used[pick] = True
-    assert len(set(gamma.tolist())) == n, "selection ordering is not injective"
     return gamma
 
 
@@ -289,7 +291,7 @@ def _independence_impl(spec, X, wide_layer, rng):
     sigma = spec.activation(k)
     beta = sigma.construction_bias
     for Q, ip in _filter_draws(spec, k, F_prev, rng, _collisions_within_columns):
-        gamma = build_selection_permutation(ip, N)
+        gamma = build_selection_permutation(ip)
         flat_ip = ip.reshape(N, -1)
         bias = np.full(spec.widths[k], beta)
         # Sweep the whole schedule; prefer the smallest scale whose
@@ -299,12 +301,16 @@ def _independence_impl(spec, X, wide_layer, rng):
         # downstream gradient amplification) modest. Only the N x N
         # submatrix F_k[gamma][:, :N] is formed for the score, entry by
         # entry by the same operations; the whole F_k is formed for the
-        # candidates that reach the rank check.
+        # candidates that reach the rank check. A submatrix that overflowed
+        # ends the sweep, since every larger scale overflows too.
         candidates = []
         for alpha in ALPHA_SCHEDULE:
             b = bias.copy()
-            b[:N] = alpha * flat_ip[gamma, np.arange(N)] + beta
-            sub = np.asarray(sigma(-alpha * flat_ip[gamma, :N] + b[:N]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                b[:N] = alpha * flat_ip[gamma, np.arange(N)] + beta
+                sub = np.asarray(sigma(-alpha * flat_ip[gamma, :N] + b[:N]))
+            if not np.isfinite(sub).all():
+                break
             s_min = float(np.linalg.svd(sub, compute_uv=False)[-1])
             if s_min >= SIGMA_MIN_FLOOR:
                 candidates.append((s_min, alpha, b))

@@ -31,7 +31,6 @@ from .network import (
     NetworkSpec,
     Output,
     Params,
-    Workspace,
     forward,
 )
 from .training import (
@@ -289,8 +288,7 @@ def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
 
     With analytic activations and n_k >= N the full-rank fraction should
     be 1.0; for ReLU the fraction is reported without any claim. The
-    trials share one workspace, whose buffers are freed when the run
-    ends.
+    trials' forwards recycle the calling thread's buffers.
     """
     if cfg.network is not None:
         (spec, dataset), k = netspec_and_dataset(cfg), cfg.wide_layer
@@ -301,12 +299,12 @@ def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
         filters = -(-2 * n // (d - kernel + 1))  # width 2N leaves slack above the bound
         act = named_activation(cfg.activation)
         spec, k = single_conv_network(d, kernel, filters, activation=act), 1
-    reports, workspace = [], Workspace()
+    reports = []
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
         params = Params.gaussian(spec, rng, up_to=k)
         reports.append(estimate_rank(
-            forward(spec, params, dataset.X, up_to=k, workspace=workspace).F[k]))
+            forward(spec, params, dataset.X, up_to=k).F[k]))
     hits = sum(rep.estimated_rank == dataset.sample_count for rep in reports)
     result = RankGenericityResult(tuple(reports), tuple(cfg.seeds),
                                   hits / len(cfg.seeds), spec, k)

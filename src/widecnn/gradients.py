@@ -17,9 +17,9 @@ reads each layer's plan entry once, in one walk from the output down.
 Every filter and bias gradient is written into one flat vector, each
 layer's weights then its bias, layer by layer. The products, the flat
 vector, the gathered patches (as ``network._gather`` sizes them) and
-sigma' go to the buffers of the ``Workspace`` that ``backward`` is given,
-or of the thread's default one. Overflow gives non-finite values, not
-warnings; the trainer turns them into ``TrainingDivergedError``.
+sigma' go to the calling thread's buffers, which ``forward`` also
+recycles. Overflow gives non-finite values, not warnings; the trainer
+turns them into ``TrainingDivergedError``.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from .network import (
     ForwardTrace,
     NetworkSpec,
     Params,
-    Workspace,
+    _WORKSPACE,
     _gather,
     _param_views,
     _require_output_last,
-    _workspace,
 )
 
 
@@ -78,8 +77,6 @@ def backward(
     trace: ForwardTrace,
     Y: np.ndarray,
     start_layer: int = 1,
-    *,
-    workspace: Workspace | None = None,
 ) -> GradientSet:
     """Exact gradients of the squared loss for layers ``start_layer..L``,
     in one walk from layer L down to ``start_layer``: each layer's filter
@@ -88,10 +85,9 @@ def backward(
     The trace must come from ``forward`` on the same (spec, params). Every
     layer in the differentiated segment must have weights, not pool;
     ReLU uses the subgradient convention derivative(0) = 0.
-    The arrays of the result are views of buffers of the ``workspace``, or
-    of the thread's default workspace without one; a later call recycles
-    a buffer only once nothing references the set or any view of its
-    arrays. Which workspace is used changes no bit.
+    The arrays of the result are views of buffers of the calling thread's;
+    a later call on the thread recycles a buffer only once nothing
+    references the set or any view of its arrays.
     """
     _require_output_last(spec)
     L = spec.depth
@@ -107,20 +103,20 @@ def backward(
     if trace.output.shape != Y.shape:
         raise StructuralError(f"output {trace.output.shape} vs targets {Y.shape}")
 
-    N, plan, workspace = Y.shape[0], spec.plan, _workspace(workspace)
+    N, plan, take = Y.shape[0], spec.plan, _WORKSPACE.take
     count = plan[L].stop - plan[start_layer].offset
-    flat = workspace.take("grad", (count,))
+    flat = take("grad", (count,))
     grad_W, grad_b = _param_views(spec, flat, start_layer)
     deltas: list[np.ndarray | None] = [None] * (L + 1)
     # a diverging run overflows here; the trainer reports it as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         # the output layer is linear
-        delta = np.subtract(trace.output, Y, out=workspace.take(("delta", L), Y.shape))
+        delta = np.subtract(trace.output, Y, out=take(("delta", L), Y.shape))
         for l in range(L, start_layer - 1, -1):
             deltas[l] = delta
             layout, (size, T) = plan[l].layout, plan[l].filter_shape
             P = layout.patch_count
-            patches = layout.extract(trace.F[l - 1], out=_gather(layout, N, workspace))
+            patches = layout.extract(trace.F[l - 1], out=_gather(layout, N))
             # (P, l, N) @ (P, N, T): each patch's (l, T) block, summed in patch order
             np.sum(np.matmul(patches.transpose(1, 2, 0),
                              delta.reshape(N, P, T).transpose(1, 0, 2)),
@@ -131,8 +127,8 @@ def backward(
                 break
             # one 2-D GEMM: a dense layer's is D_l @ W^T itself
             product = np.matmul(delta.reshape(N * P, T), params.weights[l].T,
-                                out=workspace.take(("delta", l - 1), (N * P, size)))
+                                out=take(("delta", l - 1), (N * P, size)))
             delta = layout.scatter_add(product.reshape(N, P, size))
             delta *= plan[l - 1].activation.derivative(
-                trace.G[l - 1], trace.F[l - 1], out=workspace.take("scratch", delta.shape))
+                trace.G[l - 1], trace.F[l - 1], out=take("scratch", delta.shape))
     return GradientSet(tuple(grad_W), tuple(grad_b), tuple(deltas), flat)

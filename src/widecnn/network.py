@@ -37,19 +37,18 @@ finite, or when the batch has no rows. A bounded activation of finite
 pre-activations is finite, so only an activation with an unbounded tail
 has its features summed.
 
-A ``Workspace`` holds one float64 buffer per role (a layer's G, F or
-delta, the flat gradient, and one scratch for temporaries that die
-inside a call, such as a layer's gathered patches, whose shape, or that
-a whole-layer layout needs none, ``_gather`` alone decides). ``forward``
-and ``backward`` write into the buffers of the workspace they are given,
-or of their thread's default workspace when they are given none, so
+Each thread keeps one float64 buffer per role (a layer's G, F or delta,
+the flat gradient, and one scratch for temporaries that die inside a
+call, such as a layer's gathered patches, whose shape, or that a
+whole-layer layout needs none, ``_gather`` alone decides). ``forward``
+and ``backward`` write into the buffers of the calling thread, so
 repeated calls fault their arrays in once instead of once per call. A
 role's buffer is recycled only when no live array references it; while
 a trace or gradient set, or any view or slice of one, is held, the next
 call takes a fresh buffer for that role instead, so nothing a caller
-holds is ever overwritten. The default workspace keeps each role's
-current buffer until its thread ends, so a thread holds on to the
-memory of the largest call that each of those buffers served.
+holds is ever overwritten. A thread keeps each role's current buffer
+until it ends, so it holds on to the memory of the largest call that
+each of those buffers served.
 """
 
 from __future__ import annotations
@@ -537,8 +536,9 @@ def lift_adjoint(spec: NetworkSpec, k: int, V: np.ndarray) -> np.ndarray:
         layout.patches, np.arange(layout.patch_count)[:, None]].sum(axis=0)
 
 
-class Workspace:
-    """Float64 buffers keyed by role, recycled from call to call.
+class _Workspace(threading.local):
+    """The calling thread's float64 buffers, keyed by role and recycled
+    from call to call; a thread's first call makes its own.
 
     ``take`` hands out the first ``prod(shape)`` entries of the role's
     buffer when the buffer is large enough and no live array references
@@ -565,7 +565,7 @@ class Workspace:
 
 
 def _free_refs() -> int:
-    """What ``sys.getrefcount`` reads in ``Workspace.take`` for a buffer
+    """What ``sys.getrefcount`` reads in ``_Workspace.take`` for a buffer
     that only its role holds: on CPython 3.11 the role, ``take``'s local
     and the call's argument. Read once, the way ``take`` reads it, since
     an interpreter may lend a local to a call without counting it."""
@@ -575,21 +575,7 @@ def _free_refs() -> int:
 
 
 _FREE_REFS = _free_refs()
-
-
-class _ThreadWorkspace(threading.local):
-    """One ``Workspace`` per thread, made on the thread's first call."""
-
-    def __init__(self):
-        self.workspace = Workspace()
-
-
-_THREAD = _ThreadWorkspace()
-
-
-def _workspace(workspace: Workspace | None) -> Workspace:
-    """``workspace``, or the calling thread's default one for None."""
-    return _THREAD.workspace if workspace is None else workspace
+_WORKSPACE = _Workspace()
 
 
 def _tile_rows(width: int) -> int:
@@ -613,24 +599,23 @@ def _chunks(rows: int, width: int):
             yield slice(row, row + 1), slice(start, start + CHUNK)
 
 
-def _gather(layout: PatchLayout, rows: int, workspace: Workspace) -> np.ndarray | None:
-    """Where ``layout.extract`` of ``rows`` rows writes: the workspace's
+def _gather(layout: PatchLayout, rows: int) -> np.ndarray | None:
+    """Where ``layout.extract`` of ``rows`` rows writes: the thread's
     scratch as (rows, P, l), or None for a whole-layer layout, which needs
     none: its one patch of a row is a view of the row."""
-    return None if layout._whole_layer else workspace.take(
+    return None if layout._whole_layer else _WORKSPACE.take(
         "scratch", (rows, *layout.patches.shape))
 
 
-def _patch_blocks(layout: PatchLayout, F: np.ndarray, workspace: Workspace | None):
+def _patch_blocks(layout: PatchLayout, F: np.ndarray):
     """Walk the (N, layout.width) rows F in blocks of b = ``_tile_rows(P*l)``
     rows, yielding each block's row slice and its (rows, P, l) patches,
-    gathered by ``layout.extract`` into the scratch of the ``workspace``
-    (the thread's default without one) as ``_gather`` sizes it, so a
-    gathered block holds at most one ``ROW_TILE``. A whole-layer layout's
-    patches are views."""
+    gathered by ``layout.extract`` into the thread's scratch as
+    ``_gather`` sizes it, so a gathered block holds at most one
+    ``ROW_TILE``. A whole-layer layout's patches are views."""
     N, (P, l) = F.shape[0], layout.patches.shape
     rows = _tile_rows(P * l)
-    gather = _gather(layout, min(N, rows), _workspace(workspace))
+    gather = _gather(layout, min(N, rows))
     for start in range(0, N, rows):
         block = F[start : start + rows]
         yield slice(start, start + rows), layout.extract(
@@ -642,11 +627,10 @@ def patch_products(
     F: np.ndarray,
     W: np.ndarray,
     out: np.ndarray | None = None,
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: a weighted
     layer's pre-activation before the bias, as one (b*P, l) x (l, T) GEMM
-    for each block that ``_patch_blocks`` gathers with the ``workspace``.
+    for each block that ``_patch_blocks`` gathers.
     A whole-layer layout gathers nothing: its one patch is a row of F, and
     all N rows go in one GEMM. ``out`` (N*P*T entries) receives the
     products; without it they are allocated.
@@ -659,7 +643,7 @@ def patch_products(
         G = np.matmul(F, W, out=None if out is None else out.reshape(N, T))
         return G.reshape(N, 1, T)
     G = np.empty((N, P, T)) if out is None else out.reshape(N, P, T)
-    for rows, patches in _patch_blocks(layout, F, workspace):
+    for rows, patches in _patch_blocks(layout, F):
         np.matmul(patches.reshape(-1, l), W, out=G[rows].reshape(-1, T))
     return G
 
@@ -668,7 +652,6 @@ def max_pool(
     layout: PatchLayout,
     F: np.ndarray,
     out: np.ndarray | None = None,
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """(N, P) per-patch maxima of the (N, layout.width) rows F: tap 0,
     then a running ``np.maximum`` with taps 1..l-1 in order, so NaN
@@ -677,10 +660,9 @@ def max_pool(
     in tap order, sign and payload included. A ``window_grid`` layout
     reads its taps from the strided ``window_view`` of F, with no gather
     and no scratch; any other layout takes them from each block that
-    ``_patch_blocks`` gathers with the ``workspace``. Both do the same
-    operations on the same values, so they give the same bits, NaN and
-    signed zeros included. ``out`` receives the maxima; without it they
-    are allocated."""
+    ``_patch_blocks`` gathers. Both do the same operations on the same
+    values, so they give the same bits, NaN and signed zeros included.
+    ``out`` receives the maxima; without it they are allocated."""
     M = np.empty((F.shape[0], layout.patch_count)) if out is None else out
     grid = layout.window_grid
     if grid is not None:
@@ -691,7 +673,7 @@ def max_pool(
         for tap in taps:
             np.maximum(maxima, windows[(..., *tap)], out=maxima)
         return M
-    for rows, patches in _patch_blocks(layout, F, workspace):
+    for rows, patches in _patch_blocks(layout, F):
         maxima = M[rows]
         maxima[...] = patches[:, :, 0]
         for tap in range(1, layout.patch_size):
@@ -723,22 +705,18 @@ def forward(
     params: Params,
     X: np.ndarray,
     up_to: int | None = None,
-    *,
-    workspace: Workspace | None = None,
 ) -> ForwardTrace:
     """Evaluate layers 1..up_to (default: all) on a batch.
 
     Every weighted layer is computed by ``patch_products``, which equals
     the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
-    floating-point rounding, and every pooling layer by ``max_pool``; both
-    are handed the workspace for their gather.
+    floating-point rounding, and every pooling layer by ``max_pool``.
     The bias add, the finiteness sums and the activation run over the
     ``_chunks`` of G_k, so each of their temporaries is at most one
     ``CHUNK``. Pure function: identical inputs give identical traces.
-    Every G and F except the input is a view of a buffer of the
-    ``workspace``, or of the thread's default workspace without one; a
-    later call recycles that buffer only once nothing references the
-    trace or any view of its arrays.
+    Every G and F except the input is a view of a buffer of the calling
+    thread's; a later call on the thread recycles that buffer only once
+    nothing references the trace or any view of its arrays.
 
     Raises StructuralError for an ``up_to`` outside [0, L], a malformed or
     non-finite batch and misshapen or non-finite parameters of layers
@@ -753,7 +731,7 @@ def forward(
         raise StructuralError(
             f"X must be (N, {spec.input_width}), got {X.shape}"
         )
-    workspace = _workspace(workspace)
+    take = _WORKSPACE.take
     # overflow surfaces as NumericOverflowError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if not _all_finite(X):
@@ -771,21 +749,20 @@ def forward(
             shape = (N, width)
             if layer.filter_shape is None:
                 # the maxima of finite features are finite
-                F.append(_seal(max_pool(layout, prev, workspace.take(("F", k), shape),
-                                        workspace)))
+                F.append(_seal(max_pool(layout, prev, take(("F", k), shape))))
                 G.append(None)
                 continue
             sigma = layer.activation
             linear = isinstance(sigma, Identity)
             G_finite = F_finite = True
             Gk = patch_products(layout, prev, params.weights[k],
-                                workspace.take(("G", k), shape), workspace).reshape(shape)
-            Fk = Gk if linear else workspace.take(("F", k), shape)
+                                take(("G", k), shape)).reshape(shape)
+            Fk = Gk if linear else take(("F", k), shape)
             bias = params.biases[k]
-            scratch = None if linear else workspace.take("scratch", (min(N * width, CHUNK),))
+            scratch = None if linear else take("scratch", (min(N * width, CHUNK),))
             for rows, cols in _chunks(N, width):
                 Gb = Gk[rows, cols]
-                Gb += bias[cols]  # the products are the workspace's
+                Gb += bias[cols]  # the products are the thread's buffer
                 G_finite = G_finite and _all_finite(Gb)
                 if not linear:
                     Fb = sigma(Gb, out=Fk[rows, cols],

@@ -9,8 +9,8 @@ The trainer keeps the parameters and Adam's moments as flat vectors and
 updates them in place with the per-layer formula's elementwise
 operations, in its order, so each step is the per-layer step bit for bit.
 The full-batch forward that gives an epoch's loss also gives its
-training-error count. Every forward and backward of a run writes into the
-thread's default ``Workspace``, so the run faults its feature and gradient
+training-error count. Every forward and backward of a run recycles the
+calling thread's buffers, so the run faults its feature and gradient
 arrays in once instead of once per step, and a later run or forward on the
 same thread reuses them.
 """
@@ -172,7 +172,7 @@ def train_adam(
     forward and backward read holds views of p, which is sealed whenever
     they run and for good once training ends.
 
-    Every forward and backward writes into the thread's default workspace.
+    Every forward and backward writes into the calling thread's buffers.
     Each step's trace and gradient are dropped before the next forward, so
     it recycles their buffers; the error counts read the epoch's output
     where its forward wrote it.

@@ -41,6 +41,7 @@ from widecnn.constructions import build_selection_permutation
 from widecnn.errors import ConstructionFailedError
 from widecnn.experiments import zero_loss_demo_case
 from widecnn.layout import conv1d_layout
+from widecnn.network import patch_products
 
 
 def min_cross_gap(F):
@@ -139,7 +140,7 @@ class TestSelectionPermutation:
         rng = np.random.default_rng(8)
         N, P, T = 6, 3, 2
         ip = rng.standard_normal((N, P, T))
-        gamma = build_selection_permutation(ip, N)
+        gamma = build_selection_permutation(ip)
         assert sorted(gamma.tolist()) == list(range(N))
         flat = ip.reshape(N, -1)
         for j in range(N):
@@ -150,7 +151,7 @@ class TestSelectionPermutation:
     def test_layer_narrower_than_the_samples_rejected(self):
         with pytest.raises(StructuralError,
                            match="^wide layer narrower than the sample count$"):
-            build_selection_permutation(np.zeros((4, 1, 3)), 4)
+            build_selection_permutation(np.zeros((4, 1, 3)))
 
 
 class TestIndependence:
@@ -222,6 +223,30 @@ class TestIndependence:
             -alpha * lift_weights(spec, 1, Q),
             rtol=1e-12,
         )
+
+    def test_overflowing_scales_end_the_sweep(self):
+        """At 1e303 the inner products are finite, but the largest scales
+        of the schedule overflow the submatrix; the sweep stops at the
+        first of them and builds from the smaller ones, with no warning."""
+        X = 1e303 * np.random.default_rng(0).standard_normal((6, 8))
+        spec = single_conv_network(8, 3, 2)
+        report = independence_construction_report(spec, X, 1)
+        assert report.alpha == 1.0 and report.submatrix_sigma_min >= 1e-10
+        assert estimate_rank(forward(spec, report.params, X, up_to=1).F[1]).estimated_rank == 6
+
+    def test_draws_whose_inner_products_overflow_are_drawn_again(self):
+        """Near the largest float64, the first filter draw of seed 1 gives
+        inner products of +-inf, which order no samples. The draw counts as
+        colliding and is drawn again, so the ordering is a permutation and
+        F_1 has rank N, with no warning."""
+        X = 1.7e308 * (1 - 0.1 * np.random.default_rng(1).random((4, 8)))
+        spec = single_conv_network(8, 3, 2)
+        first = constructions._sample_filters(np.random.default_rng(1), spec.filter_shape(1))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(patch_products(spec.layer_layout(1), X, first)).all()
+        report = independence_construction_report(spec, X, 1, ConstructionParams(seed=1))
+        assert sorted(report.permutation) == [0, 1, 2, 3]
+        assert estimate_rank(forward(spec, report.params, X, up_to=1).F[1]).estimated_rank == 4
 
     def test_twenty_seed_sweep_always_full_rank(self):
         rng = np.random.default_rng(20)

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from widecnn import (
     ReLU,
     Sigmoid,
     StructuralError,
-    Workspace,
     forward,
     lift_weights,
 )
@@ -34,7 +34,7 @@ from widecnn.layout import (
     full_layout,
     pool2d_multichannel_layout,
 )
-from widecnn.network import max_pool
+from widecnn.network import _WORKSPACE, max_pool
 
 from oracles import gather_max_pool, naive_conv_forward
 
@@ -171,17 +171,16 @@ class TestMaxPoolRunningMaximum:
     def test_matches_gather_reduce(self, name):
         layout = POOL_LAYOUTS[name]
         rng = np.random.default_rng(len(name))
-        workspace = Workspace()
-        for n in (1, 5, 3):  # the workspace shrinks after growing
+        for n in (1, 5, 3):  # the thread's buffers shrink after growing
             F = _special_rows(rng, n, layout.width)
             shape = (n, layout.patch_count)
             expected = _bits(gather_max_pool(layout, F))
             assert _bits(max_pool(layout, F)) == expected
-            out = workspace.take("F", shape)
-            scratch = workspace.take("scratch", (n, *layout.patches.shape))
+            out = _WORKSPACE.take("F", shape)
+            scratch = _WORKSPACE.take("scratch", (n, *layout.patches.shape))
             out[...] = scratch[...] = np.nan  # stale contents must not leak
             del scratch  # so that max_pool's gather recycles it
-            result = max_pool(layout, F, out, workspace)
+            result = max_pool(layout, F, out)
             assert result is out
             assert _bits(result) == expected
             del out, result  # so that the next size recycles the buffer
@@ -213,24 +212,30 @@ class TestMaxPoolRunningMaximum:
     def test_window_view_allocates_only_the_maxima(self):
         """On the reference net's first pooling layer the view path takes
         no scratch: it allocates the (N, P) maxima, or nothing when it
-        writes into a workspace, beyond the one buffer of
+        writes into a given buffer, beyond the one buffer of
         ``np.getbufsize()`` entries that a ufunc over strided operands
-        may take and the view's small Python objects (4 KiB)."""
+        may take and the view's small Python objects (4 KiB). It runs on
+        a fresh thread, so that the thread's buffers show every role the
+        call took."""
         layout = pool2d_multichannel_layout(26, 26, 100, 2, 2, 2, 2)
         F = np.random.default_rng(3).standard_normal((32, layout.width))
         assert layout.window_grid is not None  # worked out once, before the trace
-        workspace = Workspace()
-        out = workspace.take(("F", 2), (32, layout.patch_count))
-        for args in ((), (out, workspace)):
-            tracemalloc.start()
-            try:
-                maxima = max_pool(layout, F, *args)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            allocated = 0 if args else maxima.nbytes
-            assert peak <= allocated + 8 * np.getbufsize() + 4096
-        assert maxima is out and list(workspace._buffers) == [("F", 2)]
+
+        def check():
+            out = _WORKSPACE.take(("F", 2), (32, layout.patch_count))
+            for args in ((), (out,)):
+                tracemalloc.start()
+                try:
+                    maxima = max_pool(layout, F, *args)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                allocated = 0 if args else maxima.nbytes
+                assert peak <= allocated + 8 * np.getbufsize() + 4096
+            assert maxima is out and list(_WORKSPACE._buffers) == [("F", 2)]
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(check).result(timeout=120)
 
     def test_wide_windows_agree_up_to_the_sign_of_zero(self):
         # np.max reduces a window of 9 or more taps in its own order, so a
@@ -268,8 +273,7 @@ class TestMaxPoolRunningMaximum:
         assert _bits(max_pool(layout, F)) == _bits(expected)
         assert _bits(max_pool(swapped, F)) == _bits(expected[:, order])
 
-    @pytest.mark.parametrize("use_workspace", [False, True])
-    def test_forward_pools_match_gather_reduce(self, use_workspace):
+    def test_forward_pools_match_gather_reduce(self):
         rng = np.random.default_rng(12)
         nets = (
             mnist_conv_pool_network(2, 3, 4),
@@ -282,10 +286,9 @@ class TestMaxPoolRunningMaximum:
         )
         for spec in nets:
             params = Params.fan_in_gaussian(spec, rng)
-            workspace = Workspace() if use_workspace else None
             for n in (6, 2):
                 X = rng.uniform(-1.0, 1.0, size=(n, spec.input_width))
-                trace = forward(spec, params, X, workspace=workspace)
+                trace = forward(spec, params, X)
                 for k in range(1, spec.depth + 1):
                     if spec.is_pooling(k):
                         expected = gather_max_pool(spec.layer(k).layout, trace.F[k - 1])

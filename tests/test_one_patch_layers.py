@@ -15,7 +15,6 @@ from widecnn import (
     ReLU,
     Sigmoid,
     Softplus,
-    Workspace,
     backward,
     forward,
     lift_adjoint,
@@ -65,8 +64,7 @@ NETS = {
 
 
 @pytest.mark.parametrize("name", sorted(NETS))
-@pytest.mark.parametrize("use_workspace", [False, True])
-def test_dense_layers_equal_their_whole_layer_conv_twins(name, use_workspace):
+def test_dense_layers_equal_their_whole_layer_conv_twins(name):
     spec = NETS[name]
     rng = np.random.default_rng(31)
     X = rng.standard_normal((7, spec.input_width))
@@ -77,11 +75,10 @@ def test_dense_layers_equal_their_whole_layer_conv_twins(name, use_workspace):
     assert not isinstance(conv.layers[-1], Output)
 
     def run(net):
-        ws = Workspace() if use_workspace else None
-        trace = forward(net, params, X, workspace=ws)
+        trace = forward(net, params, X)
         out = [bits(a) for a in (*trace.F, *trace.G)]
         if isinstance(net.layers[-1], Output):
-            grads = backward(net, params, trace, Y, workspace=ws)
+            grads = backward(net, params, trace, Y)
             out += [bits(grads.flat)] + [bits(a) for a in grads.deltas]
         return out
 

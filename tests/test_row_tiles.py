@@ -22,7 +22,6 @@ from widecnn import (
     Softplus,
     StructuralError,
     WideCnnError,
-    Workspace,
     forward,
     network,
 )
@@ -79,18 +78,19 @@ def test_many_blocks_match_one_block(monkeypatch, net, tile):
     """Layer by layer, from the blocked trace's own F_{k-1}: the bias add,
     the activation, the pooling and a whole-layer GEMM give the one-block
     bits; a blocked gather's GEMM may round differently in BLAS, within
-    2*l*eps*(|patch| @ |W|) per entry. A workspace changes no bit."""
+    2*l*eps*(|patch| @ |W|) per entry. Recycled buffers change no bit."""
     spec = NETS[net]
     cases = [batch(spec, n, seed) for seed, n in enumerate((1, 7, 33))]
     with monkeypatch.context() as patched:
         patched.setattr(network, "ROW_TILE", tile)
         patched.setattr(network, "CHUNK", tile)
         blocked = [forward(spec, params, X) for params, X in cases]
-        workspace = Workspace()  # grows from 1 row to 33
-        for (params, X), trace in zip(cases, blocked):
-            shared = forward(spec, params, X, workspace=workspace)
+        # from 33 rows down to 1, each call recycles the previous one's buffers
+        for (params, X), trace in reversed(list(zip(cases, blocked))):
+            shared = forward(spec, params, X)
             assert list(map(bits, (*shared.F, *shared.G))) == \
                 list(map(bits, (*trace.F, *trace.G)))
+            del shared
     eps = np.finfo(np.float64).eps
     for (params, X), trace in zip(cases, blocked):
         for k in range(1, spec.depth + 1):
@@ -201,11 +201,10 @@ class TestChunkedPasses:
             Output(3),
         ))
 
-    def traces(self, monkeypatch, spec, params, X, chunk):
+    def trace(self, monkeypatch, spec, params, X, chunk):
         with monkeypatch.context() as patched:
             patched.setattr(network, "CHUNK", chunk)
-            return [forward(spec, params, X, workspace=workspace)
-                    for workspace in (None, Workspace())]
+            return forward(spec, params, X)
 
     @pytest.mark.parametrize("sigma", [Sigmoid(), Softplus(4.0)], ids=repr)
     def test_bits_of_one_piece(self, monkeypatch, sigma):
@@ -213,17 +212,17 @@ class TestChunkedPasses:
         assert spec.widths[1] == self.WIDTH and self.N * self.WIDTH > network.CHUNK
         params, X = batch(spec, self.N, 17)
         sizes = record_sizes(monkeypatch, type(sigma))
-        whole = self.traces(monkeypatch, spec, params, X, self.N * self.WIDTH)[0]
-        assert sizes == [self.N * self.WIDTH, self.N * 6] * 2  # one call a layer
+        whole = self.trace(monkeypatch, spec, params, X, self.N * self.WIDTH)
+        assert sizes == [self.N * self.WIDTH, self.N * 6]  # one call a layer
         for k in (1, 3):
             assert bits(whole.F[k]) == bits(sigma(whole.G[k]))
         expected = list(map(bits, (*whole.F, *whole.G)))
         for name, chunk in self.CHUNKS.items():
             sizes.clear()
-            for trace in self.traces(monkeypatch, spec, params, X, chunk):
-                assert list(map(bits, (*trace.F, *trace.G))) == expected, name
+            trace = self.trace(monkeypatch, spec, params, X, chunk)
+            assert list(map(bits, (*trace.F, *trace.G))) == expected, name
             assert max(sizes) <= chunk, name
-            assert sum(sizes) == 2 * self.N * (self.WIDTH + 6), name
+            assert sum(sizes) == self.N * (self.WIDTH + 6), name
 
     @pytest.mark.parametrize("case", ["G", "F"])
     def test_overflow_in_the_last_piece_names_its_layer(self, monkeypatch, case):

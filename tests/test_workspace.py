@@ -1,6 +1,8 @@
-"""A workspace changes where forward and backward write, never what they
-compute; it recycles a buffer only when nothing holds an array of it, and
-repeated calls, with a workspace or without, fault their arrays in once."""
+"""The calling thread's buffers change where forward and backward write,
+never what they compute; a buffer is recycled only when nothing holds an
+array of it, and repeated calls fault their arrays in once. Tests that
+check which buffer or role a call takes run in a fresh thread, whose
+buffers no earlier test has touched."""
 
 import os
 import resource
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,6 @@ from widecnn import (
     ReLU,
     Sigmoid,
     Softplus,
-    Workspace,
     backward,
     forward,
     train_adam,
@@ -33,6 +35,7 @@ from widecnn import (
 from widecnn.architectures import desk_sweep_network
 from widecnn.data import synthesize_dataset
 from widecnn.layout import conv1d_layout
+from widecnn.network import _WORKSPACE
 from widecnn.training import TrainConfig
 
 from oracles import finite_difference_gradient
@@ -70,36 +73,44 @@ def snapshot(trace, grads):
             [bits(a) for a in grads.deltas], bits(grads.flat))
 
 
+def in_fresh_thread(call):
+    """``call()`` on a new thread, which starts with no buffers; its result,
+    or its exception raised here."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(call).result(timeout=120)
+
+
 @pytest.mark.parametrize("net", sorted(NETS))
 def test_shared_workspace_equals_fresh_calls(net):
-    """Minibatches of 8 from 21 rows (the last one shorter), then the full
-    batch, which grows every buffer, then a minibatch again."""
+    """One thread's calls on minibatches of 8 from 21 rows (the last one
+    shorter), then the full batch, which grows every buffer, then a
+    minibatch again, give the bits of each call on a thread of its own."""
     spec, start = NETS[net]
     rng = np.random.default_rng(7)
     X, Y = rng.standard_normal((21, 12)), rng.standard_normal((21, 3))
     params = Params.fan_in_gaussian(spec, rng)
-    workspace = Workspace()
-    for rows in (slice(0, 8), slice(8, 16), slice(16, 21), slice(0, 21), slice(5, 13)):
-        shared = forward(spec, params, X[rows], workspace=workspace)
-        shared_grads = backward(spec, params, shared, Y[rows], start, workspace=workspace)
-        fresh = forward(spec, params, X[rows])
-        assert snapshot(shared, shared_grads) == snapshot(
-            fresh, backward(spec, params, fresh, Y[rows], start))
+    batches = (slice(0, 8), slice(8, 16), slice(16, 21), slice(0, 21), slice(5, 13))
+
+    def call(rows):
+        trace = forward(spec, params, X[rows])
+        return snapshot(trace, backward(spec, params, trace, Y[rows], start))
+
+    shared = in_fresh_thread(lambda: [call(rows) for rows in batches])
+    assert shared == [in_fresh_thread(lambda: call(rows)) for rows in batches]
 
 
 def test_flat_gradient_is_the_parameter_vector_of_its_segment():
-    """A workspace's gradient buffer keeps the size of its largest request;
-    the flat vector of a shorter segment is its prefix. A set of separate
-    arrays has no flat vector."""
+    """The flat vector of a segment holds its layers' gradients in
+    parameter order, and a shorter segment's is the tail of the whole
+    one's. A set of separate arrays has no flat vector."""
     spec, _ = NETS["conv-softplus"]
     rng = np.random.default_rng(9)
     X, Y = rng.standard_normal((6, 12)), rng.standard_normal((6, 3))
     params = Params.fan_in_gaussian(spec, rng)
-    workspace = Workspace()
-    trace = forward(spec, params, X, workspace=workspace)
+    trace = forward(spec, params, X)
     grads = backward(spec, params, trace, Y)
-    whole = backward(spec, params, trace, Y, workspace=workspace).flat.copy()
-    upper = backward(spec, params, trace, Y, 2, workspace=workspace)
+    whole = backward(spec, params, trace, Y).flat.copy()
+    upper = backward(spec, params, trace, Y, 2)
     assert upper.flat.tobytes() == whole[-upper.flat.size:].tobytes()
     assert upper.flat.size == sum(a.size for a in (*upper.grad_W, *upper.grad_b)
                                   if a is not None)
@@ -132,17 +143,16 @@ def test_calls_without_a_workspace_share_no_memory(net):
 @pytest.mark.parametrize("net", sorted(NETS))
 def test_a_held_trace_keeps_its_bytes(net):
     """A trace and gradient set held across the next calls on the same
-    workspace keep their bytes, and the next calls take fresh buffers."""
+    thread keep their bytes, and the next calls take fresh buffers."""
     spec, start = NETS[net]
     rng = np.random.default_rng(11)
     X, Y = rng.standard_normal((2, 9, 12)), rng.standard_normal((2, 9, 3))
     params = Params.fan_in_gaussian(spec, rng)
-    workspace = Workspace()
-    held = forward(spec, params, X[0], workspace=workspace)
-    held_grads = backward(spec, params, held, Y[0], start, workspace=workspace)
+    held = forward(spec, params, X[0])
+    held_grads = backward(spec, params, held, Y[0], start)
     before = snapshot(held, held_grads)
-    trace = forward(spec, params, X[1], workspace=workspace)
-    grads = backward(spec, params, trace, Y[1], start, workspace=workspace)
+    trace = forward(spec, params, X[1])
+    grads = backward(spec, params, trace, Y[1], start)
     assert snapshot(held, held_grads) == before
     old = [a for a in (*held.F[1:], *held.G, *held_grads.deltas, held_grads.flat)
            if a is not None]
@@ -158,20 +168,22 @@ def test_a_slice_keeps_its_buffer_busy():
     rng = np.random.default_rng(12)
     X = rng.standard_normal((3, 6, 12))
     params = Params.fan_in_gaussian(spec, rng)
-    workspace = Workspace()
-    piece = forward(spec, params, X[0], workspace=workspace).F[1][2:4, 5:]
-    before = piece.tobytes()
-    again = forward(spec, params, X[1], workspace=workspace).F[1]
-    assert piece.tobytes() == before and not np.shares_memory(piece, again)
-    buffer = id(again.base)  # the role keeps the buffer alive, so its id stays its own
-    del again, piece
-    assert id(forward(spec, params, X[2], workspace=workspace).F[1].base) == buffer
+
+    def check():
+        piece = forward(spec, params, X[0]).F[1][2:4, 5:]
+        before = piece.tobytes()
+        again = forward(spec, params, X[1]).F[1]
+        assert piece.tobytes() == before and not np.shares_memory(piece, again)
+        buffer = id(again.base)  # the role keeps the buffer alive, so its id stays its own
+        del again, piece
+        assert id(forward(spec, params, X[2]).F[1].base) == buffer
+
+    in_fresh_thread(check)
 
 
 def test_threads_without_a_workspace_get_the_serial_bits():
-    """Threads calling forward and backward without a workspace at the
-    same time each use their own default workspace: every thread gets the
-    bits of the serial calls."""
+    """Threads calling forward and backward at the same time each use
+    their own buffers: every thread gets the bits of the serial calls."""
     spec, start = NETS["conv-conv"]
     rng = np.random.default_rng(13)
     params = Params.fan_in_gaussian(spec, rng)
@@ -204,21 +216,20 @@ def test_threads_without_a_workspace_get_the_serial_bits():
 
 
 def test_each_thread_has_its_own_default_workspace():
-    """A buffer that a call without a workspace left free on one thread is
-    recycled by that thread's next call, never by another thread's. The
-    reference is weak, so that it keeps no buffer busy."""
+    """A buffer that a call left free on one thread is recycled by that
+    thread's next call, never by another thread's. The reference is weak,
+    so that it keeps no buffer busy."""
     spec, _ = NETS["conv-conv"]
     rng = np.random.default_rng(16)
     X = rng.standard_normal((5, 12))
     params = Params.fan_in_gaussian(spec, rng)
-    buffer = weakref.ref(forward(spec, params, X).F[1].base)
-    seen = []
-    thread = threading.Thread(
-        target=lambda: seen.append(forward(spec, params, X).F[1].base is buffer()))
-    thread.start()
-    thread.join(timeout=60)
-    assert seen == [False]
-    assert forward(spec, params, X).F[1].base is buffer()
+
+    def check():
+        buffer = weakref.ref(forward(spec, params, X).F[1].base)
+        assert not in_fresh_thread(lambda: forward(spec, params, X).F[1].base is buffer())
+        assert forward(spec, params, X).F[1].base is buffer()
+
+    in_fresh_thread(check)
 
 
 def test_filter_gradients_take_no_lifted_role():
@@ -228,11 +239,12 @@ def test_filter_gradients_take_no_lifted_role():
     rng = np.random.default_rng(10)
     X, Y = rng.standard_normal((5, 12)), rng.standard_normal((5, 3))
     params = Params.fan_in_gaussian(spec, rng)
-    workspace = Workspace()
-    backward(spec, params, forward(spec, params, X, workspace=workspace), Y, start,
-             workspace=workspace)
-    roles = {key if isinstance(key, str) else key[0] for key in workspace._buffers}
-    assert roles == {"G", "F", "delta", "grad", "scratch"}
+
+    def roles():
+        backward(spec, params, forward(spec, params, X), Y, start)
+        return {key if isinstance(key, str) else key[0] for key in _WORKSPACE._buffers}
+
+    assert in_fresh_thread(roles) == {"G", "F", "delta", "grad", "scratch"}
 
 
 def test_whole_layer_gradients_take_no_gather_scratch():
@@ -243,11 +255,14 @@ def test_whole_layer_gradients_take_no_gather_scratch():
     rng = np.random.default_rng(4)
     X, Y = rng.standard_normal((32, 784)), rng.standard_normal((32, 3))
     params = Params.fan_in_gaussian(spec, rng)
-    workspace = Workspace()
-    trace = forward(spec, params, X, workspace=workspace)
-    assert workspace._buffers["scratch"].size == 32 * 20
-    backward(spec, params, trace, Y, workspace=workspace)
-    assert workspace._buffers["scratch"].size == 32 * 20
+
+    def scratch_sizes():
+        trace = forward(spec, params, X)
+        after_forward = _WORKSPACE._buffers["scratch"].size
+        backward(spec, params, trace, Y)
+        return after_forward, _WORKSPACE._buffers["scratch"].size
+
+    assert in_fresh_thread(scratch_sizes) == (32 * 20, 32 * 20)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -256,8 +271,8 @@ def test_training_faults_its_arrays_in_once():
     """A warm 10-epoch T1=16 desk run takes about 32 minor faults an epoch,
     nearly all of them the first touch of the run's flat parameters and
     Adam state: its forwards and backwards recycle the buffers that the
-    warm run left in the thread's default workspace. A workspace of its
-    own took about 200 an epoch, and allocating every step's arrays
+    warm run left on the thread. Buffers of the run's own took about 200
+    an epoch, and allocating every step's arrays
     afresh about 1,950, because each 1.8 MB full-batch array is mapped
     and faulted in again every epoch."""
     train = synthesize_dataset(256, 64, 10, seed=0)
@@ -285,18 +300,21 @@ def test_warm_calls_recycle_every_buffer():
     rng = np.random.default_rng(14)
     X, Y = rng.uniform(size=(32, 400)), rng.standard_normal((32, 10))
     params = Params.fan_in_gaussian(spec, rng)
-    workspace = Workspace()
-    for call in range(2):
-        trace = forward(spec, params, X, workspace=workspace)
-        backward(spec, params, trace, Y, workspace=workspace)
-        del trace
-        if call == 0:
-            first = {key: weakref.ref(buf) for key, buf in workspace._buffers.items()}
-    assert first.keys() == workspace._buffers.keys()
-    assert all(buf() is workspace._buffers[key] for key, buf in first.items())
+
+    def check():
+        for call in range(2):
+            trace = forward(spec, params, X)
+            backward(spec, params, trace, Y)
+            del trace
+            if call == 0:
+                first = {key: weakref.ref(buf) for key, buf in _WORKSPACE._buffers.items()}
+        assert first.keys() == _WORKSPACE._buffers.keys()
+        assert all(buf() is _WORKSPACE._buffers[key] for key, buf in first.items())
+
+    in_fresh_thread(check)
 
 
-# ten warm forwards of a pooled net without a workspace in a fresh
+# ten warm forwards of a pooled net in a fresh
 # interpreter, whose allocator has not been shaped by other tests; prints
 # their minor faults
 FAULT_CHILD = """
@@ -319,8 +337,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor page-fault counts are Linux getrusage semantics")
 def test_forwards_without_a_workspace_fault_their_arrays_in_once():
-    """Warm forwards without a workspace recycle the buffers of the
-    thread's default workspace: about 0.1 minor faults a call. Allocating
+    """Warm forwards recycle the buffers of their thread: about 0.1 minor
+    faults a call. Allocating
     every trace afresh took about 26 a call, and a forward that kept a
     layer's sigmoid scratch while the next layer gathered, so that the
     scratch role took a fresh 1.5 MB gather every call, about 41."""
