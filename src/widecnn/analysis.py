@@ -229,20 +229,6 @@ class BoundReport:
     residual: float
     factors: tuple[tuple[float, float, float, float], ...]
 
-    def csv_row(self) -> list[str]:
-        """The ``grad-bounds.v1`` columns after ``trial``; factors are packed
-        as ';'-joined 4-tuples within one field."""
-        packed = ";".join(
-            "({},{},{},{})".format(*(repr(v) for v in f)) for f in self.factors
-        )
-        return [
-            repr(self.lower),
-            repr(self.upper),
-            repr(self.grad_norm),
-            repr(self.residual),
-            packed,
-        ]
-
 
 def _spectra(spec: NetworkSpec, params: Params, trace: ForwardTrace, wide_layer: int):
     """(shape, singular values) of F_k, then of each lifted U_{k+2}..U_L:

@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis
 from .errors import AssumptionError, StructuralError, WidthError
 from .layout import PatchLayout
-from .network import Conv, FullyConnected, MaxPool, NetworkSpec, Output
+from .network import Conv, FullyConnected, NetworkSpec, Output, _weighted
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,7 @@ def check_conv_structure(
     """
     if trials < 1:
         raise StructuralError("at least one trial required")
-    layer = spec.layer(k)
-    if isinstance(layer, MaxPool):
-        raise StructuralError(f"layer {k} is max-pool; nothing to lift")
+    _weighted(spec, k)
     rng = np.random.default_rng(seed)
     hits = sum(analysis._lifted_full_rank(spec, k, rng.standard_normal(spec.filter_shape(k)))
                for _ in range(trials))

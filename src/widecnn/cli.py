@@ -205,10 +205,7 @@ def cmd_train(args) -> int:
     print(f"final loss {result.loss_curve[-1]:.6e}, "
           f"train errors {result.train_error_count}/{dataset.sample_count}")
     if cfg.out:
-        experiments.write_csv(
-            cfg.out, "loss-curve.v1",
-            [[str(i), repr(v)] for i, v in enumerate(result.loss_curve)],
-        )
+        experiments.write_csv(cfg.out, "loss-curve.v1", enumerate(result.loss_curve))
     return 0
 
 

@@ -55,6 +55,7 @@ from .network import (
     NetworkSpec,
     Output,
     Params,
+    _weighted,
     forward,
     max_pool,
     patch_products,
@@ -137,11 +138,6 @@ def _filter_draws(spec, k, F_prev, rng, collides):
             yield Q, ip
 
 
-def _conv_or_fc(spec: NetworkSpec, k: int) -> None:
-    if spec.is_pooling(k):
-        raise StructuralError(f"layer {k} must be convolutional or fully connected")
-
-
 def _ensure_distinct_input_patches(spec: NetworkSpec, X: np.ndarray) -> None:
     report = check_distinct_patches(X, spec.input_layout)
     if not report.holds:
@@ -178,7 +174,7 @@ def transport_construction(
 def _transport_impl(spec, X, up_to_layer, rng):
     if not 1 <= up_to_layer <= spec.depth:
         raise StructuralError(f"target layer {up_to_layer} outside [1, {spec.depth}]")
-    _conv_or_fc(spec, 1)
+    _weighted(spec, 1)
     _ensure_distinct_input_patches(spec, X)
     params = Params.empty(spec)
     F_prev = X
@@ -274,8 +270,8 @@ def independence_construction_report(
 def _independence_impl(spec, X, wide_layer, rng):
     N = X.shape[0]
     k = wide_layer
-    _conv_or_fc(spec, 1)
-    _conv_or_fc(spec, k)
+    _weighted(spec, 1)
+    _weighted(spec, k)
     if spec.widths[k] < N:
         raise WidthError(
             f"layer {k} has width {spec.widths[k]} < N={N}; cannot reach rank N"
@@ -392,7 +388,6 @@ def _distinct_entry_matrix(
     n = rows * cols
     slots = np.arange(n) + 0.25 + 0.5 * rng.uniform(size=n)
     values = lo + (hi - lo) * slots / n
-    assert float(np.diff(np.sort(values)).min()) > 0.0
     return rng.permutation(values).reshape(rows, cols)
 
 

@@ -1,15 +1,18 @@
 """Data ingestion: IDX image/label files and synthetic generators.
 
-The IDX readers parse the classic big-endian byte format (magic, dims,
-unsigned-byte payload), refuse malformed headers and payloads with
-FormatError, scale pixels to [0, 1], and produce one-hot targets with the
-identity class embedding. The synthetic generator draws Gaussian inputs
-with balanced random classes and certifies by one exact sort of the rows
-that no two samples are equal before returning.
+The IDX image and label readers are one call each of ``_read_idx``,
+which parses the classic big-endian byte format (magic, int32 sizes,
+unsigned-byte payload) and refuses a malformed header or payload with
+FormatError naming its byte offset. ``load_idx`` scales pixels to [0, 1]
+and produces one-hot targets with the identity class embedding. The
+synthetic generator draws Gaussian inputs with balanced random classes
+and certifies by one exact sort of the rows that no two samples are
+equal before returning.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -32,52 +35,44 @@ def _read_be32(buf: bytes, offset: int, path: Path) -> int:
     return struct.unpack_from(">i", buf, offset)[0]
 
 
-def read_idx_images(path) -> np.ndarray:
-    """(count, rows, cols) uint8 pixel array from an IDX image file."""
+def _read_idx(path, magic: int, kind: str, unit: str, sizes: int) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped (count, *sizes): after the
+    4-byte ``magic`` number come the count and ``sizes`` more int32
+    sizes, big-endian, then count times their product unsigned bytes.
+    ``kind`` names the items (``image``) and ``unit`` the payload's bytes
+    (``pixel``) in error messages."""
     path = Path(path)
     buf = path.read_bytes()
-    magic = _read_be32(buf, 0, path)
-    if magic != IMAGE_MAGIC:
+    found = _read_be32(buf, 0, path)
+    if found != magic:
         raise FormatError(
-            f"{path}: bad image magic 0x{magic:08x} at byte offset 0, "
-            f"expected 0x{IMAGE_MAGIC:08x}"
+            f"{path}: bad {kind} magic 0x{found:08x} at byte offset 0, "
+            f"expected 0x{magic:08x}"
         )
-    count = _read_be32(buf, 4, path)
-    rows = _read_be32(buf, 8, path)
-    cols = _read_be32(buf, 12, path)
-    if count < 0 or rows < 1 or cols < 1:
+    count, *size = (_read_be32(buf, 4 * i, path) for i in range(1, sizes + 2))
+    if count < 0 or min(size, default=1) < 1:
+        each = f" of {'x'.join(map(str, size))} {unit}s" if size else ""
         raise FormatError(
-            f"{path}: header at byte offset 4 gives {count} images of "
-            f"{rows}x{cols} pixels; expected a non-negative count and "
-            "positive sizes"
+            f"{path}: header at byte offset 4 gives {count} {kind}s{each}; "
+            "expected a non-negative count" + (" and positive sizes" if size else "")
         )
-    expected = 16 + count * rows * cols
-    if len(buf) != expected:
+    start, expected = 8 + 4 * sizes, count * math.prod(size)
+    if len(buf) != start + expected:
         raise FormatError(
-            f"{path}: pixel payload from byte offset 16 has {len(buf) - 16} "
-            f"bytes, expected {count * rows * cols}"
+            f"{path}: {unit} payload from byte offset {start} has "
+            f"{len(buf) - start} bytes, expected {expected}"
         )
-    pixels = np.frombuffer(buf, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows, cols)
+    return np.frombuffer(buf, dtype=np.uint8, offset=start).reshape(count, *size)
+
+
+def read_idx_images(path) -> np.ndarray:
+    """(count, rows, cols) uint8 pixel array from an IDX image file."""
+    return _read_idx(path, IMAGE_MAGIC, "image", "pixel", 2)
 
 
 def read_idx_labels(path) -> np.ndarray:
     """(count,) uint8 label array from an IDX label file."""
-    path = Path(path)
-    buf = path.read_bytes()
-    magic = _read_be32(buf, 0, path)
-    if magic != LABEL_MAGIC:
-        raise FormatError(
-            f"{path}: bad label magic 0x{magic:08x} at byte offset 0, "
-            f"expected 0x{LABEL_MAGIC:08x}"
-        )
-    count = _read_be32(buf, 4, path)
-    if len(buf) != 8 + count:
-        raise FormatError(
-            f"{path}: label payload from byte offset 8 has {len(buf) - 8} "
-            f"bytes, expected {count}"
-        )
-    return np.frombuffer(buf, dtype=np.uint8, offset=8)
+    return _read_idx(path, LABEL_MAGIC, "label", "label", 0)
 
 
 def load_idx(images_path, labels_path) -> Dataset:

@@ -4,8 +4,11 @@ Each config key is a field of ``ExperimentConfig`` or of its sections
 (``dataset``, ``learning_rate``, ``adam``), checked in that dataclass's
 ``__post_init__``: unknown keys and wrong values raise ConfigError. Every
 run is deterministic given (config, seed). CSV reports follow their tag's
-columns in ``SCHEMAS``, are RFC-4180, carry a ``# schema=<tag>`` line
-above the header row, and can be appended to without rewriting it.
+columns in ``SCHEMAS``, are RFC-4180, and carry a ``# schema=<tag>`` line
+above the header row. Runners hand ``write_csv`` typed values, and one
+rule, ``_field``, writes each: a float as the ``repr`` of ``float(v)``,
+an int or a bool as its ``str``, a shape as ``RxC`` and per-layer
+factors as ``;``-joined ``(a,b,c,d)``.
 """
 
 from __future__ import annotations
@@ -61,15 +64,30 @@ SCHEMAS = {
 }
 
 
+def _field(value) -> str:
+    """One CSV field: a float, NumPy's too, as the ``repr`` of ``float(v)``;
+    per-layer factors, a tuple of tuples, as ``;``-joined ``(a,b,c,d)``; a
+    shape, any other tuple, as ``RxC``; an int, a bool or a string as its
+    ``str``."""
+    if isinstance(value, tuple):
+        if all(isinstance(v, tuple) for v in value):
+            return ";".join(f"({','.join(map(_field, v))})" for v in value)
+        return "x".join(map(_field, value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
 def write_csv(path, tag: str, rows) -> None:
     """Write a report under ``SCHEMAS[tag]``: a ``# schema=`` line, the
-    header row, then the data rows. Every row is checked against the
-    columns of ``tag`` before the file is opened."""
+    header row, then the data rows, each value written by ``_field``.
+    Every row is checked against the columns of ``tag`` before the file is
+    opened."""
     if tag not in SCHEMAS:
         raise ConfigError(f"unknown CSV schema {tag!r}; expected one of "
                           f"{sorted(SCHEMAS)}")
     columns = SCHEMAS[tag]
-    rows = [list(row) for row in rows]
+    rows = [[_field(v) for v in row] for row in rows]
     if any(len(row) != len(columns) for row in rows):
         raise ConfigError(f"{tag}: every row needs one value for each of its "
                           f"{len(columns)} columns")
@@ -273,12 +291,9 @@ class RankGenericityResult:
     layer: int
 
     def csv_rows(self):
-        return [
-            [str(seed), str(rep.rows), str(rep.cols), str(rep.estimated_rank),
-             repr(rep.sigma_min), repr(rep.sigma_max), repr(rep.threshold),
-             str(rep.estimated_rank == rep.rows)]
-            for seed, rep in zip(self.seeds, self.reports)
-        ]
+        return [[seed, rep.rows, rep.cols, rep.estimated_rank, rep.sigma_min,
+                 rep.sigma_max, rep.threshold, rep.estimated_rank == rep.rows]
+                for seed, rep in zip(self.seeds, self.reports)]
 
 
 def run_rank_genericity(cfg: ExperimentConfig) -> RankGenericityResult:
@@ -334,18 +349,8 @@ class Table2Row:
     test_error: int
 
     def csv_row(self) -> list[str]:
-        return [
-            str(self.t1),
-            f"{self.f1_size[0]}x{self.f1_size[1]}",
-            str(self.f1_rank),
-            repr(self.f1_sigma_min),
-            f"{self.f3_size[0]}x{self.f3_size[1]}",
-            str(self.f3_rank),
-            repr(self.f3_sigma_min),
-            repr(self.loss),
-            str(self.train_error),
-            str(self.test_error),
-        ]
+        """The ``table2.v1`` fields, each written by ``_field``."""
+        return [_field(getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass(frozen=True)
@@ -529,7 +534,8 @@ def run_grad_bounds(cfg: ExperimentConfig) -> GradBoundsResult:
     result = GradBoundsResult(tuple(reports), violations)
     if cfg.out:
         write_csv(cfg.out, "grad-bounds.v1",
-                  [[str(i), *rep.csv_row()] for i, rep in enumerate(reports)])
+                  [[i, rep.lower, rep.upper, rep.grad_norm, rep.residual, rep.factors]
+                   for i, rep in enumerate(reports)])
     return result
 
 

@@ -18,7 +18,10 @@ where ``<act>`` is ``{"kind": "sigmoid" | "relu" | "identity"}`` or
 into the previous layer; the enclosing width is implied by the chain.
 ``<int>`` is a JSON integer, not a bool, float or string. A malformed or
 inconsistent document raises FormatError naming the layer. Round-trips
-are lossless.
+are lossless. The layer kinds are described once, in ``_KINDS`` (each
+kind's class and keys in file order) and ``_KEYS`` (how each key is
+written and read); ``spec_to_dict`` and ``spec_from_dict`` both read them,
+and a layer's keys are read in file order.
 """
 
 from __future__ import annotations
@@ -54,29 +57,12 @@ def _activation(obj, where: str):
 def spec_to_dict(spec: NetworkSpec) -> dict:
     layers = []
     for layer in spec.layers:
-        if isinstance(layer, Conv):
-            layers.append(
-                {
-                    "kind": "conv",
-                    "filters": layer.filters,
-                    "activation": layer.activation.to_dict(),
-                    "patches": layer.layout.patches.tolist(),
-                }
-            )
-        elif isinstance(layer, FullyConnected):
-            layers.append(
-                {
-                    "kind": "fully_connected",
-                    "width": layer.width,
-                    "activation": layer.activation.to_dict(),
-                }
-            )
-        elif isinstance(layer, MaxPool):
-            layers.append(
-                {"kind": "max_pool", "patches": layer.layout.patches.tolist()}
-            )
-        else:
-            layers.append({"kind": "output", "width": layer.width})
+        kind = next(kind for kind, (cls, _) in _KINDS.items() if isinstance(layer, cls))
+        entry = {"kind": kind}
+        for key in _KINDS[kind][1]:
+            name, write, _ = _KEYS[key]
+            entry[key] = write(getattr(layer, name))
+        layers.append(entry)
     return {"input_width": spec.input_width, "layers": layers}
 
 
@@ -93,24 +79,14 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: must be an object")
         kind = entry.get("kind")
+        # a list or an object is no kind, and hashing it would raise TypeError
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise FormatError(f"{where}: unknown layer kind {kind!r}")
+        cls, keys = _KINDS[kind]
+        _require_keys(entry, {"kind", *keys}, where)
         try:
-            if kind == "conv":
-                _require_keys(entry, {"kind", "filters", "activation", "patches"}, where)
-                layer = Conv(_layout(entry["patches"], width, where),
-                             _integer(entry["filters"], f"{where}: filters"),
-                             _activation(entry["activation"], where))
-            elif kind == "fully_connected":
-                _require_keys(entry, {"kind", "width", "activation"}, where)
-                layer = FullyConnected(_integer(entry["width"], f"{where}: width"),
-                                       _activation(entry["activation"], where))
-            elif kind == "max_pool":
-                _require_keys(entry, {"kind", "patches"}, where)
-                layer = MaxPool(_layout(entry["patches"], width, where))
-            elif kind == "output":
-                _require_keys(entry, {"kind", "width"}, where)
-                layer = Output(_integer(entry["width"], f"{where}: width"))
-            else:
-                raise FormatError(f"{where}: unknown layer kind {kind!r}")
+            layer = cls(**{_KEYS[key][0]: _KEYS[key][2](entry[key], where, width)
+                           for key in keys})
             width = layer.out_width(width)
         except StructuralError as exc:
             raise FormatError(f"{where}: {exc}") from exc
@@ -133,6 +109,28 @@ def _layout(patches, width: int, where: str) -> PatchLayout:
         raise FormatError(f"{where}: patches must be a list of index lists")
     return PatchLayout(width, [[_integer(i, f"{where}: patch index") for i in p]
                                for p in patches])
+
+
+# a layer key -> (the layer field it holds, the field's JSON value, and the
+# field read back from that value, given the layer's place and the width
+# of the layer below)
+_KEYS = {
+    "filters": ("filters", lambda n: n,
+                lambda v, where, _: _integer(v, f"{where}: filters")),
+    "width": ("width", lambda n: n,
+              lambda v, where, _: _integer(v, f"{where}: width")),
+    "activation": ("activation", lambda act: act.to_dict(),
+                   lambda v, where, _: _activation(v, where)),
+    "patches": ("layout", lambda layout: layout.patches.tolist(),
+                lambda v, where, width: _layout(v, width, where)),
+}
+# layer kind -> (its class, its keys after "kind", in file order)
+_KINDS = {
+    "conv": (Conv, ("filters", "activation", "patches")),
+    "fully_connected": (FullyConnected, ("width", "activation")),
+    "max_pool": (MaxPool, ("patches",)),
+    "output": (Output, ("width",)),
+}
 
 
 def save_netspec(spec: NetworkSpec, path) -> None:

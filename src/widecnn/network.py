@@ -493,8 +493,9 @@ class Dataset:
         return self.Y.shape[1]
 
 
-def _lifting(spec: NetworkSpec, k: int) -> LayerPlan:
-    """Layer k's plan entry, which must be a weighted layer's."""
+def _weighted(spec: NetworkSpec, k: int) -> LayerPlan:
+    """Layer k's plan entry. A pooling layer has no weights to lift or
+    construct: UnsupportedLayerError."""
     if spec.is_pooling(k):
         raise UnsupportedLayerError(f"layer {k} is max-pool and has no weights")
     return spec.plan[k]
@@ -508,7 +509,7 @@ def lift_weights(spec: NetworkSpec, k: int, W: np.ndarray) -> np.ndarray:
     ``G_k = F_{k-1} @ U + b`` reproduces the per-patch definition. For a
     fully connected layer U equals W. The map is linear in W.
     """
-    layer = _lifting(spec, k)
+    layer = _weighted(spec, k)
     layout, shape = layer.layout, layer.filter_shape
     W = np.asarray(W, dtype=np.float64)
     if W.shape != shape:
@@ -525,7 +526,7 @@ def lift_adjoint(spec: NetworkSpec, k: int, V: np.ndarray) -> np.ndarray:
     over every (patch, filter) placement of each filter tap; this is the
     chain rule that pulls a full-matrix gradient back to filter space.
     """
-    layer = _lifting(spec, k)
+    layer = _weighted(spec, k)
     layout = layer.layout
     V = np.asarray(V, dtype=np.float64)
     expected = (layout.width, layer.width)

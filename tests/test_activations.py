@@ -88,6 +88,16 @@ class TestSigmoidAgainstTwoPass:
         assert np.array_equal(bits(out[~np.isnan(t)]), bits(want[~np.isnan(t)]))
 
 
+@pytest.mark.parametrize("act", ALL)
+def test_call_with_out_writes_out(act):
+    """A call with ``out=`` returns ``out`` holding the bits of the call
+    without it."""
+    t = np.array([[-800.0, -3.5, -0.0], [0.0, 2.25, 1e300]])
+    out = np.full_like(t, np.nan)
+    assert act(t, out=out) is out
+    assert np.array_equal(bits(out), bits(act(t)))
+
+
 class TestDerivatives:
     @pytest.mark.parametrize("act", [Sigmoid(), Softplus(1.0), Softplus(7.0), Identity()])
     def test_matches_central_differences(self, act):

@@ -27,7 +27,7 @@ from widecnn import (
     zero_loss_construction,
 )
 from widecnn.architectures import mnist_conv_pool_network
-from widecnn.experiments import SCHEMAS, random_landscape_case, zero_loss_demo_case
+from widecnn.experiments import random_landscape_case, zero_loss_demo_case
 
 from oracles import elimination_rank, lifted_backward, planted_rank_matrix
 
@@ -546,12 +546,6 @@ class TestGradientBounds:
         report = gradient_bounds(spec, params, trace, Y, 1)
         assert report.lower <= 1e-12
         assert report.grad_norm <= report.upper + 1e-8 * report.upper
-
-    def test_csv_row_matches_columns(self):
-        rng = np.random.default_rng(12)
-        spec, k, X, Y, params = random_landscape_case(rng)
-        report = gradient_bounds(spec, params, forward(spec, params, X), Y, k)
-        assert len(report.csv_row()) == len(SCHEMAS["grad-bounds.v1"][1:])
 
     def test_convolutional_layer_above_the_wide_layer(self):
         """The bounds use lifted matrices, so shared-weight layers between

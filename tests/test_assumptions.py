@@ -18,6 +18,7 @@ from widecnn import (
     Identity,
     Sigmoid,
     StructuralError,
+    UnsupportedLayerError,
     WidthError,
     check_conv_structure,
     check_distinct_patches,
@@ -221,7 +222,8 @@ class TestConvStructure:
 
     def test_max_pool_layer_rejected(self):
         spec = NetworkSpec(4, (MaxPool(conv1d_layout(4, 2, 2)),))
-        with pytest.raises(StructuralError, match="^layer 1 is max-pool; nothing to lift$"):
+        with pytest.raises(UnsupportedLayerError,
+                           match="^layer 1 is max-pool and has no weights$"):
             check_conv_structure(spec, 1)
 
 

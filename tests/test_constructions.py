@@ -19,6 +19,7 @@ from widecnn import (
     Sigmoid,
     Softplus,
     StructuralError,
+    UnsupportedLayerError,
     WidthError,
     backward,
     check_distinct_patches,
@@ -130,8 +131,8 @@ class TestTransport:
 
     def test_pooling_first_layer_rejected(self):
         spec = NetworkSpec(4, (MaxPool(conv1d_layout(4, 2, 2)), FullyConnected(3, Sigmoid())))
-        with pytest.raises(StructuralError,
-                           match="^layer 1 must be convolutional or fully connected$"):
+        with pytest.raises(UnsupportedLayerError,
+                           match="^layer 1 is max-pool and has no weights$"):
             transport_construction(spec, np.eye(2, 4), 2)
 
 
@@ -306,6 +307,19 @@ class TestExpressivity:
 
 
 class TestZeroLoss:
+    @pytest.mark.parametrize("act", [Sigmoid(), Softplus(10.0)])
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (4, 6), (200, 300)])
+    def test_template_entries_are_distinct_inside_the_range(self, act, rows, cols):
+        """Consecutive entries differ by at least (hi - lo) / (2 rows cols),
+        up to rounding, and all lie strictly inside the interval."""
+        lo, hi = act.comfortable_range
+        A = constructions._distinct_entry_matrix(np.random.default_rng(rows), rows,
+                                                 cols, (lo, hi))
+        values = np.sort(A.ravel())
+        assert A.shape == (rows, cols)
+        assert lo < values[0] and values[-1] < hi
+        assert (np.diff(values) >= (1 - 1e-9) * (hi - lo) / (2 * values.size)).all()
+
     @pytest.mark.parametrize("case", [1, 2, 3])
     def test_all_cases_reach_machine_zero(self, case):
         spec, dataset, k = zero_loss_demo_case(case, seed=30 + case)

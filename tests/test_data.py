@@ -83,6 +83,32 @@ class TestIdxFormat:
         with pytest.raises(FormatError, match="byte offset 4"):
             read_idx_images(path)
 
+    @pytest.mark.parametrize("read, header, payload, message", [
+        (read_idx_images, (0x00000801, 1, 1, 1), b"\x00", "bad image magic 0x00000801 at "
+         "byte offset 0, expected 0x00000803"),
+        (read_idx_images, (0x00000803, 2, 0, 3), b"", "header at byte offset 4 gives 2 "
+         "images of 0x3 pixels; expected a non-negative count and positive sizes"),
+        (read_idx_images, (0x00000803, 2, 2, 3), b"\x00" * 11, "pixel payload from "
+         "byte offset 16 has 11 bytes, expected 12"),
+        (read_idx_images, (0x00000803, 2), b"", "truncated at byte offset 8; "
+         "expected a 4-byte big-endian integer"),
+        (read_idx_labels, (0x00000803, 1), b"\x00", "bad label magic 0x00000803 at "
+         "byte offset 0, expected 0x00000801"),
+        (read_idx_labels, (0x00000801, -1), b"", "header at byte offset 4 gives -1 "
+         "labels; expected a non-negative count"),
+        (read_idx_labels, (0x00000801, 3), b"\x00\x01", "label payload from byte "
+         "offset 8 has 2 bytes, expected 3"),
+        (read_idx_labels, (0x00000801,), b"", "truncated at byte offset 4; "
+         "expected a 4-byte big-endian integer"),
+    ])
+    def test_messages_name_the_byte_offset(self, tmp_path, read, header, payload,
+                                           message):
+        path = tmp_path / "file.idx"
+        path.write_bytes(struct.pack(f">{len(header)}i", *header) + payload)
+        with pytest.raises(FormatError) as caught:
+            read(path)
+        assert str(caught.value) == f"{path}: {message}"
+
     def test_zero_images_rejected(self, tmp_path):
         ip, lp = write_pair(tmp_path, np.zeros((0, 2, 2), dtype=np.uint8), [])
         assert read_idx_images(ip).shape == (0, 2, 2)

@@ -152,6 +152,24 @@ class TestCsv:
         assert columns == ["epoch", "loss"]
         assert got == rows
 
+    def test_each_value_is_written_by_the_field_rule(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_csv(path, "loss-curve.v1", [[np.int64(7), np.float64(0.5)], [True, False],
+                                          [(32, 112), ()], [3, 0.1]])
+        assert read_csv(path)[2] == [["7", "0.5"], ["True", "False"], ["32x112", ""],
+                                     ["3", "0.1"]]
+
+    def test_grad_bounds_row_round_trips(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        factors = ((0.5, 2.0, 0.25, 1.0), (1e-300, 3.0, np.float64(0.1), 0.75))
+        write_csv(path, "grad-bounds.v1", [[0, 1e-3, 2.5, 1.0, 0.75, factors]])
+        tag, columns, rows = read_csv(path)
+        assert (tag, tuple(columns)) == ("grad-bounds.v1", SCHEMAS["grad-bounds.v1"])
+        assert rows == [["0", "0.001", "2.5", "1.0", "0.75",
+                         "(0.5,2.0,0.25,1.0);(1e-300,3.0,0.1,0.75)"]]
+        assert tuple(tuple(map(float, f.strip("()").split(",")))
+                     for f in rows[0][5].split(";")) == factors
+
     def test_unknown_tag_and_wrong_row_length_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         with pytest.raises(ConfigError, match="schema"):

@@ -69,6 +69,14 @@ class TestValidation:
         with pytest.raises(FormatError, match="avg_pool"):
             spec_from_dict(doc)
 
+    @pytest.mark.parametrize("kind", [["conv"], {"kind": "conv"}, 3, None])
+    def test_a_kind_that_is_not_a_string_is_unknown(self, kind):
+        doc = spec_to_dict(sample_spec())
+        doc["layers"][1]["kind"] = kind
+        with pytest.raises(FormatError) as caught:
+            spec_from_dict(doc)
+        assert str(caught.value) == f"layer 2: unknown layer kind {kind!r}"
+
     def test_unknown_activation(self):
         doc = spec_to_dict(sample_spec())
         doc["layers"][2]["activation"] = {"kind": "tanh"}
