@@ -65,6 +65,9 @@ class Activation(abc.ABC):
     construction_bias = 1.0
     # Open interval on which the function is injective.
     bijective_interval: tuple[float, float] = (-INF, INF)
+    # Whether derivative(None, F) gives sigma'(t) from F = sigma(t) alone,
+    # the bits derivative(t) gives, so that t need not be at hand.
+    derivative_from_F = False
 
     @abc.abstractmethod
     def __call__(self, t, out=None, scratch=None):
@@ -74,7 +77,8 @@ class Activation(abc.ABC):
     def derivative(self, t, F=None, out=None):
         """sigma'(t), written into ``out`` when given. ``F = self(t)``, when
         already computed (the forward trace stores it), may stand in for a
-        second evaluation; the result is the same bit for bit."""
+        second evaluation; the result is the same bit for bit. Where
+        ``derivative_from_F`` holds, t may be None when F is given."""
 
     def inverse(self, y):
         raise RangeError(f"{self.name} has no inverse")
@@ -106,6 +110,7 @@ class Sigmoid(Activation):
     name = "sigmoid"
     construction_bias = 0.0  # sigmoid(0) = 1/2
     comfortable_range = (0.2, 0.8)
+    derivative_from_F = True  # F (1 - F)
 
     def __call__(self, t, out=None, scratch=None):
         # 1/(1+exp(-t)) for t >= 0 and exp(t)/(1+exp(t)) below, in one pass:
@@ -153,13 +158,14 @@ class Sigmoid(Activation):
 class ReLU(Activation):
     name = "relu"
     bijective_interval = (0.0, INF)
+    derivative_from_F = True  # F > 0 exactly where t > 0, NaN and -0.0 included
 
     def __call__(self, t, out=None, scratch=None):
         return np.maximum(np.asarray(t, dtype=np.float64), 0.0, out=out)
 
     def derivative(self, t, F=None, out=None):
         # subgradient convention: derivative at 0 is 0
-        t = np.asarray(t, dtype=np.float64)
+        t = np.asarray(t if F is None else F, dtype=np.float64)
         return np.greater(t, 0.0, out=np.empty_like(t) if out is None else out)
 
     def profile(self) -> ActivationProfile:
@@ -194,18 +200,30 @@ class Softplus(Activation):
         object.__setattr__(self, "alpha", float(alpha))
 
     def __call__(self, t, out=None, scratch=None):
-        at = self.alpha * np.asarray(t, dtype=np.float64)
-        return np.divide(np.maximum(at, 0.0) + np.log1p(np.exp(-np.abs(at))),
-                         self.alpha, out=out)
+        t = np.asarray(t, dtype=np.float64)
+        at = self._scaled(t)
+        out = np.divide(np.maximum(at, 0.0) + np.log1p(np.exp(-np.abs(at))), self.alpha,
+                        out=np.empty_like(t) if out is None else out)
+        # where alpha*t overflows and t does not, the value rounds to max(t, 0)
+        over = np.isinf(at)
+        if over.any():
+            np.copyto(out, np.maximum(t, 0.0), where=over & np.isfinite(t))
+        return out
 
     def derivative(self, t, F=None, out=None):
-        return Sigmoid()(self.alpha * np.asarray(t, dtype=np.float64), out=out)
+        # sigmoid(+-inf) is 1 or 0, the rounded value where alpha*t overflows
+        return Sigmoid()(self._scaled(np.asarray(t, dtype=np.float64)), out=out)
+
+    def _scaled(self, t: np.ndarray) -> np.ndarray:
+        """alpha * t, infinite where it overflows, with no warning."""
+        with np.errstate(over="ignore"):
+            return self.alpha * t
 
     def inverse(self, y):
         y = np.asarray(y, dtype=np.float64)
         if np.any(y <= 0.0):
             raise RangeError("softplus inverse requires positive values")
-        ay = self.alpha * y
+        ay = self._scaled(y)
         small = ay <= 30.0
         out = np.empty_like(y)
         out[small] = np.log(np.expm1(ay[small])) / self.alpha

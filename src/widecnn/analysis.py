@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import NumericError, StructuralError
-from .gradients import backward, loss
+from .gradients import _sigma_prime, backward, loss
 from .network import (Dataset, ForwardTrace, NetworkSpec, Params, _all_finite, forward,
                       lift_weights)
 
@@ -258,7 +258,7 @@ def _sandwich(
     spectra = _spectra(spec, params, trace, wide_layer)
     factors = []
     for l, (_, sv) in zip(range(wide_layer + 1, spec.depth), spectra[1:]):
-        d = np.abs(spec.activation(l).derivative(trace.G[l], trace.F[l]))
+        d = np.abs(_sigma_prime(trace, spec.activation(l), l))
         factors.append((float(sv[-1]), float(sv[0]), float(d.min()), float(d.max())))
     sv_f = spectra[0][1]
     lower = float(sv_f[-1]) * math.prod(f[0] * f[2] for f in factors)

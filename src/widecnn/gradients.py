@@ -7,8 +7,10 @@ a convolution, so the step is one GEMM of the (N*P, T) rows of
 ``D_{l+1}`` with ``W^T`` and then the layout's patch scatter, without the
 dense ``U`` that ``lift_weights`` builds for rank and SVD work.
 ``sigma_l'`` comes from the stored features where that is exact (a
-sigmoid's ``F_l (1 - F_l)``). The filter gradient is the chain rule
-through the lifting map: the sum over patches p of
+sigmoid's ``F_l (1 - F_l)``, ReLU's ``F_l > 0``); only an activation
+whose derivative needs t (softplus) reads ``trace.G[l]``, which the
+trace recomputes from F_{l-1} on first read. The filter gradient is the
+chain rule through the lifting map: the sum over patches p of
 ``patch_p(F_{l-1})^T @ D_l[:, p]``, one stacked GEMM of the layer's
 gathered patches with the deltas, summed in patch order as
 ``lift_adjoint`` sums the blocks of ``F_{l-1}^T @ D_l``, which is never
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import Activation
 from .errors import StructuralError, UnsupportedLayerError
 from .network import (
     ForwardTrace,
@@ -49,6 +52,18 @@ def loss(trace: ForwardTrace, Y: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         diff = out - Y
         return 0.5 * float(np.sum(diff * diff))
+
+
+def _sigma_prime(trace: ForwardTrace, sigma: Activation, k: int, take=None) -> np.ndarray:
+    """sigma'(G_k) of layer k of the trace, whose activation is ``sigma``,
+    into the thread's scratch when ``take`` is the workspace's. Where
+    ``sigma.derivative_from_F`` holds it reads F_k alone, so ``trace.G[k]``
+    is recomputed only for an activation whose derivative needs t
+    (softplus). G_k is read before the scratch is taken, because its
+    recompute gathers into the scratch."""
+    t = None if sigma.derivative_from_F else trace.G[k]
+    F = trace.F[k]
+    return sigma.derivative(t, F, out=None if take is None else take("scratch", F.shape))
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,5 @@ def backward(
             product = np.matmul(delta.reshape(N * P, T), params.weights[l].T,
                                 out=take(("delta", l - 1), (N * P, size)))
             delta = layout.scatter_add(product.reshape(N, P, size))
-            delta *= plan[l - 1].activation.derivative(
-                trace.G[l - 1], trace.F[l - 1], out=take("scratch", delta.shape))
+            delta *= _sigma_prime(trace, plan[l - 1].activation, l - 1, take)
     return GradientSet(tuple(grad_W), tuple(grad_b), tuple(deltas), flat)

@@ -17,17 +17,25 @@ is a window grid, as every builder's is, is read through the strided
 are gathered by the one tiled walk, ``_patch_blocks``, that
 ``patch_products`` also uses.
 
-The forward pass allocates little beyond the trace it returns. Its GEMM
-blocks follow ``ROW_TILE`` (2^18 float64 entries): a block's gathered
-patches, for the GEMM or the tap maximum, are at most one tile. Its
-elementwise passes, the bias add, the finiteness sum and the
-activation, follow ``CHUNK`` (2^15 entries): each runs over pieces of a
-layer's G of at most one chunk, whole rows while a row fits and column
-slices of one row otherwise, so that a piece, the sigmoid's scratch and
-the matching piece of F stay in a core's L2 cache between the passes.
-Every blocked operation but the GEMM gives the bits of one call over the
-whole batch; a batch of more rows than one tile holds may see BLAS round
-a block's GEMM differently, within the bound ``patch_products`` states.
+The forward pass allocates little beyond the trace it returns, which
+keeps one feature matrix per layer, F_k. A nonlinear weighted layer's
+pre-activation G_k is computed one row tile at a time by
+``_product_tiles`` into a buffer of one tile, and the bias add, the
+finiteness sum and the activation that writes F_k follow each tile; the
+trace's ``G[k]`` recomputes G_k by the same walk when it is first read.
+A linear (output) layer's G_k is its F_k. A tile is a ``_patch_blocks``
+block of at most ``ROW_TILE`` (2^18 float64 entries) of gathered
+patches, cut to at most one ``ROW_TILE`` of G_k, or all rows of a
+whole-layer layout in one GEMM; ``patch_products`` walks the same
+blocks, uncut.
+Within a tile, the elementwise passes follow ``CHUNK`` (2^15 entries):
+each runs over pieces of at most one chunk, whole rows while a row fits
+and column slices of one row otherwise, so that a piece, the sigmoid's
+scratch and the matching piece of F stay in a core's L2 cache between
+the passes. Every blocked operation but the GEMM gives the bits of one
+call over the whole batch; a batch of more rows than one tile holds may
+see BLAS round a tile's GEMM differently, within the bound
+``patch_products`` states.
 
 The frozen containers copy a caller's arrays but share the arrays the
 library seals as it creates them, and read-only views of those. The
@@ -37,10 +45,11 @@ finite, or when the batch has no rows. A bounded activation of finite
 pre-activations is finite, so only an activation with an unbounded tail
 has its features summed.
 
-Each thread keeps one float64 buffer per role (a layer's G, F or delta,
-the flat gradient, and one scratch for temporaries that die inside a
-call, such as a layer's gathered patches, whose shape, or that a
-whole-layer layout needs none, ``_gather`` alone decides). ``forward``
+Each thread keeps one float64 buffer per role (a layer's G, one tile of
+it where the layer is nonlinear, its F or delta, the flat gradient, and
+one scratch for temporaries that die inside a call, such as a tile's
+gathered patches, whose shape, or that a whole-layer layout needs none,
+``_gather`` alone decides). ``forward``
 and ``backward`` write into the buffers of the calling thread, so
 repeated calls fault their arrays in once instead of once per call. A
 role's buffer is recycled only when no live array references it; while
@@ -56,6 +65,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -412,15 +422,18 @@ class ForwardTrace:
 
     ``F[k]`` are post-activations (``F[0]`` is the input), ``G[k]`` the
     pre-activations; ``G`` is None at index 0 and at max-pool layers.
-    Arrays are read-only; a caller's arrays are copied first.
+    Arrays are read-only; a caller's arrays are copied first. A trace
+    from ``forward`` computes each ``G[k]`` of a nonlinear layer when it
+    is first read (see ``_PreActivations``).
     """
 
     F: tuple[np.ndarray, ...]
-    G: tuple[np.ndarray | None, ...]
+    G: Sequence[np.ndarray | None]
 
     def __post_init__(self):
         object.__setattr__(self, "F", tuple(_frozen(a) for a in self.F))
-        object.__setattr__(self, "G", tuple(_frozen(a) for a in self.G))
+        if not isinstance(self.G, _PreActivations):
+            object.__setattr__(self, "G", tuple(_frozen(a) for a in self.G))
 
     @property
     def output(self) -> np.ndarray:
@@ -429,6 +442,43 @@ class ForwardTrace:
     @property
     def last_layer(self) -> int:
         return len(self.F) - 1
+
+
+class _PreActivations(Sequence):
+    """G_0..G_K of a trace from ``forward``, indexed by layer: None at
+    index 0 and at pooling layers, F_k itself at a linear layer, and at a
+    nonlinear one F_{k-1} @ lift(W_k) + b_k, recomputed on first read by
+    ``_pre_activation``, the tile walk of ``forward``, then cached
+    read-only, so that a second read returns the same array.
+
+    It holds the trace's F and the parameters forward read, and is
+    exact only while these keep their values: the arrays of ``Params``
+    are read-only, and ``train_adam``, which writes the vector that its
+    ``Params`` views, drops each step's trace before it writes.
+    """
+
+    def __init__(self, spec: NetworkSpec, params: Params, F: tuple[np.ndarray, ...]):
+        self._plan, self._params, self._F = spec.plan, params, F
+        self._cache: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._F)
+
+    def __getitem__(self, k: int) -> np.ndarray | None:
+        k = range(len(self._F))[k]  # IndexError past the last layer
+        layer = self._plan[k]
+        if layer is None or layer.filter_shape is None:
+            return None
+        if isinstance(layer.activation, Identity):
+            return self._F[k]
+        if k not in self._cache:
+            # a racing thread computes the same bits; the first one stored wins
+            self._cache.setdefault(k, _pre_activation(
+                layer, self._F[k - 1], self._params.weights[k], self._params.biases[k]))
+        return self._cache[k]
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -608,19 +658,66 @@ def _gather(layout: PatchLayout, rows: int) -> np.ndarray | None:
         "scratch", (rows, *layout.patches.shape))
 
 
-def _patch_blocks(layout: PatchLayout, F: np.ndarray):
-    """Walk the (N, layout.width) rows F in blocks of b = ``_tile_rows(P*l)``
-    rows, yielding each block's row slice and its (rows, P, l) patches,
-    gathered by ``layout.extract`` into the thread's scratch as
-    ``_gather`` sizes it, so a gathered block holds at most one
-    ``ROW_TILE``. A whole-layer layout's patches are views."""
+def _patch_blocks(layout: PatchLayout, F: np.ndarray, width: int = 0):
+    """Walk the (N, layout.width) rows F in blocks of
+    ``_tile_rows(max(P*l, width))`` rows, yielding each block's row slice
+    and its (rows, P, l) patches, gathered by ``layout.extract`` into the
+    thread's scratch as ``_gather`` sizes it, so a gathered block, and a
+    block of rows ``width`` entries wide, each hold at most one
+    ``ROW_TILE``. The scratch is taken anew for each block, so a caller
+    that drops a block's patches may use the scratch until the next one.
+    A whole-layer layout's patches are views."""
     N, (P, l) = F.shape[0], layout.patches.shape
-    rows = _tile_rows(P * l)
-    gather = _gather(layout, min(N, rows))
+    rows = _tile_rows(max(P * l, width))
     for start in range(0, N, rows):
         block = F[start : start + rows]
         yield slice(start, start + rows), layout.extract(
-            block, out=None if gather is None else gather[: len(block)])
+            block, out=_gather(layout, len(block)))
+
+
+def _tile_shape(layer: LayerPlan, N: int) -> tuple[int, int]:
+    """(rows, n_k) of one tile of layer's G in ``forward``'s walk of
+    ``_product_tiles`` over N rows: a ``_patch_blocks`` block at the
+    layer's width, or all N rows for a whole-layer layout."""
+    layout = layer.layout
+    rows = N if layout._whole_layer else _tile_rows(max(layout.patches.size, layer.width))
+    return min(N, rows), layer.width
+
+
+def _product_tiles(layout: PatchLayout, F: np.ndarray, W: np.ndarray, out: np.ndarray,
+                   width: int = 0):
+    """The one walk of a weighted layer's products before the bias, on the
+    (N, layout.width) rows F: yields each tile's row slice and its
+    (rows, P*T) products, written to ``out``. A tile is a ``_patch_blocks``
+    block, at most one ``ROW_TILE`` of gathered patches and of rows
+    ``width`` entries wide, and its products are one (rows*P, l) x (l, T)
+    GEMM; the tile's patches are dropped before it is yielded, so the
+    thread's scratch is free until the walk resumes. A whole-layer layout
+    is one tile of all N rows and one GEMM, since BLAS may round a GEMM of
+    fewer rows differently. ``out`` is (N, P*T), where each tile lands in
+    its own rows, or ``_tile_shape``'s one tile, which every tile reuses.
+    ``patch_products``, ``forward`` and ``ForwardTrace.G`` share this
+    walk, and the last two pass the layer's width, so they give the same
+    bits."""
+    N, T = F.shape[0], W.shape[1]
+    if layout._whole_layer:
+        yield slice(None), np.matmul(F, W, out=out)
+        return
+    for rows, patches in _patch_blocks(layout, F, width):
+        G = out[rows] if len(out) == N else out[: len(patches)]
+        np.matmul(patches.reshape(-1, layout.patch_size), W, out=G.reshape(-1, T))
+        del patches  # held, it would keep the caller from recycling the scratch
+        yield rows, G
+
+
+def _pre_activation(layer: LayerPlan, F: np.ndarray, W: np.ndarray, b: np.ndarray):
+    """G = F @ lift(W) + b of a weighted layer on the rows F of the layer
+    below, by ``forward``'s tile walk, into a sealed array of its own:
+    the bits that forward's tiles held."""
+    G = np.empty((F.shape[0], layer.width))
+    for _, tile in _product_tiles(layer.layout, F, W, G, layer.width):
+        tile += b
+    return _seal(G)
 
 
 def patch_products(
@@ -631,7 +728,7 @@ def patch_products(
 ) -> np.ndarray:
     """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: a weighted
     layer's pre-activation before the bias, as one (b*P, l) x (l, T) GEMM
-    for each block that ``_patch_blocks`` gathers.
+    for each block that ``_patch_blocks`` gathers, by ``_product_tiles``.
     A whole-layer layout gathers nothing: its one patch is a row of F, and
     all N rows go in one GEMM. ``out`` (N*P*T entries) receives the
     products; without it they are allocated.
@@ -639,14 +736,11 @@ def patch_products(
     A batch of one block is one gather and one GEMM. Above that, BLAS may
     round a block's GEMM differently from the whole batch's: each entry
     stays within 2*l*eps*(|patch| @ |W|) of it."""
-    N, (P, l), T = F.shape[0], layout.patches.shape, W.shape[1]
-    if layout._whole_layer:
-        G = np.matmul(F, W, out=None if out is None else out.reshape(N, T))
-        return G.reshape(N, 1, T)
-    G = np.empty((N, P, T)) if out is None else out.reshape(N, P, T)
-    for rows, patches in _patch_blocks(layout, F):
-        np.matmul(patches.reshape(-1, l), W, out=G[rows].reshape(-1, T))
-    return G
+    N, P, T = F.shape[0], len(layout.patches), W.shape[1]
+    G = np.empty((N, P * T)) if out is None else out.reshape(N, P * T)
+    for _ in _product_tiles(layout, F, W, G):
+        pass
+    return G.reshape(N, P, T)
 
 
 def max_pool(
@@ -709,15 +803,19 @@ def forward(
 ) -> ForwardTrace:
     """Evaluate layers 1..up_to (default: all) on a batch.
 
-    Every weighted layer is computed by ``patch_products``, which equals
-    the lifted-matrix product ``F_{k-1} @ lift_weights(W_k) + b_k`` up to
-    floating-point rounding, and every pooling layer by ``max_pool``.
-    The bias add, the finiteness sums and the activation run over the
-    ``_chunks`` of G_k, so each of their temporaries is at most one
-    ``CHUNK``. Pure function: identical inputs give identical traces.
-    Every G and F except the input is a view of a buffer of the calling
-    thread's; a later call on the thread recycles that buffer only once
-    nothing references the trace or any view of its arrays.
+    Every weighted layer's pre-activation equals the lifted-matrix product
+    ``F_{k-1} @ lift_weights(W_k) + b_k`` up to floating-point rounding,
+    and every pooling layer is ``max_pool``. A nonlinear layer's G_k is
+    formed one tile at a time by ``_product_tiles`` in the thread's
+    one-tile G buffer; the bias add, the finiteness sums and the
+    activation into F_k run over the ``_chunks`` of each tile, so each of
+    their temporaries is at most one ``CHUNK``. A linear layer's G_k,
+    formed by the same walk into a buffer of the whole batch, is its F_k.
+    Pure function: identical inputs give identical traces. Every F except
+    the input is a view of a buffer of the calling thread's; a later call
+    on the thread recycles that buffer only once nothing references the
+    trace or any view of its arrays. The trace's ``G[k]`` of a nonlinear layer is recomputed from
+    its F_{k-1} and the layer's parameters on first read, bit for bit.
 
     Raises StructuralError for an ``up_to`` outside [0, L], a malformed or
     non-finite batch and misshapen or non-finite parameters of layers
@@ -732,6 +830,7 @@ def forward(
         raise StructuralError(
             f"X must be (N, {spec.input_width}), got {X.shape}"
         )
+    X = _frozen(X)  # so that the trace's G reads the rows forward read
     take = _WORKSPACE.take
     # overflow surfaces as NumericOverflowError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -744,36 +843,35 @@ def forward(
             _check_params_finite(params, up_to)
 
         F: list[np.ndarray] = [X]
-        G: list[np.ndarray | None] = [None]
         for k, layer in enumerate(spec.plan[1 : up_to + 1], 1):
             prev, layout, width = F[k - 1], layer.layout, layer.width
             shape = (N, width)
             if layer.filter_shape is None:
                 # the maxima of finite features are finite
                 F.append(_seal(max_pool(layout, prev, take(("F", k), shape))))
-                G.append(None)
                 continue
-            sigma = layer.activation
+            sigma, W, bias = layer.activation, params.weights[k], params.biases[k]
             linear = isinstance(sigma, Identity)
             G_finite = F_finite = True
-            Gk = patch_products(layout, prev, params.weights[k],
-                                take(("G", k), shape)).reshape(shape)
+            # a linear layer's G_k is its F_k, which the trace keeps whole;
+            # any other layer's G_k passes through a buffer of one tile
+            Gk = take(("G", k), shape if linear else _tile_shape(layer, N))
             Fk = Gk if linear else take(("F", k), shape)
-            bias = params.biases[k]
-            scratch = None if linear else take("scratch", (min(N * width, CHUNK),))
-            for rows, cols in _chunks(N, width):
-                Gb = Gk[rows, cols]
-                Gb += bias[cols]  # the products are the thread's buffer
-                G_finite = G_finite and _all_finite(Gb)
-                if not linear:
-                    Fb = sigma(Gb, out=Fk[rows, cols],
-                               scratch=scratch[: Gb.size].reshape(Gb.shape))
-                    F_finite = F_finite and (not layer.unbounded or _all_finite(Fb))
-            del scratch  # held, it would keep the next layer from recycling the scratch
+            for rows, Gt in _product_tiles(layout, prev, W, Gk, width):
+                # the sigmoid's scratch, taken once the tile's patches are dropped
+                scratch = None if linear else take("scratch", (min(Gt.size, CHUNK),))
+                for piece, cols in _chunks(len(Gt), width):
+                    Gb = Gt[piece, cols]
+                    Gb += bias[cols]  # the products are the thread's buffer
+                    G_finite = G_finite and _all_finite(Gb)
+                    if not linear:
+                        Fb = sigma(Gb, out=Fk[rows][piece, cols],
+                                   scratch=scratch[: Gb.size].reshape(Gb.shape))
+                        F_finite = F_finite and (not layer.unbounded or _all_finite(Fb))
+                del scratch  # held, it would keep the next tile from recycling the scratch
             if not G_finite:
                 _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")
             if not F_finite:
                 _raise_non_finite(params, up_to, f"non-finite activation at layer {k}")
             F.append(_seal(Fk))
-            G.append(_seal(Gk))
-    return ForwardTrace(tuple(F), tuple(G))
+    return ForwardTrace(tuple(F), _PreActivations(spec, params, tuple(F)))

@@ -175,7 +175,9 @@ def train_adam(
     Every forward and backward writes into the calling thread's buffers.
     Each step's trace and gradient are dropped before the next forward, so
     it recycles their buffers; the error counts read the epoch's output
-    where its forward wrote it.
+    where its forward wrote it. Each step's trace is also dropped before
+    p is written: a trace recomputes its G from the parameters it was
+    made with, which are views of p.
     """
     rng = np.random.default_rng(cfg.seed)
     X, Y = dataset.X, dataset.Y

@@ -1,5 +1,7 @@
 """Activation values, derivatives, inverses, and growth profiles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,44 @@ def test_call_with_out_writes_out(act):
     out = np.full_like(t, np.nan)
     assert act(t, out=out) is out
     assert np.array_equal(bits(out), bits(act(t)))
+
+
+class TestSoftplusWhereAlphaTOverflows:
+    """Where alpha*t overflows and t does not, softplus(t) rounds to
+    max(t, 0), sigma'(t) to 1 or 0 and the inverse of a huge y to y, with
+    every warning an error, as under ``python -W error``; wherever
+    alpha*t is finite the bits are those of the plain formula."""
+
+    @staticmethod
+    def formula(alpha, t):
+        at = alpha * t
+        return np.divide(np.maximum(at, 0.0) + np.log1p(np.exp(-np.abs(at))), alpha)
+
+    def test_values_and_no_warning(self):
+        t = np.array([2e307, -2e307, np.finfo(np.float64).max, -5e307, np.inf, -np.inf,
+                      np.nan, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = Softplus(10.0)(t)
+            slope = Softplus(10.0).derivative(t)
+            scalar = Softplus(10.0)(2e307)
+            inverse = Softplus(10.0).inverse(np.array([2e307]))
+        assert bits(value[:6]).tolist() == bits([2e307, 0.0, t[2], 0.0, np.inf, 0.0]).tolist()
+        assert np.isnan(value[6]) and value[7] == self.formula(10.0, 1.0)
+        np.testing.assert_array_equal(slope[:6], [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        assert scalar == 2e307 and inverse[0] == 2e307
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 10.0, 1e300])
+    def test_finite_alpha_t_keeps_its_bits(self, alpha):
+        rng = np.random.default_rng(19)
+        t = np.concatenate([np.linspace(-800.0, 800.0, 20_001), [0.0, -0.0, 5e-324, -5e-324],
+                            rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000)])
+        with np.errstate(over="ignore"):
+            t = t[np.isfinite(alpha * t)]
+            want = self.formula(alpha, t)
+        assert bits(Softplus(alpha)(t)).tolist() == bits(want).tolist()
+        out = np.empty_like(t)
+        assert Softplus(alpha)(t, out=out) is out
 
 
 class TestDerivatives:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widecnn import (
+    ForwardTrace,
     Conv,
     Dataset,
     FullyConnected,
@@ -485,6 +486,17 @@ class TestFreezing:
         for arr, old in zip(frozen, before):
             assert not arr.flags.writeable
             np.testing.assert_array_equal(arr, old)
+
+    def test_a_trace_built_from_arrays_copies_them(self):
+        """A trace built from a caller's F and G tuples holds read-only
+        copies, as ``forward``'s trace holds read-only arrays."""
+        F0, F1, G1 = np.ones((2, 3)), np.full((2, 4), 0.5), np.zeros((2, 4))
+        trace = ForwardTrace((F0, F1), (None, G1))
+        F1 += 1.0
+        G1 += 1.0
+        assert trace.G[0] is None and not trace.G[1].flags.writeable
+        np.testing.assert_array_equal(trace.G[1], np.zeros((2, 4)))
+        np.testing.assert_array_equal(trace.F[1], np.full((2, 4), 0.5))
 
     def test_library_arrays_are_shared(self):
         rng = np.random.default_rng(13)

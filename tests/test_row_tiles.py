@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from widecnn import (
+    Activation,
+    ActivationProfile,
     Conv,
     FullyConnected,
     MaxPool,
@@ -65,6 +67,22 @@ TILES = (16, 250)
 
 def bits(a):
     return None if a is None else (a.shape, a.tobytes())
+
+
+class Exp(Activation):
+    """exp(t): unbounded above, so a finite pre-activation above 709.8
+    gives an infinite feature, which softplus and ReLU never do."""
+
+    name = "exp"
+
+    def __call__(self, t, out=None, scratch=None):
+        return np.exp(t, out=out)
+
+    def derivative(self, t, F=None, out=None):
+        return np.exp(t, out=out)
+
+    def profile(self):
+        return ActivationProfile(0.0, None, (1.0, 1.0), None, True, True)
 
 
 def batch(spec, n, seed):
@@ -130,10 +148,10 @@ class TestErrorsInALaterBlock:
     """Rows 0, 16 and 32 of a 33-row batch in blocks of one or two rows:
     the layer-1 error is the one the whole batch in one block raises."""
 
-    SPEC = NetworkSpec(6, (Conv(conv1d_layout(6, 3, 1), 2, Softplus(4.0)),
+    SPEC = NetworkSpec(6, (Conv(conv1d_layout(6, 3, 1), 2, Exp()),
                            FullyConnected(4, Sigmoid()), Output(2)))
     # with unit layer-1 filters, 1e308 overflows G_1; 2e307 leaves G_1
-    # finite and overflows softplus's 4*G_1, so F_1 is not finite
+    # finite and overflows exp(G_1), so F_1 is not finite
     CASES = {
         "G": ({16: 1e308}, NumericOverflowError, "non-finite pre-activation at layer 1$"),
         "F": ({16: 2e307}, NumericOverflowError, "non-finite activation at layer 1$"),
@@ -228,8 +246,8 @@ class TestChunkedPasses:
     def test_overflow_in_the_last_piece_names_its_layer(self, monkeypatch, case):
         """Unit layer-1 filters: two inputs of 1e308 overflow the last G_1
         entries of the last row; one of 5e307 leaves G_1 finite and
-        overflows softplus's 4*G_1 there."""
-        spec = self.spec(Softplus(4.0))
+        overflows exp(G_1) there."""
+        spec = self.spec(Exp())
         params, X = batch(spec, self.N, 18)
         params = params.with_layer(1, np.ones((9, 4)), params.biases[1])
         if case == "G":
@@ -248,8 +266,10 @@ class TestChunkedPasses:
 
 def test_reference_forward_allocates_at_most_three_tiles_beyond_its_trace():
     """One forward of mnist_conv_pool_network(100) on 32 inputs returns a
-    trace of about 38 MiB; every temporary is a row block of at most one
-    tile, so the peak stays within three tiles of the trace."""
+    trace whose F matrices take about 22 MiB, and no G: each sigmoid
+    layer's G passes through a buffer of one row tile, and every other
+    temporary is a row block of at most one tile, so the peak stays
+    within three tiles of the F matrices."""
     spec = mnist_conv_pool_network(100)
     params, X = batch(spec, 32, 11)
     tracemalloc.start()
@@ -258,7 +278,6 @@ def test_reference_forward_allocates_at_most_three_tiles_beyond_its_trace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = {id(a): a for a in (*trace.F[1:], *trace.G) if a is not None}
-    trace_bytes = sum(a.nbytes for a in arrays.values())
-    assert trace_bytes > 35 * 2**20
-    assert peak <= trace_bytes + 3 * network.ROW_TILE * 8
+    F_bytes = sum(a.nbytes for a in trace.F[1:])
+    assert F_bytes > 20 * 2**20
+    assert peak <= F_bytes + 3 * network.ROW_TILE * 8
