@@ -56,7 +56,8 @@ class Activation(abc.ABC):
 
     A call ``sigma(t, out=None, scratch=None)`` writes its result into
     ``out`` when given, and may overwrite ``scratch``, an array of t's
-    shape, with temporaries; the result is the same bit for bit.
+    shape, with temporaries; the result is the same bit for bit. ``out``
+    may be t itself.
     """
 
     name: str = "abstract"
@@ -202,12 +203,14 @@ class Softplus(Activation):
     def __call__(self, t, out=None, scratch=None):
         t = np.asarray(t, dtype=np.float64)
         at = self._scaled(t)
+        # where alpha*t overflows the value rounds to max(t, 0), which is the
+        # formula's value where t is infinite too; both are read before out,
+        # which may be t, is written
+        over = np.isinf(at)
+        rounded = np.maximum(t[over], 0.0)
         out = np.divide(np.maximum(at, 0.0) + np.log1p(np.exp(-np.abs(at))), self.alpha,
                         out=np.empty_like(t) if out is None else out)
-        # where alpha*t overflows and t does not, the value rounds to max(t, 0)
-        over = np.isinf(at)
-        if over.any():
-            np.copyto(out, np.maximum(t, 0.0), where=over & np.isfinite(t))
+        out[over] = rounded
         return out
 
     def derivative(self, t, F=None, out=None):

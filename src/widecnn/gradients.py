@@ -54,19 +54,18 @@ def loss(trace: ForwardTrace, Y: np.ndarray) -> float:
         return 0.5 * float(np.sum(diff * diff))
 
 
-def _sigma_prime(trace: ForwardTrace, sigma: Activation, k: int, take=None) -> np.ndarray:
+def _sigma_prime(trace: ForwardTrace, sigma: Activation, k: int) -> np.ndarray:
     """sigma'(G_k) of layer k of the trace, whose activation is ``sigma``,
-    into the thread's scratch when ``take`` is the workspace's. Where
-    ``sigma.derivative_from_F`` holds it reads F_k alone, so ``trace.G[k]``
-    is recomputed only for an activation whose derivative needs t
-    (softplus). G_k is read before the scratch is taken, because its
-    recompute gathers into the scratch."""
+    in the thread's scratch. Where ``sigma.derivative_from_F`` holds it
+    reads F_k alone, so ``trace.G[k]`` is recomputed only for an
+    activation whose derivative needs t (softplus). G_k is read before the
+    scratch is taken, because its recompute gathers into the scratch."""
     t = None if sigma.derivative_from_F else trace.G[k]
     F = trace.F[k]
-    return sigma.derivative(t, F, out=None if take is None else take("scratch", F.shape))
+    return sigma.derivative(t, F, out=_WORKSPACE.take("scratch", F.shape))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientSet:
     """Per-layer gradients, indexed by layer (None below the differentiated
     segment and at pooling).
@@ -144,5 +143,5 @@ def backward(
             product = np.matmul(delta.reshape(N * P, T), params.weights[l].T,
                                 out=take(("delta", l - 1), (N * P, size)))
             delta = layout.scatter_add(product.reshape(N, P, size))
-            delta *= _sigma_prime(trace, plan[l - 1].activation, l - 1, take)
+            delta *= _sigma_prime(trace, plan[l - 1].activation, l - 1)
     return GradientSet(tuple(grad_W), tuple(grad_b), tuple(deltas), flat)

@@ -18,23 +18,22 @@ are gathered by the one tiled walk, ``_patch_blocks``, that
 ``patch_products`` also uses.
 
 The forward pass allocates little beyond the trace it returns, which
-keeps one feature matrix per layer, F_k. A nonlinear weighted layer's
-pre-activation G_k is computed one row tile at a time by
-``_product_tiles`` into a buffer of one tile, and the bias add, the
-finiteness sum and the activation that writes F_k follow each tile; the
-trace's ``G[k]`` recomputes G_k by the same walk when it is first read.
-A linear (output) layer's G_k is its F_k. A tile is a ``_patch_blocks``
-block of at most ``ROW_TILE`` (2^18 float64 entries) of gathered
-patches, cut to at most one ``ROW_TILE`` of G_k, or all rows of a
-whole-layer layout in one GEMM; ``patch_products`` walks the same
-blocks, uncut.
-Within a tile, the elementwise passes follow ``CHUNK`` (2^15 entries):
-each runs over pieces of at most one chunk, whole rows while a row fits
-and column slices of one row otherwise, so that a piece, the sigmoid's
-scratch and the matching piece of F stay in a core's L2 cache between
-the passes. Every blocked operation but the GEMM gives the bits of one
-call over the whole batch; a batch of more rows than one tile holds may
-see BLAS round a tile's GEMM differently, within the bound
+keeps one feature matrix per layer, F_k. A weighted layer's products
+are written one tile at a time by ``_product_tiles`` straight into the
+rows of F_k, and the bias add, the finiteness sum and the activation
+follow each tile in place, so G_k and F_k are one piece of memory; the
+trace's ``G[k]`` of a nonlinear layer recomputes G_k from F_{k-1} by the
+same walk when it is first read. A tile is a ``_patch_blocks`` block of
+at most ``ROW_TILE`` (2^18 float64 entries) of gathered patches, or all
+rows of a whole-layer layout in one GEMM; ``patch_products`` walks the
+same blocks, so it, ``forward`` and ``G[k]`` give the same bits at every
+batch size. Within a tile, the elementwise passes follow ``CHUNK``
+(2^15 entries): each runs over pieces of at most one chunk, whole rows
+while a row fits and column slices of one row otherwise, so that a
+piece and the sigmoid's scratch stay in a core's L2 cache between the
+passes. Every blocked operation but the GEMM gives the bits of one call
+over the whole batch; a batch of more rows than one tile holds may see
+BLAS round a tile's GEMM differently, within the bound
 ``patch_products`` states.
 
 The frozen containers copy a caller's arrays but share the arrays the
@@ -45,12 +44,11 @@ finite, or when the batch has no rows. A bounded activation of finite
 pre-activations is finite, so only an activation with an unbounded tail
 has its features summed.
 
-Each thread keeps one float64 buffer per role (a layer's G, one tile of
-it where the layer is nonlinear, its F or delta, the flat gradient, and
-one scratch for temporaries that die inside a call, such as a tile's
-gathered patches, whose shape, or that a whole-layer layout needs none,
-``_gather`` alone decides). ``forward``
-and ``backward`` write into the buffers of the calling thread, so
+Each thread keeps one float64 buffer per role (a layer's F or delta, the
+flat gradient, and one scratch for temporaries that die inside a call,
+such as a tile's gathered patches, whose shape, or that a whole-layer
+layout needs none, ``_gather`` alone decides). ``forward`` and
+``backward`` write into the buffers of the calling thread, so
 repeated calls fault their arrays in once instead of once per call. A
 role's buffer is recycled only when no live array references it; while
 a trace or gradient set, or any view or slice of one, is held, the next
@@ -77,8 +75,9 @@ from .layout import PatchLayout, full_layout
 # float64 entries (2 MiB) in a block of gathered patches
 ROW_TILE = 1 << 18
 # float64 entries (256 KiB) in a piece of an elementwise pass of forward:
-# a G piece, the sigmoid's scratch and the F piece together take 3/8 of
-# a 2 MiB L2; of 2^11..2^16 entries, 2^15 ran the reference net fastest
+# a piece of G_k, which the activation overwrites with F_k, and the
+# sigmoid's scratch take 1/4 of a 2 MiB L2; of 2^11..2^16 entries, 2^15
+# ran the reference net fastest
 CHUNK = ROW_TILE >> 3
 
 
@@ -259,7 +258,7 @@ class NetworkSpec:
         return self._planned(k).filter_shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Params:
     """Per-layer filter matrices and bias vectors, index-aligned to the
     owning spec (entry 0 and max-pool entries are None). Entries above a
@@ -416,7 +415,7 @@ def _check_param_shapes(spec: NetworkSpec, params: Params, up_to: int | None = N
             raise StructuralError(f"layer {k} bias {b.shape}, expected ({layer.width},)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardTrace:
     """Per-layer feature matrices for one batch.
 
@@ -477,11 +476,8 @@ class _PreActivations(Sequence):
                 layer, self._F[k - 1], self._params.weights[k], self._params.biases[k]))
         return self._cache[k]
 
-    def __eq__(self, other):
-        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Training inputs X (N x d) and targets Y (N x m), optionally with
     integer class labels and a full-rank class embedding Z (m x m) whose
@@ -658,86 +654,64 @@ def _gather(layout: PatchLayout, rows: int) -> np.ndarray | None:
         "scratch", (rows, *layout.patches.shape))
 
 
-def _patch_blocks(layout: PatchLayout, F: np.ndarray, width: int = 0):
-    """Walk the (N, layout.width) rows F in blocks of
-    ``_tile_rows(max(P*l, width))`` rows, yielding each block's row slice
-    and its (rows, P, l) patches, gathered by ``layout.extract`` into the
-    thread's scratch as ``_gather`` sizes it, so a gathered block, and a
-    block of rows ``width`` entries wide, each hold at most one
+def _patch_blocks(layout: PatchLayout, F: np.ndarray):
+    """Walk the (N, layout.width) rows F in blocks of ``_tile_rows(P*l)``
+    rows, yielding each block's row slice and its (rows, P, l) patches,
+    gathered by ``layout.extract`` into the thread's scratch as
+    ``_gather`` sizes it, so a gathered block holds at most one
     ``ROW_TILE``. The scratch is taken anew for each block, so a caller
     that drops a block's patches may use the scratch until the next one.
     A whole-layer layout's patches are views."""
     N, (P, l) = F.shape[0], layout.patches.shape
-    rows = _tile_rows(max(P * l, width))
+    rows = _tile_rows(P * l)
     for start in range(0, N, rows):
         block = F[start : start + rows]
         yield slice(start, start + rows), layout.extract(
             block, out=_gather(layout, len(block)))
 
 
-def _tile_shape(layer: LayerPlan, N: int) -> tuple[int, int]:
-    """(rows, n_k) of one tile of layer's G in ``forward``'s walk of
-    ``_product_tiles`` over N rows: a ``_patch_blocks`` block at the
-    layer's width, or all N rows for a whole-layer layout."""
-    layout = layer.layout
-    rows = N if layout._whole_layer else _tile_rows(max(layout.patches.size, layer.width))
-    return min(N, rows), layer.width
-
-
-def _product_tiles(layout: PatchLayout, F: np.ndarray, W: np.ndarray, out: np.ndarray,
-                   width: int = 0):
+def _product_tiles(layout: PatchLayout, F: np.ndarray, W: np.ndarray, out: np.ndarray):
     """The one walk of a weighted layer's products before the bias, on the
-    (N, layout.width) rows F: yields each tile's row slice and its
-    (rows, P*T) products, written to ``out``. A tile is a ``_patch_blocks``
-    block, at most one ``ROW_TILE`` of gathered patches and of rows
-    ``width`` entries wide, and its products are one (rows*P, l) x (l, T)
+    (N, layout.width) rows F: yields each tile's (rows, P*T) products,
+    written to the tile's rows of the (N, P*T) ``out``. A tile is a
+    ``_patch_blocks`` block and its products are one (rows*P, l) x (l, T)
     GEMM; the tile's patches are dropped before it is yielded, so the
     thread's scratch is free until the walk resumes. A whole-layer layout
     is one tile of all N rows and one GEMM, since BLAS may round a GEMM of
-    fewer rows differently. ``out`` is (N, P*T), where each tile lands in
-    its own rows, or ``_tile_shape``'s one tile, which every tile reuses.
-    ``patch_products``, ``forward`` and ``ForwardTrace.G`` share this
-    walk, and the last two pass the layer's width, so they give the same
-    bits."""
-    N, T = F.shape[0], W.shape[1]
+    fewer rows differently. ``patch_products``, ``forward`` and
+    ``ForwardTrace.G`` share this walk, so they give the same bits."""
+    T = W.shape[1]
     if layout._whole_layer:
-        yield slice(None), np.matmul(F, W, out=out)
+        yield np.matmul(F, W, out=out)
         return
-    for rows, patches in _patch_blocks(layout, F, width):
-        G = out[rows] if len(out) == N else out[: len(patches)]
+    for rows, patches in _patch_blocks(layout, F):
+        G = out[rows]
         np.matmul(patches.reshape(-1, layout.patch_size), W, out=G.reshape(-1, T))
         del patches  # held, it would keep the caller from recycling the scratch
-        yield rows, G
+        yield G
 
 
 def _pre_activation(layer: LayerPlan, F: np.ndarray, W: np.ndarray, b: np.ndarray):
     """G = F @ lift(W) + b of a weighted layer on the rows F of the layer
     below, by ``forward``'s tile walk, into a sealed array of its own:
     the bits that forward's tiles held."""
-    G = np.empty((F.shape[0], layer.width))
-    for _, tile in _product_tiles(layer.layout, F, W, G, layer.width):
-        tile += b
+    G = patch_products(layer.layout, F, W).reshape(F.shape[0], layer.width)
+    G += b
     return _seal(G)
 
 
-def patch_products(
-    layout: PatchLayout,
-    F: np.ndarray,
-    W: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def patch_products(layout: PatchLayout, F: np.ndarray, W: np.ndarray) -> np.ndarray:
     """(N, P, T) inner products ``<W[:, t], patch_p(F[i])>``: a weighted
     layer's pre-activation before the bias, as one (b*P, l) x (l, T) GEMM
     for each block that ``_patch_blocks`` gathers, by ``_product_tiles``.
     A whole-layer layout gathers nothing: its one patch is a row of F, and
-    all N rows go in one GEMM. ``out`` (N*P*T entries) receives the
-    products; without it they are allocated.
+    all N rows go in one GEMM.
 
     A batch of one block is one gather and one GEMM. Above that, BLAS may
     round a block's GEMM differently from the whole batch's: each entry
     stays within 2*l*eps*(|patch| @ |W|) of it."""
     N, P, T = F.shape[0], len(layout.patches), W.shape[1]
-    G = np.empty((N, P * T)) if out is None else out.reshape(N, P * T)
+    G = np.empty((N, P * T))
     for _ in _product_tiles(layout, F, W, G):
         pass
     return G.reshape(N, P, T)
@@ -805,17 +779,17 @@ def forward(
 
     Every weighted layer's pre-activation equals the lifted-matrix product
     ``F_{k-1} @ lift_weights(W_k) + b_k`` up to floating-point rounding,
-    and every pooling layer is ``max_pool``. A nonlinear layer's G_k is
-    formed one tile at a time by ``_product_tiles`` in the thread's
-    one-tile G buffer; the bias add, the finiteness sums and the
-    activation into F_k run over the ``_chunks`` of each tile, so each of
-    their temporaries is at most one ``CHUNK``. A linear layer's G_k,
-    formed by the same walk into a buffer of the whole batch, is its F_k.
-    Pure function: identical inputs give identical traces. Every F except
-    the input is a view of a buffer of the calling thread's; a later call
-    on the thread recycles that buffer only once nothing references the
-    trace or any view of its arrays. The trace's ``G[k]`` of a nonlinear layer is recomputed from
-    its F_{k-1} and the layer's parameters on first read, bit for bit.
+    and every pooling layer is ``max_pool``. A weighted layer's products
+    are written tile by tile by ``_product_tiles`` into the rows of its
+    F_k buffer; the bias add, the finiteness sums and the activation then
+    run in place over the ``_chunks`` of each tile, so each of their
+    temporaries is at most one ``CHUNK`` and no G buffer is kept. A linear
+    layer's G_k is its F_k. Pure function: identical inputs give identical
+    traces. Every F except the input is a view of a buffer of the calling
+    thread's; a later call on the thread recycles that buffer only once
+    nothing references the trace or any view of its arrays. The trace's
+    ``G[k]`` of a nonlinear layer is recomputed from its F_{k-1} and the
+    layer's parameters on first read, bit for bit.
 
     Raises StructuralError for an ``up_to`` outside [0, L], a malformed or
     non-finite batch and misshapen or non-finite parameters of layers
@@ -845,19 +819,16 @@ def forward(
         F: list[np.ndarray] = [X]
         for k, layer in enumerate(spec.plan[1 : up_to + 1], 1):
             prev, layout, width = F[k - 1], layer.layout, layer.width
-            shape = (N, width)
+            Fk = take(("F", k), (N, width))
             if layer.filter_shape is None:
                 # the maxima of finite features are finite
-                F.append(_seal(max_pool(layout, prev, take(("F", k), shape))))
+                F.append(_seal(max_pool(layout, prev, Fk)))
                 continue
             sigma, W, bias = layer.activation, params.weights[k], params.biases[k]
             linear = isinstance(sigma, Identity)
             G_finite = F_finite = True
-            # a linear layer's G_k is its F_k, which the trace keeps whole;
-            # any other layer's G_k passes through a buffer of one tile
-            Gk = take(("G", k), shape if linear else _tile_shape(layer, N))
-            Fk = Gk if linear else take(("F", k), shape)
-            for rows, Gt in _product_tiles(layout, prev, W, Gk, width):
+            # each tile's products land in F_k's rows and become F_k in place
+            for Gt in _product_tiles(layout, prev, W, Fk):
                 # the sigmoid's scratch, taken once the tile's patches are dropped
                 scratch = None if linear else take("scratch", (min(Gt.size, CHUNK),))
                 for piece, cols in _chunks(len(Gt), width):
@@ -865,9 +836,8 @@ def forward(
                     Gb += bias[cols]  # the products are the thread's buffer
                     G_finite = G_finite and _all_finite(Gb)
                     if not linear:
-                        Fb = sigma(Gb, out=Fk[rows][piece, cols],
-                                   scratch=scratch[: Gb.size].reshape(Gb.shape))
-                        F_finite = F_finite and (not layer.unbounded or _all_finite(Fb))
+                        sigma(Gb, out=Gb, scratch=scratch[: Gb.size].reshape(Gb.shape))
+                        F_finite = F_finite and (not layer.unbounded or _all_finite(Gb))
                 del scratch  # held, it would keep the next tile from recycling the scratch
             if not G_finite:
                 _raise_non_finite(params, up_to, f"non-finite pre-activation at layer {k}")

@@ -100,6 +100,20 @@ def test_call_with_out_writes_out(act):
     assert np.array_equal(bits(out), bits(act(t)))
 
 
+@pytest.mark.parametrize("act", ALL)
+def test_call_in_place_keeps_the_bits(act):
+    """``sigma(t, out=t)``, as forward calls it on G's pieces, returns t
+    holding the bits of ``sigma(t)``, with or without a scratch, at the
+    special values, softplus's overflow of alpha*t and exp's edge."""
+    t = np.array([[0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf],
+                  [2e307, -2e307, 745.0, -745.0, 1.5, -3.25]])
+    want = bits(act(t))
+    for scratch in (None, np.empty_like(t)):
+        inplace = t.copy()
+        assert act(inplace, out=inplace, scratch=scratch) is inplace
+        assert np.array_equal(bits(inplace), want)
+
+
 class TestSoftplusWhereAlphaTOverflows:
     """Where alpha*t overflows and t does not, softplus(t) rounds to
     max(t, 0), sigma'(t) to 1 or 0 and the inverse of a huge y to y, with

@@ -24,6 +24,7 @@ from widecnn import (
     ReLU,
     Sigmoid,
     StructuralError,
+    backward,
     forward,
     lift_weights,
 )
@@ -453,7 +454,7 @@ class TestTypedErrors:
 
     def test_up_to_zero_is_the_input_alone(self):
         trace = forward(self.SPEC, self.params(), np.ones((3, 6)), up_to=0)
-        assert trace.last_layer == 0 and trace.G == (None,)
+        assert trace.last_layer == 0 and tuple(trace.G) == (None,)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_batch(self, value):
@@ -524,6 +525,22 @@ class TestFreezing:
         assert not np.shares_memory(dataset.X, X)
         X += 1.0
         np.testing.assert_array_equal(dataset.X, before)
+
+    def test_containers_compare_and_hash_by_identity(self):
+        """Traces, parameters, datasets and gradient sets hold arrays, so
+        ``==`` is identity and gives a bool, and each hashes."""
+        rng = np.random.default_rng(16)
+        spec = NetworkSpec(3, (FullyConnected(4, Sigmoid()), Output(2)))
+        params = Params.gaussian(spec, rng)
+        dataset = Dataset(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+        traces = [forward(spec, params, dataset.X) for _ in range(2)]
+        grads = backward(spec, params, traces[0], dataset.Y)
+        pairs = [traces, [params, Params(params.weights, params.biases)],
+                 [dataset, Dataset(dataset.X, dataset.Y)],
+                 [grads, backward(spec, params, traces[1], dataset.Y)]]
+        for a, b in pairs:
+            assert (a == a) is True and (a == b) is False and (a != b) is True
+            assert hash(a) == hash(a) and isinstance(hash(b), int)
 
 
 class TestSpecValidation:

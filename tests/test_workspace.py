@@ -244,7 +244,7 @@ def test_filter_gradients_take_no_lifted_role():
         backward(spec, params, forward(spec, params, X), Y, start)
         return {key if isinstance(key, str) else key[0] for key in _WORKSPACE._buffers}
 
-    assert in_fresh_thread(roles) == {"G", "F", "delta", "grad", "scratch"}
+    assert in_fresh_thread(roles) == {"F", "delta", "grad", "scratch"}
 
 
 def test_whole_layer_gradients_take_no_gather_scratch():
